@@ -1,0 +1,143 @@
+"""Golden trajectories: short, fixed runs of every trainer in the lab.
+
+`golden_runs()` runs, on both environments:
+
+- `train_score_model` on a tiny score model;
+- each offline algorithm under each optimizer (adam, muon);
+- each online algorithm under each optimizer, fine-tuned from that
+  environment's smac/adam checkpoint.
+
+Each run yields its final parameter vectors (policy, every critic member
+and target, and the scale or value net when the agent has one) and its
+metric rows.  `tests/test_golden.py` compares a fresh run with the
+recorded fixture, so a refactor that claims to keep behaviour is checked
+against numbers pinned before it, not against a rerun of itself.
+
+Regenerate the fixture only for an intended change to the numbers:
+
+    PYTHONPATH=src python tests/golden_runs.py
+"""
+
+from __future__ import annotations
+
+import copy
+from pathlib import Path
+
+import numpy as np
+
+from o2olab.diffusion import cosine_schedule, init_score_model, train_score_model
+from o2olab.envs import ScriptedPolicy, generate_dataset, make_env_spec
+from o2olab.pipeline import (
+    OFFLINE_ALGS,
+    ONLINE_ALGS,
+    config_from_dict,
+    offline_pretrain,
+    online_finetune,
+)
+from o2olab.seeding import stream
+
+FIXTURE = Path(__file__).parent / "data" / "golden_trajectories.npz"
+ENVS = ("reach2d", "gate1d")
+OPTIMIZERS = ("adam", "muon")
+
+
+def _config(env: str, **over):
+    base = {
+        "env": env,
+        "offline_steps": 6,
+        "online_steps": 6,
+        "offline_batch": 8,
+        "online_batch": 8,
+        "warm_start_count": 12,
+        "eval_every": 3,
+        "eval_episodes": 1,
+        "loss": {"score_match_weight": 2.0},
+        "networks": {
+            "critic_hidden": [8, 8],
+            "policy_hidden": [8, 8],
+            "scale_hidden": [8, 8],
+            "value_hidden": [8, 8],
+        },
+    }
+    base.update(over)
+    return config_from_dict(base)
+
+
+def _agent_arrays(agent) -> dict:
+    arrays = {"policy": agent.policy.params.values}
+    for i, member in enumerate(agent.critics.members):
+        arrays[f"critic{i}"] = member.values
+    for i, target in enumerate(agent.critics.targets):
+        arrays[f"target{i}"] = target.values
+    if agent.scale_net is not None:
+        arrays["scale"] = agent.scale_net.params.values
+    if agent.value_net is not None:
+        arrays["value"] = agent.value_net.params.values
+    return arrays
+
+
+def _metric_arrays(rows) -> dict:
+    return {
+        "metric_names": np.array([f"{r[0]},{r[1]},{r[2]},{r[3]}" for r in rows]),
+        "metric_values": np.array([float(r[4]) for r in rows]),
+    }
+
+
+def golden_runs() -> dict:
+    """{run name: {array name: array}} for every golden run."""
+    runs = {}
+    for env_name in ENVS:
+        env = make_env_spec(env_name)
+        dataset = generate_dataset(env, ScriptedPolicy(env, 0.5), 6, seed=3)
+
+        model = init_score_model(
+            env.state_dim,
+            env.action_dim,
+            cosine_schedule(8),
+            stream(4, "init-diffusion"),
+            hidden=(8, 8),
+            action_low=env.action_low,
+            action_high=env.action_high,
+        )
+        model, losses = train_score_model(model, dataset, 8, 16, 1e-3, seed=4)
+        runs[f"{env_name}/diffusion"] = {"score": model.params.values, "losses": losses}
+
+        smac_start = None
+        for alg in OFFLINE_ALGS:
+            for opt in OPTIMIZERS:
+                cfg = _config(env_name, offline_alg=alg, optimizer=opt)
+                agent, rows = offline_pretrain(cfg, dataset, model, seed=5, run_id=alg)
+                runs[f"{env_name}/offline/{alg}/{opt}"] = {
+                    **_agent_arrays(agent),
+                    **_metric_arrays(rows),
+                }
+                if alg == "smac" and opt == "adam":
+                    smac_start = agent
+
+        for alg in ONLINE_ALGS:
+            for opt in OPTIMIZERS:
+                cfg = _config(env_name, online_alg=alg, optimizer=opt)
+                agent, rows = online_finetune(
+                    copy.deepcopy(smac_start), cfg, dataset, env, seed=6, run_id=alg
+                )
+                runs[f"{env_name}/online/{alg}/{opt}"] = {
+                    **_agent_arrays(agent),
+                    **_metric_arrays(rows),
+                }
+    return runs
+
+
+def flatten(runs: dict) -> dict:
+    return {f"{run}/{name}": arr for run, arrays in runs.items() for name, arr in arrays.items()}
+
+
+def main():
+    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
+    flat = flatten(golden_runs())
+    with open(FIXTURE, "wb") as fh:
+        np.savez_compressed(fh, **flat)
+    print(f"wrote {len(flat)} arrays to {FIXTURE}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,51 @@
+"""Pinned behaviour: every trainer reproduces its recorded trajectory.
+
+The fixture was written by `tests/golden_runs.py`.  Each parameter
+vector and metric column must match within RTOL relative to its largest
+recorded magnitude (max |new - old| / max |old|); metric names must match
+exactly.
+"""
+
+import numpy as np
+import pytest
+
+from golden_runs import FIXTURE, flatten, golden_runs
+
+RTOL = 1e-10
+
+
+@pytest.fixture(scope="module")
+def current():
+    return flatten(golden_runs())
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    with np.load(FIXTURE, allow_pickle=False) as data:
+        return {name: data[name] for name in data.files}
+
+
+def test_same_runs_and_arrays(current, recorded):
+    assert sorted(current) == sorted(recorded)
+    assert len({key.rsplit("/", 1)[0] for key in recorded}) == 42
+
+
+def test_metric_names_match(current, recorded):
+    for key in recorded:
+        if key.endswith("/metric_names"):
+            assert current[key].tolist() == recorded[key].tolist(), key
+
+
+def test_values_match_within_tolerance(current, recorded):
+    worst = 0.0
+    for key, old in recorded.items():
+        if key.endswith("/metric_names"):
+            continue
+        new = current[key]
+        assert new.shape == old.shape, key
+        scale = float(np.max(np.abs(old)))
+        dev = float(np.max(np.abs(new - old)))
+        rel = dev / scale if scale > 0.0 else dev
+        assert rel <= RTOL, f"{key}: relative deviation {rel:.3e}"
+        worst = max(worst, rel)
+    print(f"max relative deviation {worst:.3e}")
