@@ -6,6 +6,13 @@ its scalar value together with flat parameter gradients (one per critic
 member, one per auxiliary network).  Gradients are exact reverse-mode,
 so every function here is covered by the finite-difference suite.
 
+Critic arithmetic shared by several agents has one implementation each:
+`_td_regression` (every member regressed onto one TD target, used by
+soft actor-critic, IQL and TD3), `_min_member_action_grad` (the min-member
+Q and that member's action gradient, ascended by the SAC, TD3 and TD3+BC
+actors), and `_member_qs` (per-member Q, behind `_min_over` and the AWR
+advantages).
+
 The score-matching regularizer penalizes the distance between a
 critic's action gradient and a state-scaled noise estimate from the
 diffusion model; its critic gradient therefore needs second-order
@@ -19,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .networks import CriticEnsemble, GaussianPolicy, ScaleNet, ValueNet, critic_input
+from .networks import CriticEnsemble, GaussianPolicy, ScaleNet, critic_input
 from .numkit import mlp_forward_batch, mlp_grad_batch, mlp_second_grad
+from .seeding import as_generator
 
 # Advantage weights are clipped here to keep exponentials from overflowing.
 WEIGHT_CLIP = 100.0
@@ -63,22 +71,48 @@ def _q_forward(params, x) -> np.ndarray:
     return mlp_forward_batch(params, x)[:, 0]
 
 
+def _member_qs(params_list, x) -> np.ndarray:
+    """Q of every critic in the list at every input row, shape (n, batch)."""
+    return np.stack([_q_forward(p, x) for p in params_list])
+
+
 def _min_over(params_list, x):
     """(per-sample min, argmin member index) over a critic list."""
-    qs = np.stack([_q_forward(p, x) for p in params_list])
+    qs = _member_qs(params_list, x)
     idx = np.argmin(qs, axis=0)
     return qs[idx, np.arange(qs.shape[1])], idx
 
 
-def _action_grads(params_list, x, state_dim):
-    """Per-member gradients of Q w.r.t. the action block of the input."""
+def _min_member_action_grad(params_list, x, state_dim):
+    """(per-sample min Q, dQ/da of the member attaining it) over a critic list.
+
+    The action block of each input row starts at column `state_dim`.
+    This is the critic signal every actor loss ascends; the gradient is
+    taken w.r.t. the input only, never the critic parameters.
+    """
+    qmin, idx = _min_over(params_list, x)
     ones = np.ones((x.shape[0], 1))
-    return [mlp_grad_batch(p, x, ones)[1][:, state_dim:] for p in params_list]
+    ga = np.stack([mlp_grad_batch(p, x, ones)[1][:, state_dim:] for p in params_list])
+    return qmin, ga[idx, np.arange(x.shape[0])]
+
+
+def _td_regression(params_list, x, y):
+    """Mean over members and batch of (Q(x) - y)^2, and each member's
+    flat parameter gradient.  The target y is a constant."""
+    n, b = len(params_list), x.shape[0]
+    loss = 0.0
+    grads = []
+    for params in params_list:
+        resid = _q_forward(params, x) - y
+        loss += float(resid @ resid)
+        flat, _ = mlp_grad_batch(params, x, (2.0 / (n * b)) * resid[:, None])
+        grads.append(flat)
+    return loss / (n * b), grads
 
 
 def policy_sample_logprob(policy: GaussianPolicy, s: np.ndarray, seed):
     """Sample one action for one state; returns (action, log-density)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
     a, logp, _ = policy.sample(np.atleast_2d(s), rng)
     return a[0], float(logp[0])
 
@@ -106,17 +140,7 @@ def sac_critic_loss(
     y = batch.r + discount * (1.0 - batch.done) * (tq - entropy_coef * logp2)
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite TD target")
-    x = critic_input(batch.s, batch.a)
-    n, b = ensemble.n_members, batch.size
-    loss = 0.0
-    grads = []
-    for member in ensemble.members:
-        q = _q_forward(member, x)
-        resid = q - y
-        loss += float(resid @ resid)
-        flat, _ = mlp_grad_batch(member, x, (2.0 / (n * b)) * resid[:, None])
-        grads.append(flat)
-    return loss / (n * b), grads
+    return _td_regression(ensemble.members, critic_input(batch.s, batch.a), y)
 
 
 def sac_policy_loss(
@@ -135,11 +159,9 @@ def sac_policy_loss(
     """
     a, logp, internals = policy.sample(batch.s, rng)
     x = critic_input(batch.s, a)
-    qmin, idx = _min_over(ensemble.members, x)
+    qmin, ga_sel = _min_member_action_grad(ensemble.members, x, batch.s.shape[1])
     b = batch.size
     loss = float(np.mean(entropy_coef * logp - qmin))
-    ga = _action_grads(ensemble.members, x, batch.s.shape[1])
-    ga_sel = np.stack(ga)[idx, np.arange(b)]
     d_logp = np.full(b, entropy_coef / b)
     d_action = -ga_sel / b
     grad = policy.sample_grads(batch.s, internals, d_logp, d_action)
@@ -164,7 +186,7 @@ def sample_action_mixture(
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     if s.shape[0] != batch_size:
         raise ShapeError(f"{s.shape[0]} states for batch_size {batch_size}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
     nh = batch_size // 2
     a_pol, _, _ = policy.sample(s[:nh], rng)
     low = np.asarray(action_low, dtype=np.float64)
@@ -287,7 +309,7 @@ def cql_penalty(
     action_high,
 ):
     """mean Q on mixture-sampled actions minus mean Q on dataset actions."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
     a_ood = sample_action_mixture(policy, action_low, action_high, batch.s, batch.size, rng)
     return _conservative_penalty(ensemble, batch, a_ood, cap=None)
 
@@ -305,7 +327,7 @@ def calql_penalty(
     Monte-Carlo returns (callers fall back to `cql_penalty`)."""
     if np.any(np.isnan(batch.mc)):
         raise ValueError("batch lacks Monte-Carlo returns; use cql_penalty instead")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
     a_ood = sample_action_mixture(policy, action_low, action_high, batch.s, batch.size, rng)
     return _conservative_penalty(ensemble, batch, a_ood, cap=batch.mc)
 
@@ -344,7 +366,7 @@ class IqlOut:
 
 def iql_losses(
     ensemble: CriticEnsemble,
-    value_net: ValueNet,
+    value_net: ScaleNet,
     policy: GaussianPolicy,
     batch,
     expectile: float,
@@ -370,16 +392,7 @@ def iql_losses(
     value_grad = value_net.grads(batch.s, (-2.0 / b) * weight * u)
 
     y = batch.r + discount * (1.0 - batch.done) * value_net.values(batch.s2)
-    n = ensemble.n_members
-    critic_loss = 0.0
-    member_grads = []
-    for member in ensemble.members:
-        q = _q_forward(member, x_data)
-        resid = q - y
-        critic_loss += float(resid @ resid)
-        flat, _ = mlp_grad_batch(member, x_data, (2.0 / (n * b)) * resid[:, None])
-        member_grads.append(flat)
-    critic_loss /= n * b
+    critic_loss, member_grads = _td_regression(ensemble.members, x_data, y)
 
     adv_w = _clipped_exp_weights(u / awr_temperature)
     logp, internals = policy.logprob_given(batch.s, batch.a)
@@ -420,25 +433,14 @@ def td3_losses(
     y = batch.r + discount * (1.0 - batch.done) * tq
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite TD target")
-    x = critic_input(batch.s, batch.a)
-    n, b = ensemble.n_members, batch.size
-    critic_loss = 0.0
-    member_grads = []
-    for member in ensemble.members:
-        q = _q_forward(member, x)
-        resid = q - y
-        critic_loss += float(resid @ resid)
-        flat, _ = mlp_grad_batch(member, x, (2.0 / (n * b)) * resid[:, None])
-        member_grads.append(flat)
-    critic_loss /= n * b
+    critic_loss, member_grads = _td_regression(
+        ensemble.members, critic_input(batch.s, batch.a), y
+    )
 
-    a_mean = policy.mean_action(batch.s)
-    x_pi = critic_input(batch.s, a_mean)
-    qmin, idx = _min_over(ensemble.members, x_pi)
+    x_pi = critic_input(batch.s, policy.mean_action(batch.s))
+    qmin, ga_sel = _min_member_action_grad(ensemble.members, x_pi, batch.s.shape[1])
     policy_loss = float(-np.mean(qmin))
-    ga = _action_grads(ensemble.members, x_pi, batch.s.shape[1])
-    ga_sel = np.stack(ga)[idx, np.arange(b)]
-    policy_grad = policy.mean_action_grads(batch.s, -ga_sel / b)
+    policy_grad = policy.mean_action_grads(batch.s, -ga_sel / batch.size)
     return Td3Out(critic_loss, policy_loss, member_grads, policy_grad)
 
 
@@ -462,14 +464,12 @@ def td3bc_policy_loss(
     b = batch.size
     a_mean = policy.mean_action(batch.s)
     x_pi = critic_input(batch.s, a_mean)
-    qmin, idx = _min_over(ensemble.members, x_pi)
+    qmin, ga_sel = _min_member_action_grad(ensemble.members, x_pi, batch.s.shape[1])
     if normalizer is None:
         normalizer = float(np.mean(np.abs(qmin)))
     norm = max(normalizer, NORMALIZER_FLOOR)
     diff = a_mean - batch.a
     loss = float(np.mean(-qmin / norm + bc_weight * np.sum(diff * diff, axis=1)))
-    ga = _action_grads(ensemble.members, x_pi, batch.s.shape[1])
-    ga_sel = np.stack(ga)[idx, np.arange(b)]
     d_action = -ga_sel / (b * norm) + (2.0 * bc_weight / b) * diff
     grad = policy.mean_action_grads(batch.s, d_action)
     return loss, grad
@@ -490,12 +490,8 @@ def awr_weights(
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     a_pi, _, _ = policy.sample(batch.s, rng)
-    q_base = np.mean(
-        [_q_forward(m, critic_input(batch.s, a_pi)) for m in ensemble.members], axis=0
-    )
-    q_data = np.mean(
-        [_q_forward(m, critic_input(batch.s, batch.a)) for m in ensemble.members], axis=0
-    )
+    q_base = np.mean(_member_qs(ensemble.members, critic_input(batch.s, a_pi)), axis=0)
+    q_data = np.mean(_member_qs(ensemble.members, critic_input(batch.s, batch.a)), axis=0)
     return _clipped_exp_weights((q_data - q_base) / temperature)
 
 

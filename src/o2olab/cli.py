@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -82,6 +83,18 @@ class _OutputDir:
 
     def finalize(self, command, config_dict, seeds):
         _finalize(self.tmp, self.out, command, config_dict, seeds)
+
+
+def _map_seeds(jobs: int, fn, *per_seed):
+    """Call fn once per seed, with the i-th item of each `per_seed` list
+    as its arguments; in `jobs` worker processes when jobs > 1 and there
+    is more than one seed, else in order in this process."""
+    if jobs > 1 and len(per_seed[0]) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(fn, *per_seed))
+    else:
+        for args in zip(*per_seed):
+            fn(*args)
 
 
 def _load_config(args) -> pipeline.ExperimentConfig:
@@ -185,21 +198,12 @@ def _cmd_pretrain(args) -> int:
         score_model = load_score_model(args.diffusion)
     seeds = _seeds(args, config)
     outdir = _OutputDir(_resolve_out(args, "pretrain"))
-    if args.jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            list(
-                pool.map(
-                    _pretrain_one,
-                    [config] * len(seeds),
-                    [dataset] * len(seeds),
-                    [score_model] * len(seeds),
-                    seeds,
-                    [outdir.tmp / f"seed-{s}" for s in seeds],
-                )
-            )
-    else:
-        for seed in seeds:
-            _pretrain_one(config, dataset, score_model, seed, outdir.tmp / f"seed-{seed}")
+    _map_seeds(
+        args.jobs,
+        partial(_pretrain_one, config, dataset, score_model),
+        seeds,
+        [outdir.tmp / f"seed-{s}" for s in seeds],
+    )
     outdir.finalize("pretrain", pipeline.config_to_dict(config), seeds)
     print(f"pre-trained {len(seeds)} agent(s) into {outdir.out}")
     return 0
@@ -234,21 +238,13 @@ def _cmd_finetune(args) -> int:
     ckpt_root = Path(args.checkpoint)
     ckpt_paths = [_checkpoint_for_seed(ckpt_root, s) for s in seeds]
     outdir = _OutputDir(_resolve_out(args, "finetune"))
-    if args.jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            list(
-                pool.map(
-                    _finetune_one,
-                    [config] * len(seeds),
-                    [dataset] * len(seeds),
-                    ckpt_paths,
-                    seeds,
-                    [outdir.tmp / f"seed-{s}" for s in seeds],
-                )
-            )
-    else:
-        for seed, ckpt in zip(seeds, ckpt_paths):
-            _finetune_one(config, dataset, ckpt, seed, outdir.tmp / f"seed-{seed}")
+    _map_seeds(
+        args.jobs,
+        partial(_finetune_one, config, dataset),
+        ckpt_paths,
+        seeds,
+        [outdir.tmp / f"seed-{s}" for s in seeds],
+    )
     outdir.finalize("finetune", pipeline.config_to_dict(config), seeds)
     print(f"fine-tuned {len(seeds)} agent(s) into {outdir.out}")
     return 0

@@ -26,7 +26,7 @@ from . import blobio
 from .errors import NumericError, ShapeError
 from .numkit import MlpSpec, ParamVector, init_params, mlp_forward_batch, mlp_grad_batch
 from .optim import init_opt_state, optimizer_step
-from .seeding import stream
+from .seeding import as_generator, stream
 
 SCHEDULE_CLIP_LO = 1e-5
 SCHEDULE_CLIP_HI = 0.9999
@@ -181,7 +181,7 @@ def eps_prediction_loss(predict_fn, schedule: NoiseSchedule, action_dim: int, s,
     """
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
     k, eps = _draw_noising(schedule, action_dim, s.shape[0], rng)
     ab = schedule.at(k)[:, None]
     noised = np.sqrt(ab) * a + np.sqrt(1.0 - ab) * eps
@@ -202,7 +202,7 @@ def diffusion_loss(model: ScoreModel, s, a, w, seed):
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if s.shape[0] == 0:
         raise ValueError("empty batch")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
     k, eps = _draw_noising(model.schedule, model.action_dim, s.shape[0], rng)
     ab = model.schedule.at(k)[:, None]
     noised = np.sqrt(ab) * a + np.sqrt(1.0 - ab) * eps
@@ -275,7 +275,7 @@ def ddpm_sample(model: ScoreModel, s, w, seed, stochastic: bool = False) -> np.n
     """
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     n = s.shape[0]
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
     ab = model.schedule.alpha_bar
     x = rng.standard_normal((n, model.action_dim))
     for k in range(model.schedule.n_steps, 0, -1):

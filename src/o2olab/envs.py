@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, NumericError, ShapeError
-from .seeding import stream
+from .seeding import as_generator, stream
 
 STEP_SIZE = 0.1
 REACH2D_GOAL = np.zeros(2)
@@ -164,7 +164,7 @@ def make_env_spec(name: str) -> EnvSpec:
 
 def env_reset(spec: EnvSpec, seed: int) -> np.ndarray:
     """Draw an initial state; deterministic per seed."""
-    rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
+    rng = as_generator(seed)
     if spec.name == "reach2d":
         return rng.uniform(-1.0, 1.0, size=2)
     if spec.name == "gate1d":
@@ -387,7 +387,7 @@ def mixed_batch(
         raise ValueError("batch_size must be at least 2")
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix must lie in [0, 1]")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
     n_data = int(np.floor(mix * batch_size))
     n_buf = batch_size - n_data
     if n_data > 0 and dataset.size == 0:

@@ -1,4 +1,4 @@
-"""Policy, critic-ensemble, and scale networks used by every agent.
+"""Policy, critic-ensemble, and scalar state networks used by every agent.
 
 The Gaussian policy network maps a state to per-action mean and
 pre-std heads; the std is exp of the clamped pre-std.  With squashing
@@ -206,11 +206,6 @@ def critic_input(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.concatenate([np.atleast_2d(s), np.atleast_2d(a)], axis=1)
 
 
-def q_values(params: ParamVector, s, a) -> np.ndarray:
-    """Scalar critic outputs for a batch, shape (batch,)."""
-    return mlp_forward_batch(params, critic_input(s, a))[:, 0]
-
-
 def make_critic_ensemble(
     state_dim: int,
     action_dim: int,
@@ -226,8 +221,9 @@ def make_critic_ensemble(
 
 @dataclass
 class ScaleNet:
-    """State-conditioned scalar applied to the score estimate inside the
-    critic regularizer; unconstrained in sign."""
+    """Scalar state network, unconstrained in sign: the state-conditioned
+    scale applied to the score estimate inside the critic regularizer,
+    and the state value of the expectile-regression agent."""
 
     params: ParamVector
 
@@ -245,25 +241,3 @@ class ScaleNet:
 def make_scale_net(state_dim: int, hidden, rng, activation: str = "relu") -> ScaleNet:
     spec = MlpSpec((state_dim, *hidden, 1), activation=activation)
     return ScaleNet(params=init_params(spec, rng))
-
-
-@dataclass
-class ValueNet:
-    """State-value network (used by the expectile-regression agent)."""
-
-    params: ParamVector
-
-    def values(self, s) -> np.ndarray:
-        return mlp_forward_batch(self.params, np.atleast_2d(s))[:, 0]
-
-    def grads(self, s, d_out) -> np.ndarray:
-        flat, _ = mlp_grad_batch(self.params, np.atleast_2d(s), d_out[:, None])
-        return flat
-
-    def with_params(self, params: ParamVector) -> "ValueNet":
-        return ValueNet(params=params)
-
-
-def make_value_net(state_dim: int, hidden, rng, activation: str = "relu") -> ValueNet:
-    spec = MlpSpec((state_dim, *hidden, 1), activation=activation)
-    return ValueNet(params=init_params(spec, rng))

@@ -231,16 +231,6 @@ def mlp_grad(params: ParamVector, x: np.ndarray, upstream: np.ndarray):
     return ParamVector(params.spec, flat), gin[0]
 
 
-def mlp_jvp_batch(params: ParamVector, x: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Directional derivative of the output along an input-space direction."""
-    direction = np.asarray(direction, dtype=np.float64)
-    _, (layers, _, _, dfs, _) = _forward_cached(params, x)
-    hd = direction
-    for (w, _), df in zip(layers, dfs):
-        hd = (hd @ w.T) * df
-    return hd
-
-
 def mlp_second_grad(
     params: ParamVector,
     x: np.ndarray,

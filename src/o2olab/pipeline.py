@@ -48,11 +48,9 @@ from .networks import (
     CriticEnsemble,
     GaussianPolicy,
     ScaleNet,
-    ValueNet,
     make_critic_ensemble,
     make_policy,
     make_scale_net,
-    make_value_net,
 )
 from .numkit import MlpSpec, ParamVector
 from .optim import OptState, init_opt_state, optimizer_step, polyak_update
@@ -256,7 +254,7 @@ class AgentCheckpoint:
     policy: GaussianPolicy
     critics: CriticEnsemble
     scale_net: ScaleNet | None
-    value_net: ValueNet | None
+    value_net: ScaleNet | None
     log_entropy_coef: float
     target_entropy: float
     opt_states: dict
@@ -346,7 +344,7 @@ def load_checkpoint(path) -> AgentCheckpoint:
         scale_net = ScaleNet(ParamVector(spec_of(header["scale_spec"]), arrays["scale"]))
     value_net = None
     if header["value_spec"] is not None:
-        value_net = ValueNet(ParamVector(spec_of(header["value_spec"]), arrays["value"]))
+        value_net = ScaleNet(ParamVector(spec_of(header["value_spec"]), arrays["value"]))
     opt_states = {}
     for name, oh in header["opt_states"].items():
         opt_states[name] = OptState(
@@ -440,7 +438,7 @@ def _init_agent(config: ExperimentConfig, env: EnvSpec, seed: int) -> AgentCheck
         )
     value_net = None
     if config.offline_alg == "iql":
-        value_net = make_value_net(
+        value_net = make_scale_net(
             env.state_dim, net.value_hidden, seeding.stream(seed, "init-value"), net.value_activation
         )
     opt = config.optim
@@ -489,12 +487,39 @@ def _step_critics(agent: AgentCheckpoint, grads):
         agent.opt_states[f"critic{i}"] = new_state
 
 
-def _step_net(agent: AgentCheckpoint, name: str, params: ParamVector, flat):
+def _step_net(agent: AgentCheckpoint, name: str, net, flat):
+    """One optimizer step of `net` (a policy or scalar state net) under
+    the optimizer state `name`; returns the stepped net."""
     new_params, new_state = optimizer_step(
-        agent.opt_states[name], params, ParamVector(params.spec, flat)
+        agent.opt_states[name], net.params, ParamVector(net.params.spec, flat)
     )
     agent.opt_states[name] = new_state
-    return new_params
+    return net.with_params(new_params)
+
+
+def _step_policy(agent: AgentCheckpoint, flat):
+    agent.policy = _step_net(agent, "policy", agent.policy, flat)
+
+
+def _sac_actor_step(config, agent, batch, coef: float, rng) -> dict:
+    """Max-entropy actor update shared by smac, sac, cql and calql offline
+    and sac online: policy loss, policy step, then one entropy-coefficient
+    step driven by the same policy samples.  Returns its metrics."""
+    ploss, pgrad, mean_logp = sac_policy_loss(agent.policy, agent.critics, batch, coef, rng)
+    _step_policy(agent, pgrad)
+    agent.log_entropy_coef = entropy_coef_update(
+        agent.log_entropy_coef, mean_logp, agent.target_entropy, config.optim.entropy_lr
+    )
+    return {"policy_loss": ploss, "entropy_coef": float(np.exp(agent.log_entropy_coef))}
+
+
+def _td3bc_update(config, agent, batch, streams) -> dict:
+    """TD3 critic step, then the behaviour-cloning-regularized actor step."""
+    out = td3_losses(agent.critics, agent.policy, batch, config.loss.discount, streams["smooth"])
+    _step_critics(agent, out.member_grads)
+    ploss, pgrad = td3bc_policy_loss(agent.critics, agent.policy, batch, config.loss.bc_weight)
+    _step_policy(agent, pgrad)
+    return {"critic_loss": out.critic_loss, "policy_loss": ploss}
 
 
 def _offline_update(config, env, agent, batch, streams, score_model):
@@ -527,18 +552,9 @@ def _offline_update(config, env, agent, batch, streams, score_model):
         )
         _step_critics(agent, out.member_grads)
         if agent.scale_net is not None:
-            agent.scale_net = agent.scale_net.with_params(
-                _step_net(agent, "scale", agent.scale_net.params, out.scale_grad)
-            )
-        ploss, pgrad, mean_logp = sac_policy_loss(
-            agent.policy, agent.critics, batch, coef, streams["policy"]
-        )
-        agent.policy = agent.policy.with_params(
-            _step_net(agent, "policy", agent.policy.params, pgrad)
-        )
-        metrics.update(
-            critic_loss=out.total, td_loss=out.td_loss, sm_loss=out.sm_loss, policy_loss=ploss
-        )
+            agent.scale_net = _step_net(agent, "scale", agent.scale_net, out.scale_grad)
+        metrics.update(critic_loss=out.total, td_loss=out.td_loss, sm_loss=out.sm_loss)
+        metrics.update(_sac_actor_step(config, agent, batch, coef, streams["policy"]))
     elif alg in ("cql", "calql"):
         td_loss, td_grads = sac_critic_loss(
             agent.critics, agent.policy, batch, coef, loss_cfg.discount, streams["policy"]
@@ -549,18 +565,10 @@ def _offline_update(config, env, agent, batch, streams, score_model):
         )
         grads = [g + loss_cfg.cql_alpha * p for g, p in zip(td_grads, pen_grads)]
         _step_critics(agent, grads)
-        ploss, pgrad, mean_logp = sac_policy_loss(
-            agent.policy, agent.critics, batch, coef, streams["policy"]
-        )
-        agent.policy = agent.policy.with_params(
-            _step_net(agent, "policy", agent.policy.params, pgrad)
-        )
         metrics.update(
-            critic_loss=td_loss + loss_cfg.cql_alpha * penalty,
-            td_loss=td_loss,
-            penalty=penalty,
-            policy_loss=ploss,
+            critic_loss=td_loss + loss_cfg.cql_alpha * penalty, td_loss=td_loss, penalty=penalty
         )
+        metrics.update(_sac_actor_step(config, agent, batch, coef, streams["policy"]))
     elif alg == "iql":
         out = iql_losses(
             agent.critics,
@@ -572,34 +580,15 @@ def _offline_update(config, env, agent, batch, streams, score_model):
             loss_cfg.discount,
         )
         _step_critics(agent, out.member_grads)
-        agent.value_net = agent.value_net.with_params(
-            _step_net(agent, "value", agent.value_net.params, out.value_grad)
-        )
-        agent.policy = agent.policy.with_params(
-            _step_net(agent, "policy", agent.policy.params, out.policy_grad)
-        )
+        agent.value_net = _step_net(agent, "value", agent.value_net, out.value_grad)
+        _step_policy(agent, out.policy_grad)
         metrics.update(
             critic_loss=out.critic_loss, value_loss=out.value_loss, policy_loss=out.policy_loss
         )
     elif alg == "td3bc":
-        out = td3_losses(agent.critics, agent.policy, batch, loss_cfg.discount, streams["smooth"])
-        _step_critics(agent, out.member_grads)
-        ploss, pgrad = td3bc_policy_loss(agent.critics, agent.policy, batch, loss_cfg.bc_weight)
-        agent.policy = agent.policy.with_params(
-            _step_net(agent, "policy", agent.policy.params, pgrad)
-        )
-        metrics.update(critic_loss=out.critic_loss, policy_loss=ploss)
+        metrics.update(_td3bc_update(config, agent, batch, streams))
     else:  # pragma: no cover - guarded by config validation
         raise ConfigError(f"unknown offline algorithm {alg!r}")
-
-    # Entropy-coefficient tuning for the max-entropy family, driven by
-    # the same policy samples the actor update used.
-    if alg in ("smac", "sac", "cql", "calql"):
-        agent.log_entropy_coef = entropy_coef_update(
-            agent.log_entropy_coef, mean_logp, agent.target_entropy, config.optim.entropy_lr
-        )
-        metrics["entropy_coef"] = float(np.exp(agent.log_entropy_coef))
-
     _polyak_all(agent, rate)
     return metrics
 
@@ -712,33 +701,15 @@ def _online_update(config, env, agent, batch, streams):
             agent.critics, agent.policy, batch, coef, loss_cfg.discount, streams["policy"]
         )
         _step_critics(agent, cgrads)
-        ploss, pgrad, mean_logp = sac_policy_loss(
-            agent.policy, agent.critics, batch, coef, streams["policy"]
-        )
-        agent.policy = agent.policy.with_params(
-            _step_net(agent, "policy", agent.policy.params, pgrad)
-        )
-        agent.log_entropy_coef = entropy_coef_update(
-            agent.log_entropy_coef, mean_logp, agent.target_entropy, config.optim.entropy_lr
-        )
-        metrics.update(
-            critic_loss=closs, policy_loss=ploss, entropy_coef=float(np.exp(agent.log_entropy_coef))
-        )
+        metrics.update(critic_loss=closs)
+        metrics.update(_sac_actor_step(config, agent, batch, coef, streams["policy"]))
     elif alg == "td3":
         out = td3_losses(agent.critics, agent.policy, batch, loss_cfg.discount, streams["smooth"])
         _step_critics(agent, out.member_grads)
-        agent.policy = agent.policy.with_params(
-            _step_net(agent, "policy", agent.policy.params, out.policy_grad)
-        )
+        _step_policy(agent, out.policy_grad)
         metrics.update(critic_loss=out.critic_loss, policy_loss=out.policy_loss)
     elif alg == "td3bc":
-        out = td3_losses(agent.critics, agent.policy, batch, loss_cfg.discount, streams["smooth"])
-        _step_critics(agent, out.member_grads)
-        ploss, pgrad = td3bc_policy_loss(agent.critics, agent.policy, batch, loss_cfg.bc_weight)
-        agent.policy = agent.policy.with_params(
-            _step_net(agent, "policy", agent.policy.params, pgrad)
-        )
-        metrics.update(critic_loss=out.critic_loss, policy_loss=ploss)
+        metrics.update(_td3bc_update(config, agent, batch, streams))
     elif alg == "awr":
         # Policy-evaluation critic (no entropy bonus) plus advantage-
         # weighted regression for the actor.
@@ -749,9 +720,7 @@ def _online_update(config, env, agent, batch, streams):
         ploss, pgrad = awr_policy_loss(
             agent.critics, agent.policy, batch, loss_cfg.awr_temperature, streams["awr"]
         )
-        agent.policy = agent.policy.with_params(
-            _step_net(agent, "policy", agent.policy.params, pgrad)
-        )
+        _step_policy(agent, pgrad)
         metrics.update(critic_loss=closs, policy_loss=ploss)
     else:  # pragma: no cover
         raise ConfigError(f"unknown online algorithm {alg!r}")

@@ -21,6 +21,12 @@ def stream(root_seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
+def as_generator(seed) -> np.random.Generator:
+    """`seed` itself when it is already a Generator, else a fresh
+    `np.random.default_rng(seed)`; lets a function take either."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
 def capture_state(rng: np.random.Generator) -> dict:
     """Snapshot a generator's state in a JSON-serializable form."""
     state = rng.bit_generator.state

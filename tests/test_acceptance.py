@@ -24,7 +24,6 @@ from o2olab.networks import (
     make_critic_ensemble,
     make_policy,
     make_scale_net,
-    make_value_net,
 )
 from o2olab.numkit import ParamVector, finite_diff_check
 from o2olab.optim import newton_schulz_orthogonalize
@@ -77,7 +76,7 @@ def _random_setup(rng):
     for t in ens.targets:
         t.values += 0.05 * rng.standard_normal(t.values.size)
     scale = make_scale_net(sd, (width,), rng, activation="tanh")
-    value = make_value_net(sd, (width,), rng, activation="tanh")
+    value = make_scale_net(sd, (width,), rng, activation="tanh")
     batch = Batch(
         s=rng.standard_normal((b, sd)),
         a=np.clip(rng.standard_normal((b, ad)), -0.9, 0.9),
@@ -415,7 +414,7 @@ def test_criterion_7_expectile_reduction():
         sd, ad = 2, 1
         policy = make_policy(sd, -np.ones(ad), np.ones(ad), (6,), rng)
         ens = make_critic_ensemble(sd, ad, (6,), 2, rng)
-        value = make_value_net(sd, (6,), rng)
+        value = make_scale_net(sd, (6,), rng)
         b = 5
         batch = Batch(
             s=rng.standard_normal((b, sd)),

@@ -9,12 +9,10 @@ from o2olab.networks import (
     CriticEnsemble,
     GaussianPolicy,
     ScaleNet,
-    ValueNet,
     critic_input,
     make_critic_ensemble,
     make_policy,
     make_scale_net,
-    make_value_net,
 )
 from o2olab.numkit import MlpSpec, ParamVector, init_params, mlp_forward_batch, mlp_grad_batch
 from o2olab.optim import adam_step, init_opt_state
@@ -423,7 +421,7 @@ class TestIql:
     def _nets(self, seed=29):
         rng = stream(seed, "x")
         policy, ens = random_nets(rng)
-        value = make_value_net(3, (8,), rng, activation="tanh")
+        value = make_scale_net(3, (8,), rng, activation="tanh")
         return policy, ens, value
 
     def test_symmetric_expectile_is_half_mse(self):
@@ -441,7 +439,7 @@ class TestIql:
         # u = +1 gets weight tau, u = -1 gets 1 - tau.
         member = single_layer_critic(1, 1, np.ones(1), np.zeros(1), 0.0)  # Q = s
         ens = CriticEnsemble(members=[member, member.copy()])
-        value = ValueNet(ParamVector(MlpSpec((1, 1)), np.array([0.0, 0.0])))  # V = 0
+        value = ScaleNet(ParamVector(MlpSpec((1, 1)), np.array([0.0, 0.0])))  # V = 0
         rng = stream(31, "x")
         policy = make_policy(1, [-1.0], [1.0], (4,), rng)
         batch = Batch(
@@ -465,7 +463,7 @@ class TestIql:
         grid = np.linspace(0.0, 1.0, 1001)
         losses = []
         for v in grid:
-            value = ValueNet(ParamVector(MlpSpec((1, 1)), np.array([0.0, v])))
+            value = ScaleNet(ParamVector(MlpSpec((1, 1)), np.array([0.0, v])))
             losses.append(agents.iql_losses(ens, value, policy, batch, 0.9, 1.0, 0.99).value_loss)
         assert abs(grid[int(np.argmin(losses))] - 0.9) <= 2e-3
 
