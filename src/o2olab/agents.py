@@ -87,7 +87,7 @@ def _min_member_action_grad(params_list, x, state_dim):
     """(per-sample min Q, dQ/da of the member attaining it) over a critic list.
 
     The action block of each input row starts at column `state_dim`.
-    This is the critic signal every actor loss ascends; the gradient is
+    This is what the SAC, TD3 and TD3+BC actors ascend; the gradient is
     taken w.r.t. the input only, never the critic parameters.
     """
     qmin, idx = _min_over(params_list, x)

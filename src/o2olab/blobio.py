@@ -58,4 +58,6 @@ def read_blob(path, expected_magic: bytes):
             raise FormatError(f"truncated payload for array {name!r}", offset=len(raw))
         arrays[name] = np.frombuffer(raw[pos : pos + nbytes], dtype="<f8").reshape(shape).copy()
         pos += nbytes
+    if pos != len(raw):
+        raise FormatError(f"{len(raw) - pos} trailing bytes after the last array", offset=pos)
     return header, arrays

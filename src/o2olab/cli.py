@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -72,7 +73,11 @@ def _finalize(tmp: Path, out: Path, command: str, config_dict, seeds):
 
 
 class _OutputDir:
-    """Atomic output directory: write into a sibling temp dir, rename last."""
+    """Atomic output directory: write into a sibling temp dir, rename last.
+
+    Used as a context manager; if the body raises, the temp dir is
+    removed, so a failed command leaves nothing behind.
+    """
 
     def __init__(self, out: Path):
         self.out = out
@@ -80,6 +85,13 @@ class _OutputDir:
             raise ConfigError(f"output directory {out} already exists")
         out.parent.mkdir(parents=True, exist_ok=True)
         self.tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            shutil.rmtree(self.tmp, ignore_errors=True)
 
     def finalize(self, command, config_dict, seeds):
         _finalize(self.tmp, self.out, command, config_dict, seeds)
@@ -127,12 +139,12 @@ def _cmd_gen_data(args) -> int:
     config = _load_config(args)
     env = make_env_spec(config.env)
     seeds = _seeds(args, config)
-    outdir = _OutputDir(_resolve_out(args, "gen-data"))
     behavior = ScriptedPolicy(env, noise_std=config.data.behavior_noise, gain=config.data.behavior_gain)
-    for seed in seeds:
-        dataset = generate_dataset(env, behavior, config.data.n_trajectories, seed)
-        save_dataset(dataset, outdir.tmp / f"dataset-s{seed}.jsonl")
-    outdir.finalize("gen-data", pipeline.config_to_dict(config), seeds)
+    with _OutputDir(_resolve_out(args, "gen-data")) as outdir:
+        for seed in seeds:
+            dataset = generate_dataset(env, behavior, config.data.n_trajectories, seed)
+            save_dataset(dataset, outdir.tmp / f"dataset-s{seed}.jsonl")
+        outdir.finalize("gen-data", pipeline.config_to_dict(config), seeds)
     print(f"wrote {len(seeds)} dataset(s) to {outdir.out}")
     return 0
 
@@ -141,36 +153,36 @@ def _cmd_train_diffusion(args) -> int:
     config = _load_config(args)
     dataset = load_dataset(args.data)
     seeds = _seeds(args, config)
-    outdir = _OutputDir(_resolve_out(args, "train-diffusion"))
     dc = config.diffusion
-    for seed in seeds:
-        schedule = cosine_schedule(dc.n_steps)
-        model = init_score_model(
-            dataset.env.state_dim,
-            dataset.env.action_dim,
-            schedule,
-            stream(seed, "init-diffusion"),
-            hidden=dc.hidden,
-            k_embed_dim=dc.k_embed_dim,
-            activation=dc.activation,
-            action_low=dataset.env.action_low,
-            action_high=dataset.env.action_high,
-        )
-        outcome = None if config.rvs_enabled else np.ones(dataset.size)
-        model, losses = train_score_model(
-            model, dataset, dc.steps, dc.batch, dc.lr, seed, outcome_labels=outcome
-        )
-        seed_dir = outdir.tmp / f"seed-{seed}"
-        seed_dir.mkdir()
-        save_score_model(model, seed_dir / "score_model.bin")
-        run_id = _run_id(dataset.env.name, "diffusion", "none", seed)
-        rows = [
-            (run_id, "offline", i + 1, "diffusion_loss", float(v))
-            for i, v in enumerate(losses)
-            if (i + 1) % max(1, dc.steps // 200) == 0 or i + 1 == dc.steps
-        ]
-        pipeline.write_metrics_csv(rows, seed_dir / "metrics.csv")
-    outdir.finalize("train-diffusion", pipeline.config_to_dict(config), seeds)
+    with _OutputDir(_resolve_out(args, "train-diffusion")) as outdir:
+        for seed in seeds:
+            schedule = cosine_schedule(dc.n_steps)
+            model = init_score_model(
+                dataset.env.state_dim,
+                dataset.env.action_dim,
+                schedule,
+                stream(seed, "init-diffusion"),
+                hidden=dc.hidden,
+                k_embed_dim=dc.k_embed_dim,
+                activation=dc.activation,
+                action_low=dataset.env.action_low,
+                action_high=dataset.env.action_high,
+            )
+            outcome = None if config.rvs_enabled else np.ones(dataset.size)
+            model, losses = train_score_model(
+                model, dataset, dc.steps, dc.batch, dc.lr, seed, outcome_labels=outcome
+            )
+            seed_dir = outdir.tmp / f"seed-{seed}"
+            seed_dir.mkdir()
+            save_score_model(model, seed_dir / "score_model.bin")
+            run_id = _run_id(dataset.env.name, "diffusion", "none", seed)
+            rows = [
+                (run_id, "offline", i + 1, "diffusion_loss", float(v))
+                for i, v in enumerate(losses)
+                if (i + 1) % max(1, dc.steps // 200) == 0 or i + 1 == dc.steps
+            ]
+            pipeline.write_metrics_csv(rows, seed_dir / "metrics.csv")
+        outdir.finalize("train-diffusion", pipeline.config_to_dict(config), seeds)
     print(f"trained {len(seeds)} score model(s) into {outdir.out}")
     return 0
 
@@ -197,14 +209,14 @@ def _cmd_pretrain(args) -> int:
             raise ConfigError("pretrain with the score-matched agent needs --diffusion")
         score_model = load_score_model(args.diffusion)
     seeds = _seeds(args, config)
-    outdir = _OutputDir(_resolve_out(args, "pretrain"))
-    _map_seeds(
-        args.jobs,
-        partial(_pretrain_one, config, dataset, score_model),
-        seeds,
-        [outdir.tmp / f"seed-{s}" for s in seeds],
-    )
-    outdir.finalize("pretrain", pipeline.config_to_dict(config), seeds)
+    with _OutputDir(_resolve_out(args, "pretrain")) as outdir:
+        _map_seeds(
+            args.jobs,
+            partial(_pretrain_one, config, dataset, score_model),
+            seeds,
+            [outdir.tmp / f"seed-{s}" for s in seeds],
+        )
+        outdir.finalize("pretrain", pipeline.config_to_dict(config), seeds)
     print(f"pre-trained {len(seeds)} agent(s) into {outdir.out}")
     return 0
 
@@ -237,15 +249,15 @@ def _cmd_finetune(args) -> int:
     seeds = _seeds(args, config)
     ckpt_root = Path(args.checkpoint)
     ckpt_paths = [_checkpoint_for_seed(ckpt_root, s) for s in seeds]
-    outdir = _OutputDir(_resolve_out(args, "finetune"))
-    _map_seeds(
-        args.jobs,
-        partial(_finetune_one, config, dataset),
-        ckpt_paths,
-        seeds,
-        [outdir.tmp / f"seed-{s}" for s in seeds],
-    )
-    outdir.finalize("finetune", pipeline.config_to_dict(config), seeds)
+    with _OutputDir(_resolve_out(args, "finetune")) as outdir:
+        _map_seeds(
+            args.jobs,
+            partial(_finetune_one, config, dataset),
+            ckpt_paths,
+            seeds,
+            [outdir.tmp / f"seed-{s}" for s in seeds],
+        )
+        outdir.finalize("finetune", pipeline.config_to_dict(config), seeds)
     print(f"fine-tuned {len(seeds)} agent(s) into {outdir.out}")
     return 0
 
@@ -257,15 +269,15 @@ def _cmd_landscape_line(args) -> int:
     env = make_env_spec(a.env_name)
     seeds = _seeds(args, config)
     ts = np.linspace(args.t_lo, args.t_hi, args.points)
-    outdir = _OutputDir(_resolve_out(args, "landscape-line"))
-    results = analysis.interpolate_eval(
-        a.policy, a.policy.params, b.policy.params, ts, env, config.eval_episodes, seeds[0]
-    )
-    lines = ["t,mean_return,stderr"]
-    for t, mean, err in results:
-        lines.append(f"{format(t, '.17g')},{format(mean, '.17g')},{format(err, '.17g')}")
-    (outdir.tmp / "line.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    outdir.finalize("landscape-line", pipeline.config_to_dict(config), seeds)
+    with _OutputDir(_resolve_out(args, "landscape-line")) as outdir:
+        results = analysis.interpolate_eval(
+            a.policy, a.policy.params, b.policy.params, ts, env, config.eval_episodes, seeds[0]
+        )
+        lines = ["t,mean_return,stderr"]
+        for t, mean, err in results:
+            lines.append(f"{format(t, '.17g')},{format(mean, '.17g')},{format(err, '.17g')}")
+        (outdir.tmp / "line.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outdir.finalize("landscape-line", pipeline.config_to_dict(config), seeds)
     print(f"wrote interpolation curve to {outdir.out}")
     return 0
 
@@ -288,15 +300,15 @@ def _cmd_landscape_plane(args) -> int:
         grid_hi=args.grid_hi,
         resolution=args.resolution,
     )
-    outdir = _OutputDir(_resolve_out(args, "landscape-plane"))
     lines = ["t,l,mean_return"]
     for ti, t in enumerate(t_coords):
         for li, l in enumerate(l_coords):
             lines.append(
                 f"{format(t, '.17g')},{format(l, '.17g')},{format(returns[ti, li], '.17g')}"
             )
-    (outdir.tmp / "plane.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    outdir.finalize("landscape-plane", pipeline.config_to_dict(config), seeds)
+    with _OutputDir(_resolve_out(args, "landscape-plane")) as outdir:
+        (outdir.tmp / "plane.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outdir.finalize("landscape-plane", pipeline.config_to_dict(config), seeds)
     print(f"wrote plane grid to {outdir.out}")
     return 0
 
@@ -353,10 +365,10 @@ def _cmd_regret_table(args) -> int:
             raise ConfigError(f"input {path} does not exist")
         records = analysis.read_regret_records(path) if path.is_file() else _records_from_runs(path)
     table = analysis.aggregate_normalized_regret(records)
-    outdir = _OutputDir(_resolve_out(args, "regret-table"))
-    analysis.write_regret_table(table, outdir.tmp / "regret_table.csv")
-    analysis.write_regret_records(records, outdir.tmp / "regret_records.csv")
-    outdir.finalize("regret-table", {"input": str(args.input or "fixture")}, [])
+    with _OutputDir(_resolve_out(args, "regret-table")) as outdir:
+        analysis.write_regret_table(table, outdir.tmp / "regret_table.csv")
+        analysis.write_regret_records(records, outdir.tmp / "regret_records.csv")
+        outdir.finalize("regret-table", {"input": str(args.input or "fixture")}, [])
     header = "offline_alg " + " ".join(f"{on:>8s}" for on in table.online_algs)
     print(header)
     for off in table.offline_algs:
@@ -370,13 +382,13 @@ def _cmd_verify_identity(args) -> int:
     center = args.center
     grid = np.linspace(center - 4.0, center + 4.0, args.grid_points)
     gap = verify_maxent_identity(lambda a: -0.5 * (a - center) ** 2, args.alpha, grid)
-    outdir = _OutputDir(_resolve_out(args, "verify-identity"))
-    (outdir.tmp / "gap.txt").write_text(f"{format(gap, '.17g')}\n", encoding="utf-8")
-    outdir.finalize(
-        "verify-identity",
-        {"alpha": args.alpha, "center": center, "grid_points": args.grid_points},
-        [],
-    )
+    with _OutputDir(_resolve_out(args, "verify-identity")) as outdir:
+        (outdir.tmp / "gap.txt").write_text(f"{format(gap, '.17g')}\n", encoding="utf-8")
+        outdir.finalize(
+            "verify-identity",
+            {"alpha": args.alpha, "center": center, "grid_points": args.grid_points},
+            [],
+        )
     print(f"max-entropy identity sup-norm gap: {gap:.3e}")
     return 0
 
@@ -386,9 +398,11 @@ def _cmd_export_checkpoints(args) -> int:
     for path in args.checkpoints:
         agent = pipeline.load_checkpoint(path)
         params.append(agent.policy.params)
-    outdir = _OutputDir(_resolve_out(args, "export-checkpoints"))
-    analysis.export_checkpoint_matrix(params, outdir.tmp / "checkpoint_matrix.csv")
-    outdir.finalize("export-checkpoints", {"checkpoints": [str(p) for p in args.checkpoints]}, [])
+    with _OutputDir(_resolve_out(args, "export-checkpoints")) as outdir:
+        analysis.export_checkpoint_matrix(params, outdir.tmp / "checkpoint_matrix.csv")
+        outdir.finalize(
+            "export-checkpoints", {"checkpoints": [str(p) for p in args.checkpoints]}, []
+        )
     print(f"wrote {len(params)} x {params[0].values.size} matrix to {outdir.out}")
     return 0
 

@@ -163,13 +163,32 @@ _NESTED = {
 }
 
 
+def _type_matches(default, val) -> bool:
+    """Whether a JSON value fits a field with this bool, int, float or
+    str default (other defaults are not checked here).  bool is an int
+    subclass in Python, so it is tested first and refused elsewhere;
+    float fields take ints."""
+    if isinstance(default, bool):
+        return isinstance(val, bool)
+    if isinstance(default, int):
+        return isinstance(val, int) and not isinstance(val, bool)
+    if isinstance(default, float):
+        return isinstance(val, (int, float)) and not isinstance(val, bool)
+    if isinstance(default, str):
+        return isinstance(val, str)
+    return True
+
+
 def _build_section(cls, data: dict, path: str):
-    fields = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(data) - fields
+    fields = cls.__dataclass_fields__  # type: ignore[attr-defined]
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path}")
     kwargs = {}
     for key, val in data.items():
+        if not _type_matches(fields[key].default, val):
+            kind = type(fields[key].default).__name__
+            raise ConfigError(f"{path}.{key} must be of type {kind}, got {val!r}")
         if isinstance(val, list):
             val = tuple(val)
         kwargs[key] = val

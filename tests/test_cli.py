@@ -147,10 +147,30 @@ class TestWorkflow:
         ]
         assert run(common + ["--out", workdir / "serial"]) == 0
         assert run(common + ["--out", workdir / "par", "--jobs", "2"]) == 0
-        for seed in (0, 1):
-            a = (workdir / f"serial/seed-{seed}/checkpoint.bin").read_bytes()
-            b = (workdir / f"par/seed-{seed}/checkpoint.bin").read_bytes()
-            assert a == b
+        finetune = [
+            "finetune",
+            "--config",
+            "cfg.json",
+            "--override",
+            "seeds=[0,1]",
+            "--override",
+            "online_steps=10",
+            "--data",
+            data,
+            "--checkpoint",
+            workdir / "serial",
+        ]
+        assert run(finetune + ["--out", workdir / "fin-serial"]) == 0
+        assert run(finetune + ["--out", workdir / "fin-par", "--jobs", "2"]) == 0
+        for serial, par, ckpt in (
+            ("serial", "par", "checkpoint.bin"),
+            ("fin-serial", "fin-par", "final_checkpoint.bin"),
+        ):
+            for seed in (0, 1):
+                for name in (ckpt, "metrics.csv"):
+                    a = (workdir / f"{serial}/seed-{seed}/{name}").read_bytes()
+                    b = (workdir / f"{par}/seed-{seed}/{name}").read_bytes()
+                    assert a == b, f"{par}/seed-{seed}/{name}"
 
 
 class TestRegretTableCommand:
@@ -220,6 +240,31 @@ class TestErrorPaths:
 
     def test_invalid_config_value(self, workdir):
         assert run(["gen-data", "--config", "cfg.json", "--override", "mix=2.0"]) == 2
+
+    # A value of the wrong type is refused while the config loads; a value
+    # caught only during training must still leave no temp dir behind.
+    @pytest.mark.parametrize("override", ["offline_steps=1.5", "optim.target_update_rate=0"])
+    def test_bad_value_exits_2_without_leftover(self, workdir, override):
+        run(["gen-data", "--config", "cfg.json"])
+        data = workdir / "runs/gen-data/dataset-s0.jsonl"
+        out = workdir / "fresh" / "pre"
+        code = run(
+            [
+                "pretrain",
+                "--config",
+                "cfg.json",
+                "--override",
+                "offline_alg=sac",
+                "--override",
+                override,
+                "--data",
+                data,
+                "--out",
+                out,
+            ]
+        )
+        assert code == 2
+        assert not out.parent.exists() or not any(out.parent.iterdir())
 
     def test_unknown_config_key(self, workdir):
         assert run(["gen-data", "--config", "cfg.json", "--override", "bogus=1"]) == 2

@@ -92,6 +92,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"mix": 1.5})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"offline_steps": 1.5},
+            {"offline_steps": True},
+            {"rvs_enabled": 1},
+            {"env": 3},
+            {"mix": False},
+            {"networks": {"policy_squash": "yes"}},
+        ],
+    )
+    def test_value_of_wrong_type_rejected(self, data):
+        with pytest.raises(ConfigError, match="must be of type"):
+            config_from_dict(data)
+
+    def test_int_accepted_for_float_field(self):
+        assert config_from_dict({"loss": {"bc_weight": 2}}).loss.bc_weight == 2
+
     def test_overrides_dotted_paths(self):
         data = {"env": "reach2d", "loss": {"discount": 0.99}}
         out = apply_overrides(data, ["loss.discount=0.9", "offline_alg=iql", "seeds=[1,2]"])
@@ -208,6 +226,16 @@ class TestCheckpoint:
         raw[:8] = b"XXXXXXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="SMACAC01"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        cfg = small_config(offline_alg="sac", offline_steps=5)
+        agent, _ = offline_pretrain(cfg, tiny_dataset(), None, seed=11)
+        path = tmp_path / "agent.bin"
+        save_checkpoint(agent, path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(FormatError, match=f"7 trailing bytes.*byte offset {size}"):
             load_checkpoint(path)
 
     def test_resume_reproduces_straight_run(self, tmp_path):
