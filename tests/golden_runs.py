@@ -5,11 +5,17 @@
 - `train_score_model` on a tiny score model;
 - each offline algorithm under each optimizer (adam, muon);
 - each online algorithm under each optimizer, fine-tuned from that
-  environment's smac/adam checkpoint.
+  environment's smac/adam checkpoint, with an unbounded replay buffer;
+- online sac/adam once more with `replay_capacity` equal to
+  `warm_start_count`, so every online push evicts the oldest transition;
+- `save_dataset` on the generated dataset, then `load_dataset` and
+  `save_dataset` again.
 
-Each run yields its final parameter vectors (policy, every critic member
-and target, and the scale or value net when the agent has one) and its
-metric rows.  `tests/test_golden.py` compares a fresh run with the
+Each training run yields its final parameter vectors (policy, every
+critic member and target, and the scale or value net when the agent has
+one) and its metric rows.  The dataset run yields the sha256 of both
+saved files and the Monte-Carlo returns and outcome labels recomputed on
+load.  `tests/test_golden.py` compares a fresh run with the
 recorded fixture, so a refactor that claims to keep behaviour is checked
 against numbers pinned before it, not against a rerun of itself.
 
@@ -21,12 +27,20 @@ Regenerate the fixture only for an intended change to the numbers:
 from __future__ import annotations
 
 import copy
+import hashlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from o2olab.diffusion import cosine_schedule, init_score_model, train_score_model
-from o2olab.envs import ScriptedPolicy, generate_dataset, make_env_spec
+from o2olab.envs import (
+    ScriptedPolicy,
+    generate_dataset,
+    load_dataset,
+    make_env_spec,
+    save_dataset,
+)
 from o2olab.pipeline import (
     OFFLINE_ALGS,
     ONLINE_ALGS,
@@ -83,12 +97,27 @@ def _metric_arrays(rows) -> dict:
     }
 
 
+def _dataset_arrays(dataset) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.jsonl", Path(tmp) / "second.jsonl"
+        save_dataset(dataset, first)
+        back = load_dataset(first)
+        save_dataset(back, second)
+        return {
+            "file_sha256": np.array(hashlib.sha256(first.read_bytes()).hexdigest()),
+            "roundtrip_sha256": np.array(hashlib.sha256(second.read_bytes()).hexdigest()),
+            "mc": back.mc,
+            "w_labels": back.w_labels,
+        }
+
+
 def golden_runs() -> dict:
     """{run name: {array name: array}} for every golden run."""
     runs = {}
     for env_name in ENVS:
         env = make_env_spec(env_name)
         dataset = generate_dataset(env, ScriptedPolicy(env, 0.5), 6, seed=3)
+        runs[f"{env_name}/dataset"] = _dataset_arrays(dataset)
 
         model = init_score_model(
             env.state_dim,
@@ -124,6 +153,13 @@ def golden_runs() -> dict:
                     **_agent_arrays(agent),
                     **_metric_arrays(rows),
                 }
+
+        # Capacity equal to the warm-start count: every online push evicts.
+        cfg = _config(env_name, replay_capacity=12)
+        agent, rows = online_finetune(
+            copy.deepcopy(smac_start), cfg, dataset, env, seed=6, run_id="ring"
+        )
+        runs[f"{env_name}/online-ring/sac/adam"] = {**_agent_arrays(agent), **_metric_arrays(rows)}
     return runs
 
 

@@ -2,8 +2,8 @@
 
 The fixture was written by `tests/golden_runs.py`.  Each parameter
 vector and metric column must match within RTOL relative to its largest
-recorded magnitude (max |new - old| / max |old|); metric names must match
-exactly.
+recorded magnitude (max |new - old| / max |old|); metric names and the
+sha256 of each saved dataset file must match exactly.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ def recorded():
 
 def test_same_runs_and_arrays(current, recorded):
     assert sorted(current) == sorted(recorded)
-    assert len({key.rsplit("/", 1)[0] for key in recorded}) == 42
+    assert len({key.rsplit("/", 1)[0] for key in recorded}) == 46
 
 
 def test_metric_names_match(current, recorded):
@@ -36,10 +36,20 @@ def test_metric_names_match(current, recorded):
             assert current[key].tolist() == recorded[key].tolist(), key
 
 
+def test_dataset_bytes_match(current, recorded):
+    keys = [key for key in recorded if key.endswith("_sha256")]
+    assert len(keys) == 4
+    for key in keys:
+        assert str(current[key]) == str(recorded[key]), key
+    for key in keys:
+        if key.endswith("/roundtrip_sha256"):
+            assert str(current[key]) == str(current[key.replace("roundtrip", "file")]), key
+
+
 def test_values_match_within_tolerance(current, recorded):
     worst = 0.0
     for key, old in recorded.items():
-        if key.endswith("/metric_names"):
+        if old.dtype.kind == "U":
             continue
         new = current[key]
         assert new.shape == old.shape, key
