@@ -16,7 +16,8 @@ that label 1 always marks the best outcome present in the data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .seeding import as_generator, stream
 
 STEP_SIZE = 0.1
 REACH2D_GOAL = np.zeros(2)
-REACH2D_SUCCESS_RADIUS = 0.1
 GATE1D_GOAL = 0.8
 
 # Count of env_step calls whose action had to be clipped into bounds.
@@ -38,7 +38,14 @@ def clip_warning_count() -> int:
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Static description of one environment."""
+    """Static description of one environment, with its dynamics.
+
+    `reset(rng)` draws an initial state; `dynamics(state, action)` maps a
+    state and an in-bounds action to (next state, reward, done);
+    `setpoint` is the state `ScriptedPolicy` steers towards.  Both
+    functions are module-level so that a spec pickles into worker
+    processes.
+    """
 
     name: str
     state_dim: int
@@ -49,10 +56,13 @@ class EnvSpec:
     reward_kind: str  # "dense" | "sparse-binary"
     discount: float
     reward_bound: float
+    reset: Callable[[np.random.Generator], np.ndarray]
+    dynamics: Callable[[np.ndarray, np.ndarray], tuple]
+    setpoint: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "action_low", np.asarray(self.action_low, dtype=np.float64))
-        object.__setattr__(self, "action_high", np.asarray(self.action_high, dtype=np.float64))
+        for name in ("action_low", "action_high", "setpoint"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if not 0.0 < self.discount < 1.0:
@@ -64,31 +74,12 @@ class EnvSpec:
 
 
 @dataclass
-class Transition:
-    s: np.ndarray
-    a: np.ndarray
-    r: float
-    s2: np.ndarray
-    done: bool
-    traj_id: int
-    t: int
-    mc_return: float = np.nan
-    w: float = np.nan
-
-
-@dataclass
-class Trajectory:
-    """One episode with its Monte-Carlo value at every step."""
-
-    transitions: list[Transition]
-    mc_returns: np.ndarray
-    ret: float
-    success: bool
-
-
-@dataclass
 class Batch:
-    """Stacked transition arrays, the unit consumed by every loss."""
+    """Stacked transition arrays, the unit consumed by every loss.
+
+    `w` (outcome label) and `mc` (Monte-Carlo return) are NaN for rows
+    that do not come from a `Dataset`.
+    """
 
     s: np.ndarray
     a: np.ndarray
@@ -103,30 +94,30 @@ class Batch:
         return self.s.shape[0]
 
 
-def stack_batch(transitions: list[Transition]) -> Batch:
-    return Batch(
-        s=np.stack([tr.s for tr in transitions]),
-        a=np.stack([tr.a for tr in transitions]),
-        r=np.array([tr.r for tr in transitions]),
-        s2=np.stack([tr.s2 for tr in transitions]),
-        done=np.array([float(tr.done) for tr in transitions]),
-        w=np.array([tr.w for tr in transitions]),
-        mc=np.array([tr.mc_return for tr in transitions]),
-    )
+def stack_batch(parts: list[Batch]) -> Batch:
+    """Concatenate batches row-wise, in order."""
+    return Batch(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Batch)))
 
 
-_ENV_BUILDERS = {}
+def _reach2d_reset(rng):
+    return rng.uniform(-1.0, 1.0, size=2)
 
 
-def _register(name):
-    def deco(fn):
-        _ENV_BUILDERS[name] = fn
-        return fn
-
-    return deco
+def _reach2d_dynamics(state, action):
+    nxt = np.clip(state + STEP_SIZE * action, -1.0, 1.0)
+    return nxt, -float(np.linalg.norm(nxt - REACH2D_GOAL)), False
 
 
-@_register("reach2d")
+def _gate1d_reset(rng):
+    return rng.uniform(-0.7, -0.3, size=1)
+
+
+def _gate1d_dynamics(state, action):
+    nxt = np.clip(state + STEP_SIZE * action, -1.0, 1.0)
+    done = bool(nxt[0] >= GATE1D_GOAL)
+    return nxt, 0.0 if done else -1.0, done
+
+
 def _reach2d_spec() -> EnvSpec:
     return EnvSpec(
         name="reach2d",
@@ -138,10 +129,12 @@ def _reach2d_spec() -> EnvSpec:
         reward_kind="dense",
         discount=0.99,
         reward_bound=float(2.0 * np.sqrt(2.0)),
+        reset=_reach2d_reset,
+        dynamics=_reach2d_dynamics,
+        setpoint=REACH2D_GOAL,
     )
 
 
-@_register("gate1d")
 def _gate1d_spec() -> EnvSpec:
     return EnvSpec(
         name="gate1d",
@@ -153,7 +146,14 @@ def _gate1d_spec() -> EnvSpec:
         reward_kind="sparse-binary",
         discount=0.99,
         reward_bound=1.0,
+        reset=_gate1d_reset,
+        dynamics=_gate1d_dynamics,
+        # One step past the gate, so the controller still pushes at it.
+        setpoint=np.array([GATE1D_GOAL + STEP_SIZE]),
     )
+
+
+_ENV_BUILDERS = {"reach2d": _reach2d_spec, "gate1d": _gate1d_spec}
 
 
 def make_env_spec(name: str) -> EnvSpec:
@@ -164,12 +164,7 @@ def make_env_spec(name: str) -> EnvSpec:
 
 def env_reset(spec: EnvSpec, seed: int) -> np.ndarray:
     """Draw an initial state; deterministic per seed."""
-    rng = as_generator(seed)
-    if spec.name == "reach2d":
-        return rng.uniform(-1.0, 1.0, size=2)
-    if spec.name == "gate1d":
-        return rng.uniform(-0.7, -0.3, size=1)
-    raise ValueError(f"unknown environment {spec.name!r}")
+    return spec.reset(as_generator(seed))
 
 
 def env_step(spec: EnvSpec, state: np.ndarray, action: np.ndarray):
@@ -183,25 +178,7 @@ def env_step(spec: EnvSpec, state: np.ndarray, action: np.ndarray):
     clipped = np.clip(action, spec.action_low, spec.action_high)
     if np.any(clipped != action):
         _clip_warnings += 1
-    state = np.asarray(state, dtype=np.float64)
-
-    if spec.name == "reach2d":
-        nxt = np.clip(state + STEP_SIZE * clipped, -1.0, 1.0)
-        reward = -float(np.linalg.norm(nxt - REACH2D_GOAL))
-        return nxt, reward, False
-    if spec.name == "gate1d":
-        nxt = np.clip(state + STEP_SIZE * clipped, -1.0, 1.0)
-        done = bool(nxt[0] >= GATE1D_GOAL)
-        reward = 0.0 if done else -1.0
-        return nxt, reward, done
-    raise ValueError(f"unknown environment {spec.name!r}")
-
-
-def trajectory_success(spec: EnvSpec, transitions: list[Transition]) -> bool:
-    if spec.reward_kind == "sparse-binary":
-        return bool(transitions[-1].done)
-    final = transitions[-1].s2
-    return bool(np.linalg.norm(final - REACH2D_GOAL) <= REACH2D_SUCCESS_RADIUS)
+    return spec.dynamics(np.asarray(state, dtype=np.float64), clipped)
 
 
 class ScriptedPolicy:
@@ -217,12 +194,7 @@ class ScriptedPolicy:
         self.gain = gain
 
     def act(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if self.spec.name == "reach2d":
-            ctrl = self.gain * (REACH2D_GOAL - state)
-        elif self.spec.name == "gate1d":
-            ctrl = self.gain * (np.array([GATE1D_GOAL + STEP_SIZE]) - state)
-        else:
-            raise ValueError(f"no scripted controller for {self.spec.name!r}")
+        ctrl = self.gain * (self.spec.setpoint - state)
         if self.noise_std > 0.0:
             ctrl = ctrl + self.noise_std * rng.standard_normal(self.spec.action_dim)
         return np.clip(ctrl, self.spec.action_low, self.spec.action_high)
@@ -238,89 +210,74 @@ class UniformPolicy:
         return rng.uniform(self.spec.action_low, self.spec.action_high)
 
 
-def rollout_episode(spec: EnvSpec, act_fn, rng: np.random.Generator, traj_id: int = 0):
-    """Run one episode; ends at a terminal step or at the horizon."""
+def rollout_episode(spec: EnvSpec, act_fn, rng: np.random.Generator) -> Batch:
+    """Run one episode; ends at a terminal step or at the horizon.  The
+    batch holds its transitions in step order, with `w` and `mc` NaN."""
+    buffer = ReplayBuffer(spec.state_dim, spec.action_dim)
     state = env_reset(spec, rng)
-    transitions = []
-    for t in range(spec.horizon):
-        action = act_fn(state, rng)
+    for _ in range(spec.horizon):
+        action = np.asarray(act_fn(state, rng), dtype=np.float64)
         nxt, reward, done = env_step(spec, state, action)
-        transitions.append(
-            Transition(s=state, a=np.asarray(action, dtype=np.float64), r=reward, s2=nxt, done=done, traj_id=traj_id, t=t)
-        )
+        buffer.push(state, action, reward, nxt, done)
         state = nxt
         if done:
             break
-    return transitions
+    return buffer.rows()
 
 
-def _finish_trajectory(spec: EnvSpec, transitions: list[Transition]) -> Trajectory:
-    rewards = np.array([tr.r for tr in transitions])
-    mc = np.empty_like(rewards)
-    acc = 0.0
-    for i in range(len(rewards) - 1, -1, -1):
-        acc = rewards[i] + spec.discount * acc
-        mc[i] = acc
-    for tr, v in zip(transitions, mc):
-        tr.mc_return = float(v)
-    return Trajectory(
-        transitions=transitions,
-        mc_returns=mc,
-        ret=float(mc[0]),
-        success=trajectory_success(spec, transitions),
-    )
+def _trajectory_bounds(traj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row and one past the last row of each run of equal ids."""
+    starts = np.flatnonzero(np.r_[True, traj[1:] != traj[:-1]])
+    return starts, np.r_[starts[1:], traj.shape[0]]
 
 
 @dataclass
 class Dataset:
-    """Immutable offline experience with outcome labels."""
+    """Immutable offline experience with outcome labels.
+
+    One row per transition.  `traj` holds each row's trajectory id; the
+    rows of a trajectory are contiguous and in step order.  `mc` (the
+    Monte-Carlo return from each row) and `w_labels` (each row's
+    trajectory outcome, min-max normalized) are computed from these.
+    """
 
     env: EnvSpec
-    trajectories: list[Trajectory]
-    # Stacked views over all transitions, in trajectory order.
-    s: np.ndarray = field(init=False)
-    a: np.ndarray = field(init=False)
-    r: np.ndarray = field(init=False)
-    s2: np.ndarray = field(init=False)
-    done: np.ndarray = field(init=False)
+    s: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
+    s2: np.ndarray
+    done: np.ndarray
+    traj: np.ndarray
     mc: np.ndarray = field(init=False)
     w_labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.trajectories:
+        if self.r.shape[0] == 0:
             raise ValueError("dataset needs at least one trajectory")
+        starts, ends = _trajectory_bounds(self.traj)
+        if np.unique(self.traj[starts]).size != starts.size:
+            raise ValueError("the rows of each trajectory must be contiguous")
+        self.mc = np.empty(self.r.shape[0])
+        for lo, hi in zip(starts, ends):
+            acc = 0.0
+            for i in range(hi - 1, lo - 1, -1):
+                acc = self.r[i] + self.env.discount * acc
+                self.mc[i] = acc
         if self.env.reward_kind == "sparse-binary":
-            outcomes = np.array([float(tr.success) for tr in self.trajectories])
+            outcomes = self.done[ends - 1]  # success = terminated at the goal
         else:
-            outcomes = np.array([tr.ret for tr in self.trajectories])
+            outcomes = self.mc[starts]
         lo, hi = outcomes.min(), outcomes.max()
         if hi > lo:
             per_traj_w = (outcomes - lo) / (hi - lo)
         else:
             # A constant dataset gives no ranking signal; trust it fully.
             per_traj_w = np.ones_like(outcomes)
-        all_tr = []
-        ws = []
-        for traj, wv in zip(self.trajectories, per_traj_w):
-            for tr in traj.transitions:
-                tr.w = float(wv)
-                all_tr.append(tr)
-                ws.append(wv)
-        self._transitions = all_tr
-        self.s = np.stack([tr.s for tr in all_tr])
-        self.a = np.stack([tr.a for tr in all_tr])
-        self.r = np.array([tr.r for tr in all_tr])
-        self.s2 = np.stack([tr.s2 for tr in all_tr])
-        self.done = np.array([float(tr.done) for tr in all_tr])
-        self.mc = np.array([tr.mc_return for tr in all_tr])
-        self.w_labels = np.array(ws, dtype=np.float64)
+        self.w_labels = np.repeat(per_traj_w, ends - starts)
 
     @property
     def size(self) -> int:
-        return len(self._transitions)
-
-    def transitions(self) -> list[Transition]:
-        return self._transitions
+        return self.r.shape[0]
 
     def sample_batch(self, size: int, rng: np.random.Generator) -> Batch:
         idx = rng.integers(0, self.size, size=size)
@@ -340,49 +297,63 @@ def generate_dataset(spec: EnvSpec, behavior, n_trajectories: int, seed: int) ->
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
     rng = stream(seed, "dataset")
-    trajectories = []
-    for k in range(n_trajectories):
-        transitions = rollout_episode(spec, behavior.act, rng, traj_id=k)
-        trajectories.append(_finish_trajectory(spec, transitions))
-    return Dataset(env=spec, trajectories=trajectories)
+    episodes = [rollout_episode(spec, behavior.act, rng) for _ in range(n_trajectories)]
+    rows = stack_batch(episodes)
+    traj = np.repeat(np.arange(n_trajectories), [ep.size for ep in episodes])
+    return Dataset(spec, rows.s, rows.a, rows.r, rows.s2, rows.done, traj)
 
 
 class ReplayBuffer:
-    """FIFO transition store; unbounded when capacity is None."""
+    """FIFO ring of transition arrays; unbounded when capacity is None.
 
-    def __init__(self, capacity: int | None = None):
+    Push number k writes row k % capacity, so once full each push
+    replaces the oldest row.  Storage starts small and doubles as rows
+    are added, up to `capacity`.
+    """
+
+    def __init__(self, state_dim: int, action_dim: int, capacity: int | None = None):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be positive or None")
         self.capacity = capacity
-        self._items: list[Transition] = []
-        self._next = 0
+        rows = 64 if capacity is None else min(capacity, 64)
+        # s, a, r, s2, done
+        shapes = ((state_dim,), (action_dim,), (), (state_dim,), ())
+        self._cols = [np.empty((rows, *shape)) for shape in shapes]
+        self._pushes = 0
 
     @property
     def size(self) -> int:
-        return len(self._items)
+        return self._pushes if self.capacity is None else min(self._pushes, self.capacity)
 
-    def push(self, transition: Transition):
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._next] = transition
-            self._next = (self._next + 1) % self.capacity
+    def push(self, s, a, r, s2, done):
+        row = self._pushes if self.capacity is None else self._pushes % self.capacity
+        if row == self._cols[2].shape[0]:
+            grown = 2 * row if self.capacity is None else min(2 * row, self.capacity)
+            self._cols = [np.resize(c, (grown, *c.shape[1:])) for c in self._cols]
+        for col, value in zip(self._cols, (s, a, r, s2, done)):
+            col[row] = value
+        self._pushes += 1
 
-    def sample(self, size: int, rng: np.random.Generator) -> list[Transition]:
-        if not self._items:
+    def rows(self, idx=None) -> Batch:
+        """The held rows in slot order (or the rows at `idx`), with NaN
+        `w` and `mc`."""
+        if idx is None:
+            idx = slice(0, self.size)
+        s, a, r, s2, done = (c[idx] for c in self._cols)
+        n = r.shape[0]
+        return Batch(s, a, r, s2, done, w=np.full(n, np.nan), mc=np.full(n, np.nan))
+
+    def sample(self, size: int, rng: np.random.Generator) -> Batch:
+        if self.size == 0:
             raise ValueError("cannot sample from an empty replay buffer")
-        idx = rng.integers(0, len(self._items), size=size)
-        return [self._items[i] for i in idx]
+        return self.rows(rng.integers(0, self.size, size=size))
 
 
 def mixed_batch(
-    dataset: Dataset,
-    buffer: ReplayBuffer | None,
-    batch_size: int,
-    mix: float,
-    seed,
-) -> list[Transition]:
-    """floor(mix * batch_size) dataset samples, remainder from the buffer."""
+    dataset: Dataset, buffer: ReplayBuffer | None, batch_size: int, mix: float, seed
+) -> Batch:
+    """floor(mix * batch_size) dataset rows, then the remainder from the
+    buffer; the dataset indices are drawn first."""
     if batch_size < 2:
         raise ValueError("batch_size must be at least 2")
     if not 0.0 <= mix <= 1.0:
@@ -390,18 +361,14 @@ def mixed_batch(
     rng = as_generator(seed)
     n_data = int(np.floor(mix * batch_size))
     n_buf = batch_size - n_data
-    if n_data > 0 and dataset.size == 0:
-        raise ValueError("dataset share requested but dataset is empty")
     if n_buf > 0 and (buffer is None or buffer.size == 0):
         raise ValueError("buffer share requested but replay buffer is empty")
-    out = []
+    parts = []
     if n_data > 0:
-        idx = rng.integers(0, dataset.size, size=n_data)
-        items = dataset.transitions()
-        out.extend(items[i] for i in idx)
+        parts.append(dataset.sample_batch(n_data, rng))
     if n_buf > 0:
-        out.extend(buffer.sample(n_buf, rng))
-    return out
+        parts.append(buffer.sample(n_buf, rng))
+    return stack_batch(parts)
 
 
 # ----------------------------------------------------------------------
@@ -419,6 +386,12 @@ def _fmt_vec(v: np.ndarray) -> str:
     return "[" + ", ".join(_fmt(x) for x in v) + "]"
 
 
+def _step_index(traj: np.ndarray) -> np.ndarray:
+    """Each row's step within its trajectory, for rows grouped by `traj`."""
+    starts, ends = _trajectory_bounds(traj)
+    return np.arange(traj.shape[0]) - np.repeat(starts, ends - starts)
+
+
 def save_dataset(dataset: Dataset, path):
     header = (
         '{"env": %s, "state_dim": %d, "action_dim": %d, "gamma": %s, "count": %d}'
@@ -431,17 +404,18 @@ def save_dataset(dataset: Dataset, path):
         )
     )
     lines = [header]
-    for tr in dataset.transitions():
+    steps = _step_index(dataset.traj)
+    for i in range(dataset.size):
         lines.append(
             '{"s": %s, "a": %s, "r": %s, "s2": %s, "done": %s, "traj": %d, "t": %d}'
             % (
-                _fmt_vec(tr.s),
-                _fmt_vec(tr.a),
-                _fmt(tr.r),
-                _fmt_vec(tr.s2),
-                "true" if tr.done else "false",
-                tr.traj_id,
-                tr.t,
+                _fmt_vec(dataset.s[i]),
+                _fmt_vec(dataset.a[i]),
+                _fmt(dataset.r[i]),
+                _fmt_vec(dataset.s2[i]),
+                "true" if dataset.done[i] else "false",
+                dataset.traj[i],
+                steps[i],
             )
         )
     with open(path, "w", encoding="utf-8") as fh:
@@ -450,7 +424,9 @@ def save_dataset(dataset: Dataset, path):
 
 def load_dataset(path) -> Dataset:
     """Parse a dataset file; Monte-Carlo returns and outcome labels are
-    recomputed from rewards, so the file never stores them."""
+    recomputed from rewards, so the file never stores them.  Records may
+    come in any order; they are grouped by trajectory (in order of first
+    appearance) and sorted by step."""
     with open(path, "rb") as fh:
         raw = fh.read()
     offset = 0
@@ -483,30 +459,24 @@ def load_dataset(path) -> Dataset:
             offset=len(raw),
         )
 
-    by_traj: dict[int, list[Transition]] = {}
-    order: list[int] = []
+    if not body:
+        raise FormatError("dataset has no transitions", line=1, offset=0)
+
+    dims = (spec.state_dim,), (spec.action_dim,)
+    rows = []
     for lineno, off, rec in body:
         try:
-            tr = Transition(
-                s=np.asarray(rec["s"], dtype=np.float64),
-                a=np.asarray(rec["a"], dtype=np.float64),
-                r=float(rec["r"]),
-                s2=np.asarray(rec["s2"], dtype=np.float64),
-                done=bool(rec["done"]),
-                traj_id=int(rec["traj"]),
-                t=int(rec["t"]),
+            s, a, s2 = (np.asarray(rec[key], dtype=np.float64) for key in ("s", "a", "s2"))
+            row = (
+                s, a, float(rec["r"]), s2, float(bool(rec["done"])), int(rec["traj"]), int(rec["t"])
             )
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed record: {exc}", line=lineno, offset=off) from None
-        if tr.s.shape != (spec.state_dim,) or tr.a.shape != (spec.action_dim,):
+        if (s.shape, a.shape) != dims:
             raise ShapeError(f"transition dims do not match header (line {lineno})")
-        if tr.traj_id not in by_traj:
-            by_traj[tr.traj_id] = []
-            order.append(tr.traj_id)
-        by_traj[tr.traj_id].append(tr)
+        rows.append(row)
 
-    trajectories = []
-    for tid in order:
-        transitions = sorted(by_traj[tid], key=lambda tr: tr.t)
-        trajectories.append(_finish_trajectory(spec, transitions))
-    return Dataset(env=spec, trajectories=trajectories)
+    s, a, r, s2, done, traj, t = (np.array(col) for col in zip(*rows))
+    _, first, inverse = np.unique(traj, return_index=True, return_inverse=True)
+    order = np.lexsort((t, first[inverse]))  # stable: trajectories by first appearance
+    return Dataset(spec, s[order], a[order], r[order], s2[order], done[order], traj[order])

@@ -37,11 +37,9 @@ from .envs import (
     Dataset,
     EnvSpec,
     ReplayBuffer,
-    Transition,
     env_reset,
     env_step,
     mixed_batch,
-    stack_batch,
 )
 from .errors import ConfigError, FormatError, NumericError
 from .networks import (
@@ -678,25 +676,25 @@ def _eval_seed(seed: int, phase: str, step: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def warm_start(agent: AgentCheckpoint, env: EnvSpec, count: int, seed: int, capacity=None) -> ReplayBuffer:
+def warm_start(
+    agent: AgentCheckpoint, env: EnvSpec, count: int, seed: int, capacity=None
+) -> ReplayBuffer:
     """Fill a fresh replay buffer with `count` on-policy transitions from
     the frozen pre-trained policy (stochastic samples)."""
     if count < 1:
         raise ValueError("count must be positive")
     rng = seeding.stream(seed, "warmstart")
-    buffer = ReplayBuffer(capacity=capacity)
-    episode = 0
+    buffer = ReplayBuffer(env.state_dim, env.action_dim, capacity)
     while buffer.size < count:
         state = env_reset(env, rng)
-        for t in range(env.horizon):
+        for _ in range(env.horizon):
             action, _, _ = agent.policy.sample(state[None, :], rng)
             action = np.clip(action[0], env.action_low, env.action_high)
             nxt, reward, done = env_step(env, state, action)
-            buffer.push(Transition(s=state, a=action, r=reward, s2=nxt, done=done, traj_id=episode, t=t))
+            buffer.push(state, action, reward, nxt, done)
             state = nxt
             if buffer.size >= count or done:
                 break
-        episode += 1
     return buffer
 
 
@@ -793,23 +791,18 @@ def online_finetune(
 
     evaluate(0)
     state = env_reset(env, streams["env"])
-    episode, t_in_ep = 0, 0
+    t_in_ep = 0
     log_every = min(config.eval_every, max(config.online_steps, 1))
     for step in range(config.online_steps):
         action = _explore_action(agent.policy, env, state, config.online_alg, streams["explore"])
         nxt, reward, done = env_step(env, state, action)
-        buffer.push(
-            Transition(s=state, a=action, r=reward, s2=nxt, done=done, traj_id=episode, t=t_in_ep)
-        )
+        buffer.push(state, action, reward, nxt, done)
         state = nxt
         t_in_ep += 1
         if done or t_in_ep >= env.horizon:
             state = env_reset(env, streams["env"])
-            episode += 1
             t_in_ep = 0
-        batch = stack_batch(
-            mixed_batch(dataset, buffer, config.online_batch, config.mix, streams["batch"])
-        )
+        batch = mixed_batch(dataset, buffer, config.online_batch, config.mix, streams["batch"])
         try:
             metrics = _online_update(config, env, agent, batch, streams)
         except NumericError as exc:

@@ -1,12 +1,14 @@
 """Environments, datasets, outcome labels, replay buffers, file format."""
 
+import json
+import pickle
+
 import numpy as np
 import pytest
 
 from o2olab.envs import (
     ReplayBuffer,
     ScriptedPolicy,
-    Transition,
     UniformPolicy,
     clip_warning_count,
     env_reset,
@@ -20,6 +22,12 @@ from o2olab.envs import (
     stack_batch,
 )
 from o2olab.errors import FormatError, NumericError, ShapeError
+
+
+def trajectory_bounds(ds):
+    """First row and one past the last row of each trajectory."""
+    starts = np.flatnonzero(np.r_[True, ds.traj[1:] != ds.traj[:-1]])
+    return starts, np.r_[starts[1:], ds.size]
 
 
 class TestEnvBasics:
@@ -84,9 +92,11 @@ class TestEnvBasics:
             rng = np.random.default_rng(1)
             policy = UniformPolicy(spec)
             for _ in range(5):
-                for tr in rollout_episode(spec, policy.act, rng):
-                    assert abs(tr.r) <= spec.reward_bound
-                    assert np.all(np.abs(tr.s) <= 1.0) and np.all(np.abs(tr.s2) <= 1.0)
+                ep = rollout_episode(spec, policy.act, rng)
+                assert np.all(np.abs(ep.r) <= spec.reward_bound)
+                assert np.all(np.abs(ep.s) <= 1.0) and np.all(np.abs(ep.s2) <= 1.0)
+                # consecutive rows chain: each step starts where the last ended
+                assert np.array_equal(ep.s[1:], ep.s2[:-1])
 
     def test_expert_beats_random(self):
         for name in ("reach2d", "gate1d"):
@@ -96,12 +106,22 @@ class TestEnvBasics:
             rng_e = np.random.default_rng(2)
             rng_r = np.random.default_rng(2)
             expert_ret = np.mean(
-                [sum(tr.r for tr in rollout_episode(spec, expert.act, rng_e)) for _ in range(100)]
+                [rollout_episode(spec, expert.act, rng_e).r.sum() for _ in range(100)]
             )
             random_ret = np.mean(
-                [sum(tr.r for tr in rollout_episode(spec, random_pi.act, rng_r)) for _ in range(100)]
+                [rollout_episode(spec, random_pi.act, rng_r).r.sum() for _ in range(100)]
             )
             assert expert_ret >= random_ret
+
+    def test_spec_pickles_with_its_dynamics(self):
+        # Worker processes receive the spec inside a pickled Dataset.
+        for name in ("reach2d", "gate1d"):
+            spec = make_env_spec(name)
+            back = pickle.loads(pickle.dumps(spec))
+            state = env_reset(spec, 3)
+            action = np.full(spec.action_dim, 0.5)
+            assert np.array_equal(env_reset(back, 3), state)
+            assert env_step(back, state, action)[1:] == env_step(spec, state, action)[1:]
 
 
 class TestDataset:
@@ -113,8 +133,8 @@ class TestDataset:
     def test_two_outcomes_label_endpoints(self):
         spec = make_env_spec("reach2d")
         ds = generate_dataset(spec, ScriptedPolicy(spec, 0.8), 2, seed=1)
-        labels = {traj.transitions[0].w for traj in ds.trajectories}
-        assert labels == {0.0, 1.0}
+        starts, _ = trajectory_bounds(ds)
+        assert set(ds.w_labels[starts].tolist()) == {0.0, 1.0}
 
     def test_labels_in_unit_interval_with_max_attained(self):
         spec = make_env_spec("gate1d")
@@ -125,33 +145,31 @@ class TestDataset:
     def test_labels_recomputable_from_outcomes(self):
         spec = make_env_spec("reach2d")
         ds = generate_dataset(spec, ScriptedPolicy(spec, 0.6), 12, seed=3)
-        outcomes = np.array([t.ret for t in ds.trajectories])
+        starts, ends = trajectory_bounds(ds)
+        outcomes = ds.mc[starts]  # each trajectory's discounted return
         lo, hi = outcomes.min(), outcomes.max()
         want = (outcomes - lo) / (hi - lo)
-        got = np.array([t.transitions[0].w for t in ds.trajectories])
-        assert np.array_equal(got, want)
+        assert np.array_equal(ds.w_labels, np.repeat(want, ends - starts))
 
     def test_mc_returns_satisfy_bellman_recursion(self):
         for name in ("reach2d", "gate1d"):
             spec = make_env_spec(name)
             ds = generate_dataset(spec, ScriptedPolicy(spec, 0.5), 8, seed=4)
-            for traj in ds.trajectories:
-                mc = traj.mc_returns
-                rewards = [tr.r for tr in traj.transitions]
-                assert mc[-1] == rewards[-1]
-                for t in range(len(mc) - 1):
-                    assert mc[t] == rewards[t] + spec.discount * mc[t + 1]
-                assert traj.ret == mc[0]
-                for tr, v in zip(traj.transitions, mc):
-                    assert tr.mc_return == v
+            starts, ends = trajectory_bounds(ds)
+            assert np.array_equal(ds.traj[starts], np.arange(8))
+            for lo, hi in zip(starts, ends):
+                assert ds.mc[hi - 1] == ds.r[hi - 1]
+                for t in range(lo, hi - 1):
+                    assert ds.mc[t] == ds.r[t] + spec.discount * ds.mc[t + 1]
 
     def test_sparse_outcome_is_success_flag(self):
         spec = make_env_spec("gate1d")
         ds = generate_dataset(spec, ScriptedPolicy(spec, 1.0, gain=0.5), 40, seed=5)
-        succ = np.array([float(t.success) for t in ds.trajectories])
+        starts, ends = trajectory_bounds(ds)
+        succ = ds.done[ends - 1]  # a trajectory succeeds when it ends at the gate
+        assert np.array_equal(succ, (ds.s2[ends - 1, 0] >= 0.8).astype(float))
         assert 0.0 < succ.mean() < 1.0  # noise level gives a mixed dataset
-        for traj in ds.trajectories:
-            assert traj.transitions[0].w == float(traj.success)
+        assert np.array_equal(ds.w_labels, np.repeat(succ, ends - starts))
 
     def test_deterministic_per_seed(self):
         spec = make_env_spec("reach2d")
@@ -228,9 +246,10 @@ class TestDatasetFile:
         path = tmp_path / "data.jsonl"
         save_dataset(ds, path)
         back = load_dataset(path)
-        for traj in back.trajectories:
-            for t in range(len(traj.mc_returns) - 1):
-                assert traj.mc_returns[t] == traj.transitions[t].r + spec.discount * traj.mc_returns[t + 1]
+        _, ends = trajectory_bounds(back)
+        for t in range(back.size - 1):
+            if t + 1 not in ends:
+                assert back.mc[t] == back.r[t] + spec.discount * back.mc[t + 1]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -239,46 +258,105 @@ class TestDatasetFile:
             load_dataset(path)
 
 
+def saved_lines(tmp_path, seed=14):
+    spec = make_env_spec("reach2d")
+    ds = generate_dataset(spec, ScriptedPolicy(spec, 0.5), 2, seed=seed)
+    path = tmp_path / "data.jsonl"
+    save_dataset(ds, path)
+    return ds, path.read_text().splitlines()
+
+
+def write_lines(tmp_path, lines):
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def edit_record(line, **fields):
+    rec = json.loads(line)
+    rec.update(fields)
+    return json.dumps(rec)
+
+
+class TestDatasetFileOrder:
+    def test_records_in_any_order_load_the_same(self, tmp_path):
+        ds, lines = saved_lines(tmp_path)
+        # Trajectories keep their order of first appearance, so trajectory
+        # 0's first record stays first; the rest are shuffled across both.
+        rest = lines[2:]
+        shuffled = [rest[i] for i in np.random.default_rng(15).permutation(len(rest))]
+        back = load_dataset(write_lines(tmp_path, lines[:2] + shuffled))
+        for name in ("s", "a", "r", "s2", "done", "traj", "mc", "w_labels"):
+            assert np.array_equal(getattr(back, name), getattr(ds, name)), name
+
+
 def make_tiny_dataset(n_traj=3, seed=0):
     spec = make_env_spec("reach2d")
     return generate_dataset(spec, ScriptedPolicy(spec, 0.5), n_traj, seed=seed)
 
 
+def push_rewards(buf, rewards, dim=1):
+    for r in rewards:
+        buf.push(np.zeros(dim), np.zeros(dim), float(r), np.zeros(dim), False)
+
+
 class TestReplayBufferAndMixing:
     def test_fifo_eviction(self):
-        buf = ReplayBuffer(capacity=3)
-        for i in range(5):
-            buf.push(Transition(np.zeros(1), np.zeros(1), float(i), np.zeros(1), False, 0, i))
+        buf = ReplayBuffer(1, 1, capacity=3)
+        push_rewards(buf, range(5))
         assert buf.size == 3
-        rewards = sorted(tr.r for tr in buf.sample(100, np.random.default_rng(0)))
-        assert set(rewards) <= {2.0, 3.0, 4.0}
+        rewards = buf.sample(100, np.random.default_rng(0)).r
+        assert set(rewards.tolist()) <= {2.0, 3.0, 4.0}
+        # push k writes slot k % capacity: pushes 3 and 4 replaced slots 0 and 1
+        assert buf.rows().r.tolist() == [3.0, 4.0, 2.0]
+
+    def test_ring_keeps_slot_order_while_growing(self):
+        buf = ReplayBuffer(1, 1, capacity=100)
+        push_rewards(buf, range(150))
+        assert buf.size == 100
+        assert buf.rows().r.tolist() == list(range(100, 150)) + list(range(50, 100))
 
     def test_unbounded_by_default(self):
-        buf = ReplayBuffer()
-        for i in range(1000):
-            buf.push(Transition(np.zeros(1), np.zeros(1), 0.0, np.zeros(1), False, 0, i))
+        buf = ReplayBuffer(1, 1)
+        push_rewards(buf, range(1000))
         assert buf.size == 1000
+        assert buf.rows().r.tolist() == list(range(1000))
+
+    def test_sample_has_nan_labels(self):
+        buf = ReplayBuffer(1, 1)
+        push_rewards(buf, range(4))
+        batch = buf.sample(6, np.random.default_rng(1))
+        assert np.all(np.isnan(batch.w)) and np.all(np.isnan(batch.mc))
 
     def test_mix_one_uses_dataset_only(self):
         ds = make_tiny_dataset()
         batch = mixed_batch(ds, None, 16, 1.0, seed=0)
-        assert len(batch) == 16
-        ids = {id(tr) for tr in ds.transitions()}
-        assert all(id(tr) in ids for tr in batch)
+        assert batch.size == 16
+        idx = np.random.default_rng(0).integers(0, ds.size, size=16)
+        for got, want in ((batch.s, ds.s), (batch.a, ds.a), (batch.r, ds.r), (batch.s2, ds.s2)):
+            assert np.array_equal(got, want[idx])
+        assert np.array_equal(batch.done, ds.done[idx])
+        assert np.array_equal(batch.w, ds.w_labels[idx])
+        assert np.array_equal(batch.mc, ds.mc[idx])
 
     def test_half_mix_splits_counts(self):
         ds = make_tiny_dataset()
-        buf = ReplayBuffer()
-        for i in range(50):
-            buf.push(Transition(np.zeros(2), np.zeros(2), -99.0, np.zeros(2), False, -1, i))
+        buf = ReplayBuffer(2, 2)
+        push_rewards(buf, np.full(50, -99.0), dim=2)
         batch = mixed_batch(ds, buf, 1024, 0.5, seed=1)
-        n_buffer = sum(1 for tr in batch if tr.r == -99.0)
-        assert len(batch) == 1024 and n_buffer == 512
+        from_buffer = batch.r == -99.0
+        assert batch.size == 1024 and from_buffer.sum() == 512
+        # dataset rows first, drawn before the buffer rows from one stream
+        assert not from_buffer[:512].any() and from_buffer[512:].all()
+        rng = np.random.default_rng(1)
+        idx = rng.integers(0, ds.size, size=512)
+        assert np.array_equal(batch.s[:512], ds.s[idx])
+        assert np.array_equal(batch.r[:512], ds.r[idx])
 
     def test_empty_buffer_with_buffer_share_rejected(self):
         ds = make_tiny_dataset()
         with pytest.raises(ValueError):
-            mixed_batch(ds, ReplayBuffer(), 16, 0.5, seed=2)
+            mixed_batch(ds, ReplayBuffer(2, 2), 16, 0.5, seed=2)
 
     def test_batch_size_floor(self):
         ds = make_tiny_dataset()
@@ -293,11 +371,11 @@ class TestReplayBufferAndMixing:
         draws = 100_000
         rng = np.random.default_rng(14)
         counts = np.zeros(n_items)
-        items = ds.transitions()
-        index_of = {id(tr): i for i, tr in enumerate(items)}
+        index_of = {s.tobytes(): i for i, s in enumerate(ds.s)}
+        assert len(index_of) == n_items  # each row is known by its state
         for _ in range(draws // 100):
-            for tr in mixed_batch(ds, None, 100, 1.0, seed=rng):
-                counts[index_of[id(tr)]] += 1
+            for s in mixed_batch(ds, None, 100, 1.0, seed=rng).s:
+                counts[index_of[s.tobytes()]] += 1
         p = 1.0 / n_items
         sigma = np.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) <= 3.5 * sigma)
@@ -306,11 +384,15 @@ class TestReplayBufferAndMixing:
         ds = make_tiny_dataset()
         a = mixed_batch(ds, None, 8, 1.0, seed=5)
         b = mixed_batch(ds, None, 8, 1.0, seed=5)
-        assert all(x is y for x, y in zip(a, b))
+        for name in ("s", "a", "r", "s2", "done", "w", "mc"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_stack_batch_shapes(self):
         ds = make_tiny_dataset()
-        batch = stack_batch(mixed_batch(ds, None, 8, 1.0, seed=6))
-        assert batch.s.shape == (8, 2) and batch.a.shape == (8, 2)
-        assert batch.size == 8
+        first = mixed_batch(ds, None, 8, 1.0, seed=6)
+        second = mixed_batch(ds, None, 4, 1.0, seed=7)
+        batch = stack_batch([first, second])
+        assert batch.s.shape == (12, 2) and batch.a.shape == (12, 2)
+        assert batch.size == 12
+        assert np.array_equal(batch.s[8:], second.s)
         assert np.all(np.isfinite(batch.mc))

@@ -280,9 +280,9 @@ class TestWarmStartAndOnline:
     def test_warm_start_actions_within_bounds(self):
         cfg, ds, agent = self._pretrained()
         buffer = warm_start(agent, ds.env, 50, seed=17)
-        for tr in buffer.sample(50, np.random.default_rng(0)):
-            assert np.all(tr.a >= ds.env.action_low - 1e-12)
-            assert np.all(tr.a <= ds.env.action_high + 1e-12)
+        batch = buffer.sample(50, np.random.default_rng(0))
+        assert np.all(batch.a >= ds.env.action_low - 1e-12)
+        assert np.all(batch.a <= ds.env.action_high + 1e-12)
 
     def test_buffer_grows_one_per_env_step(self):
         cfg, ds, agent = self._pretrained()
