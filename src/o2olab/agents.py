@@ -10,8 +10,8 @@ Critic arithmetic shared by several agents has one implementation each:
 `_td_regression` (every member regressed onto one TD target, used by
 soft actor-critic, IQL and TD3), `_min_member_action_grad` (the min-member
 Q and that member's action gradient, ascended by the SAC, TD3 and TD3+BC
-actors), and `_member_qs` (per-member Q, behind `_min_over` and the AWR
-advantages).
+actors), `_member_qs` (per-member Q, behind `_min_over` and the AWR
+advantages), and `td3_critic_loss` (the critic of both TD3 and TD3+BC).
 
 The score-matching regularizer penalizes the distance between a
 critic's action gradient and a state-scaled noise estimate from the
@@ -409,7 +409,7 @@ class Td3Out:
     policy_grad: np.ndarray
 
 
-def td3_losses(
+def td3_critic_loss(
     ensemble: CriticEnsemble,
     policy: GaussianPolicy,
     batch,
@@ -419,9 +419,9 @@ def td3_losses(
     smoothing_std: float = 0.2,
     smoothing_clip: float = 0.5,
     smoothing: bool = True,
-) -> Td3Out:
-    """Deterministic-gradient losses: TD regression with target-action
-    smoothing, and policy ascent on the min-member Q at the mean action."""
+):
+    """TD regression onto the min-target Q at the smoothed mean action of
+    the next state.  Returns (loss, per-member gradients)."""
     a2 = policy.mean_action(batch.s2)
     if smoothing:
         half = policy.half
@@ -433,10 +433,32 @@ def td3_losses(
     y = batch.r + discount * (1.0 - batch.done) * tq
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite TD target")
-    critic_loss, member_grads = _td_regression(
-        ensemble.members, critic_input(batch.s, batch.a), y
-    )
+    return _td_regression(ensemble.members, critic_input(batch.s, batch.a), y)
 
+
+def td3_losses(
+    ensemble: CriticEnsemble,
+    policy: GaussianPolicy,
+    batch,
+    discount: float,
+    rng: np.random.Generator,
+    *,
+    smoothing_std: float = 0.2,
+    smoothing_clip: float = 0.5,
+    smoothing: bool = True,
+) -> Td3Out:
+    """Deterministic-gradient losses: `td3_critic_loss`, and policy ascent
+    on the min-member Q at the mean action."""
+    critic_loss, member_grads = td3_critic_loss(
+        ensemble,
+        policy,
+        batch,
+        discount,
+        rng,
+        smoothing_std=smoothing_std,
+        smoothing_clip=smoothing_clip,
+        smoothing=smoothing,
+    )
     x_pi = critic_input(batch.s, policy.mean_action(batch.s))
     qmin, ga_sel = _min_member_action_grad(ensemble.members, x_pi, batch.s.shape[1])
     policy_loss = float(-np.mean(qmin))

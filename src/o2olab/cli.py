@@ -230,8 +230,7 @@ def _checkpoint_for_seed(root: Path, seed: int) -> Path:
     raise ConfigError(f"no checkpoint for seed {seed} under {root}")
 
 
-def _finetune_one(config, dataset, ckpt_path, seed, seed_dir: Path):
-    agent = pipeline.load_checkpoint(ckpt_path)
+def _finetune_one(config, dataset, agent, seed, seed_dir: Path):
     env = make_env_spec(agent.env_name)
     run_id = _run_id(env.name, agent.offline_alg, config.online_alg, seed)
     agent, rows = pipeline.online_finetune(
@@ -248,12 +247,18 @@ def _cmd_finetune(args) -> int:
     dataset = load_dataset(args.data)
     seeds = _seeds(args, config)
     ckpt_root = Path(args.checkpoint)
-    ckpt_paths = [_checkpoint_for_seed(ckpt_root, s) for s in seeds]
+    # One load per seed: fine-tuning changes its agent in place.
+    agents = [pipeline.load_checkpoint(_checkpoint_for_seed(ckpt_root, s)) for s in seeds]
+    for agent in agents:
+        if agent.env_name != dataset.env.name:
+            raise ConfigError(
+                f"checkpoint env {agent.env_name!r} != dataset env {dataset.env.name!r}"
+            )
     with _OutputDir(_resolve_out(args, "finetune")) as outdir:
         _map_seeds(
             args.jobs,
             partial(_finetune_one, config, dataset),
-            ckpt_paths,
+            agents,
             seeds,
             [outdir.tmp / f"seed-{s}" for s in seeds],
         )

@@ -153,13 +153,13 @@ def _gate1d_spec() -> EnvSpec:
     )
 
 
-_ENV_BUILDERS = {"reach2d": _reach2d_spec, "gate1d": _gate1d_spec}
+_ENV_SPECS = {"reach2d": _reach2d_spec, "gate1d": _gate1d_spec}
 
 
 def make_env_spec(name: str) -> EnvSpec:
-    if name not in _ENV_BUILDERS:
-        raise ValueError(f"unknown environment {name!r}; known: {sorted(_ENV_BUILDERS)}")
-    return _ENV_BUILDERS[name]()
+    if name not in _ENV_SPECS:
+        raise ValueError(f"unknown environment {name!r}; known: {sorted(_ENV_SPECS)}")
+    return _ENV_SPECS[name]()
 
 
 def env_reset(spec: EnvSpec, seed: int) -> np.ndarray:
@@ -255,7 +255,7 @@ class Dataset:
         if self.r.shape[0] == 0:
             raise ValueError("dataset needs at least one trajectory")
         starts, ends = _trajectory_bounds(self.traj)
-        if np.unique(self.traj[starts]).size != starts.size:
+        if len(set(self.traj[starts].tolist())) != starts.size:
             raise ValueError("the rows of each trajectory must be contiguous")
         self.mc = np.empty(self.r.shape[0])
         for lo, hi in zip(starts, ends):
@@ -405,18 +405,12 @@ def save_dataset(dataset: Dataset, path):
     )
     lines = [header]
     steps = _step_index(dataset.traj)
-    for i in range(dataset.size):
+    cols = (dataset.s, dataset.a, dataset.r, dataset.s2, dataset.done, dataset.traj, steps)
+    for s, a, r, s2, done, traj, t in zip(*(c.tolist() for c in cols)):
+        flag = "true" if done else "false"
         lines.append(
             '{"s": %s, "a": %s, "r": %s, "s2": %s, "done": %s, "traj": %d, "t": %d}'
-            % (
-                _fmt_vec(dataset.s[i]),
-                _fmt_vec(dataset.a[i]),
-                _fmt(dataset.r[i]),
-                _fmt_vec(dataset.s2[i]),
-                "true" if dataset.done[i] else "false",
-                dataset.traj[i],
-                steps[i],
-            )
+            % (_fmt_vec(s), _fmt_vec(a), _fmt(r), _fmt_vec(s2), flag, traj, t)
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -424,9 +418,14 @@ def save_dataset(dataset: Dataset, path):
 
 def load_dataset(path) -> Dataset:
     """Parse a dataset file; Monte-Carlo returns and outcome labels are
-    recomputed from rewards, so the file never stores them.  Records may
-    come in any order; they are grouped by trajectory (in order of first
-    appearance) and sorted by step."""
+    recomputed from rewards, so the file never stores them.
+
+    Records may come in any order; they are grouped by trajectory (in
+    order of first appearance) and sorted by step.  A record with a
+    missing key, a non-finite number or a vector of the wrong length is
+    rejected, and so is a trajectory whose steps are not 0..n-1; each
+    error names the line.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     offset = 0
@@ -462,7 +461,7 @@ def load_dataset(path) -> Dataset:
     if not body:
         raise FormatError("dataset has no transitions", line=1, offset=0)
 
-    dims = (spec.state_dim,), (spec.action_dim,)
+    dims = (spec.state_dim,), (spec.action_dim,), (spec.state_dim,)
     rows = []
     for lineno, off, rec in body:
         try:
@@ -470,13 +469,26 @@ def load_dataset(path) -> Dataset:
             row = (
                 s, a, float(rec["r"]), s2, float(bool(rec["done"])), int(rec["traj"]), int(rec["t"])
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed record: {exc}", line=lineno, offset=off) from None
-        if (s.shape, a.shape) != dims:
+        if (s.shape, a.shape, s2.shape) != dims:
             raise ShapeError(f"transition dims do not match header (line {lineno})")
         rows.append(row)
 
     s, a, r, s2, done, traj, t = (np.array(col) for col in zip(*rows))
-    _, first, inverse = np.unique(traj, return_index=True, return_inverse=True)
-    order = np.lexsort((t, first[inverse]))  # stable: trajectories by first appearance
+    finite = np.isfinite(s).all(1) & np.isfinite(a).all(1) & np.isfinite(r) & np.isfinite(s2).all(1)
+    if not finite.all():
+        lineno, off, _ = body[np.argmin(finite)]
+        raise FormatError("non-finite number in record", line=lineno, offset=off)
+    first_seen = {}
+    rank = [first_seen.setdefault(tid, len(first_seen)) for tid in traj.tolist()]
+    order = np.lexsort((t, rank))  # stable: trajectories by first appearance
+    bad = np.flatnonzero(t[order] != _step_index(traj[order]))
+    if bad.size:
+        lineno, off, rec = body[order[bad[0]]]
+        raise FormatError(
+            f"trajectory {rec['traj']} has step {rec['t']}; steps must run 0..n-1",
+            line=lineno,
+            offset=off,
+        )
     return Dataset(spec, s[order], a[order], r[order], s2[order], done[order], traj[order])

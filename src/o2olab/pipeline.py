@@ -30,6 +30,7 @@ from .agents import (
     sac_critic_loss,
     sac_policy_loss,
     smac_critic_loss,
+    td3_critic_loss,
     td3_losses,
     td3bc_policy_loss,
 )
@@ -78,6 +79,10 @@ class NetworkConfig:
     value_hidden: tuple = (64, 64)
     value_activation: str = "relu"
 
+    def __post_init__(self):
+        if self.n_critics < 2:
+            raise ConfigError("networks.n_critics must be at least 2")
+
 
 @dataclass(frozen=True)
 class OptimConfig:
@@ -87,6 +92,13 @@ class OptimConfig:
     value_lr: float = 3e-4
     entropy_lr: float = 3e-4
     target_update_rate: float = 0.005
+
+    def __post_init__(self):
+        for name in ("critic_lr", "policy_lr", "scale_lr", "value_lr", "entropy_lr"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"optim.{name} must be positive")
+        if not 0.0 < self.target_update_rate <= 1.0:
+            raise ConfigError("optim.target_update_rate must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -146,6 +158,11 @@ class ExperimentConfig:
         for name in ("offline_batch", "online_batch", "warm_start_count", "eval_every", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        # warm_start fills the buffer before the first update, so a smaller
+        # ring could never hold warm_start_count transitions.
+        cap = self.replay_capacity
+        if cap is not None and not (_type_matches(0, cap) and cap >= self.warm_start_count):
+            raise ConfigError("replay_capacity must be null or an int >= warm_start_count")
         if self.offline_batch % 2 or self.online_batch % 2:
             raise ConfigError("batch sizes must be even (the action sampler splits them)")
         if not self.seeds:
@@ -532,11 +549,13 @@ def _sac_actor_step(config, agent, batch, coef: float, rng) -> dict:
 
 def _td3bc_update(config, agent, batch, streams) -> dict:
     """TD3 critic step, then the behaviour-cloning-regularized actor step."""
-    out = td3_losses(agent.critics, agent.policy, batch, config.loss.discount, streams["smooth"])
-    _step_critics(agent, out.member_grads)
+    closs, cgrads = td3_critic_loss(
+        agent.critics, agent.policy, batch, config.loss.discount, streams["smooth"]
+    )
+    _step_critics(agent, cgrads)
     ploss, pgrad = td3bc_policy_loss(agent.critics, agent.policy, batch, config.loss.bc_weight)
     _step_policy(agent, pgrad)
-    return {"critic_loss": out.critic_loss, "policy_loss": ploss}
+    return {"critic_loss": closs, "policy_loss": ploss}
 
 
 def _offline_update(config, env, agent, batch, streams, score_model):
@@ -683,6 +702,8 @@ def warm_start(
     the frozen pre-trained policy (stochastic samples)."""
     if count < 1:
         raise ValueError("count must be positive")
+    if capacity is not None and capacity < count:
+        raise ValueError(f"replay capacity {capacity} cannot hold {count} warm-start transitions")
     rng = seeding.stream(seed, "warmstart")
     buffer = ReplayBuffer(env.state_dim, env.action_dim, capacity)
     while buffer.size < count:

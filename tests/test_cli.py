@@ -241,9 +241,18 @@ class TestErrorPaths:
     def test_invalid_config_value(self, workdir):
         assert run(["gen-data", "--config", "cfg.json", "--override", "mix=2.0"]) == 2
 
-    # A value of the wrong type is refused while the config loads; a value
-    # caught only during training must still leave no temp dir behind.
-    @pytest.mark.parametrize("override", ["offline_steps=1.5", "optim.target_update_rate=0"])
+    # A bad value is refused while the config loads, before the output
+    # directory or its parent is made.
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "offline_steps=1.5",
+            "optim.target_update_rate=0",
+            "optim.critic_lr=0",
+            "networks.n_critics=1",
+            "replay_capacity=5",
+        ],
+    )
     def test_bad_value_exits_2_without_leftover(self, workdir, override):
         run(["gen-data", "--config", "cfg.json"])
         data = workdir / "runs/gen-data/dataset-s0.jsonl"
@@ -264,7 +273,30 @@ class TestErrorPaths:
             ]
         )
         assert code == 2
-        assert not out.parent.exists() or not any(out.parent.iterdir())
+        assert not out.parent.exists()
+
+    def test_finetune_env_mismatch_exits_2_without_leftover(self, workdir):
+        # A gate1d checkpoint cannot fine-tune on reach2d data; this used to
+        # fail mid-run with a numpy shape error.
+        gate = ["--override", "env=gate1d", "--override", "offline_alg=sac"]
+        run(["gen-data", "--config", "cfg.json", *gate, "--out", workdir / "gdata"])
+        run(["gen-data", "--config", "cfg.json"])
+        assert run(
+            [
+                "pretrain", "--config", "cfg.json", *gate, "--override", "offline_steps=2",
+                "--data", workdir / "gdata/dataset-s0.jsonl", "--out", workdir / "gpre",
+            ]
+        ) == 0
+        out = workdir / "fresh" / "fin"
+        code = run(
+            [
+                "finetune", "--config", "cfg.json",
+                "--data", workdir / "runs/gen-data/dataset-s0.jsonl",
+                "--checkpoint", workdir / "gpre", "--out", out,
+            ]
+        )
+        assert code == 2
+        assert not out.parent.exists()
 
     def test_unknown_config_key(self, workdir):
         assert run(["gen-data", "--config", "cfg.json", "--override", "bogus=1"]) == 2

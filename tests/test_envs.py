@@ -278,7 +278,35 @@ def edit_record(line, **fields):
     return json.dumps(rec)
 
 
-class TestDatasetFileOrder:
+class TestDatasetRecordChecks:
+    def test_non_finite_number_rejected(self, tmp_path):
+        # json accepts NaN; one NaN reward would make every outcome label 1.0
+        _, lines = saved_lines(tmp_path)
+        lines[3] = edit_record(lines[3], r=float("nan"))
+        assert '"r": NaN' in lines[3]
+        with pytest.raises(FormatError) as err:
+            load_dataset(write_lines(tmp_path, lines))
+        assert err.value.line == 4
+
+    def test_wrong_next_state_shape_rejected(self, tmp_path):
+        _, lines = saved_lines(tmp_path)
+        lines[2] = edit_record(lines[2], s2=[0.0, 0.0, 0.0])
+        with pytest.raises(ShapeError, match="line 3"):
+            load_dataset(write_lines(tmp_path, lines))
+
+    def test_duplicate_step_rejected(self, tmp_path):
+        _, lines = saved_lines(tmp_path)
+        lines[3] = edit_record(lines[3], t=json.loads(lines[2])["t"])
+        with pytest.raises(FormatError) as err:
+            load_dataset(write_lines(tmp_path, lines))
+        assert err.value.line == 4
+
+    def test_header_without_transitions_rejected(self, tmp_path):
+        _, lines = saved_lines(tmp_path)
+        header = lines[0].replace(f'"count": {len(lines) - 1}', '"count": 0')
+        with pytest.raises(FormatError, match="no transitions"):
+            load_dataset(write_lines(tmp_path, [header]))
+
     def test_records_in_any_order_load_the_same(self, tmp_path):
         ds, lines = saved_lines(tmp_path)
         # Trajectories keep their order of first appearance, so trajectory

@@ -95,6 +95,26 @@ class TestConfig:
     @pytest.mark.parametrize(
         "data",
         [
+            {"optim": {"critic_lr": 0.0}},
+            {"optim": {"entropy_lr": -1e-3}},
+            {"optim": {"target_update_rate": 0.0}},
+            {"optim": {"target_update_rate": 1.5}},
+            {"networks": {"n_critics": 1}},
+            {"warm_start_count": 10, "replay_capacity": 9},
+            {"replay_capacity": 0},
+        ],
+    )
+    def test_out_of_range_value_rejected(self, data):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    def test_replay_capacity_may_equal_warm_start_count(self):
+        cfg = config_from_dict({"warm_start_count": 10, "replay_capacity": 10})
+        assert cfg.replay_capacity == 10
+
+    @pytest.mark.parametrize(
+        "data",
+        [
             {"offline_steps": 1.5},
             {"offline_steps": True},
             {"rvs_enabled": 1},
@@ -283,6 +303,16 @@ class TestWarmStartAndOnline:
         batch = buffer.sample(50, np.random.default_rng(0))
         assert np.all(batch.a >= ds.env.action_low - 1e-12)
         assert np.all(batch.a <= ds.env.action_high + 1e-12)
+
+    def test_warm_start_rejects_capacity_below_count(self):
+        # A ring smaller than the count could never fill; this used to spin.
+        cfg, ds, agent = self._pretrained()
+        with pytest.raises(ValueError, match="cannot hold"):
+            warm_start(agent, ds.env, 10, seed=17, capacity=7)
+
+    def test_warm_start_fills_a_ring_of_exactly_count(self):
+        cfg, ds, agent = self._pretrained()
+        assert warm_start(agent, ds.env, 10, seed=17, capacity=10).size == 10
 
     def test_buffer_grows_one_per_env_step(self):
         cfg, ds, agent = self._pretrained()
