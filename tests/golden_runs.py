@@ -9,23 +9,32 @@
 - online sac/adam once more with `replay_capacity` equal to
   `warm_start_count`, so every online push evicts the oldest transition;
 - `save_dataset` on the generated dataset, then `load_dataset` and
-  `save_dataset` again.
+  `save_dataset` again;
+- `evaluate_policy` of a fixed (8, 8) policy at 1, 7 and 20 episodes.
+  On gate1d the policy's mean action is a constant 0.22, so episodes end
+  at different steps, one on the last step, and those that start below
+  about -0.52 run the full horizon.
 
 Each training run yields its final parameter vectors (policy, every
 critic member and target, and the scale or value net when the agent has
 one) and its metric rows.  The dataset run yields the sha256 of both
 saved files and the Monte-Carlo returns and outcome labels recomputed on
-load.  `tests/test_golden.py` compares a fresh run with the
+load.  The evaluate run yields the (mean, stderr) pairs.
+`tests/test_golden.py` compares a fresh run with the
 recorded fixture, so a refactor that claims to keep behaviour is checked
 against numbers pinned before it, not against a rerun of itself.
 
 Regenerate the fixture only for an intended change to the numbers:
 
     PYTHONPATH=src python tests/golden_runs.py
+
+With `--diff` the script instead prints each run's max relative deviation
+from the fixture and leaves the fixture as it is.
 """
 
 from __future__ import annotations
 
+import argparse
 import copy
 import hashlib
 import tempfile
@@ -41,10 +50,13 @@ from o2olab.envs import (
     make_env_spec,
     save_dataset,
 )
+from o2olab.networks import make_policy
+from o2olab.numkit import unflatten
 from o2olab.pipeline import (
     OFFLINE_ALGS,
     ONLINE_ALGS,
     config_from_dict,
+    evaluate_policy,
     offline_pretrain,
     online_finetune,
 )
@@ -53,6 +65,7 @@ from o2olab.seeding import stream
 FIXTURE = Path(__file__).parent / "data" / "golden_trajectories.npz"
 ENVS = ("reach2d", "gate1d")
 OPTIMIZERS = ("adam", "muon")
+EVAL_EPISODES = (1, 7, 20)
 
 
 def _config(env: str, **over):
@@ -111,6 +124,23 @@ def _dataset_arrays(dataset) -> dict:
         }
 
 
+def _evaluate_arrays(env) -> dict:
+    policy = make_policy(
+        env.state_dim, env.action_low, env.action_high, (8, 8), stream(7, "golden-eval")
+    )
+    if env.name == "gate1d":
+        # The mean head ignores the state: every mean action is tanh(atanh(0.22)).
+        weight, bias = unflatten(policy.params)[-1]
+        weight[: env.action_dim] = 0.0
+        bias[: env.action_dim] = np.arctanh(0.22)
+    results = [evaluate_policy(policy, env, n, seed=8) for n in EVAL_EPISODES]
+    return {
+        "episodes": np.array(EVAL_EPISODES),
+        "mean": np.array([mean for mean, _ in results]),
+        "stderr": np.array([err for _, err in results]),
+    }
+
+
 def golden_runs() -> dict:
     """{run name: {array name: array}} for every golden run."""
     runs = {}
@@ -160,6 +190,7 @@ def golden_runs() -> dict:
             copy.deepcopy(smac_start), cfg, dataset, env, seed=6, run_id="ring"
         )
         runs[f"{env_name}/online-ring/sac/adam"] = {**_agent_arrays(agent), **_metric_arrays(rows)}
+        runs[f"{env_name}/evaluate"] = _evaluate_arrays(env)
     return runs
 
 
@@ -167,9 +198,51 @@ def flatten(runs: dict) -> dict:
     return {f"{run}/{name}": arr for run, arrays in runs.items() for name, arr in arrays.items()}
 
 
-def main():
-    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
+def load_fixture() -> dict:
+    with np.load(FIXTURE, allow_pickle=False) as data:
+        return {name: data[name] for name in data.files}
+
+
+def relative_deviation(new: np.ndarray, old: np.ndarray) -> float:
+    """max |new - old| / max |old| (the absolute deviation if old is 0)."""
+    scale = float(np.max(np.abs(old)))
+    dev = float(np.max(np.abs(new - old)))
+    return dev / scale if scale > 0.0 else dev
+
+
+def run_deviations(current: dict, recorded: dict) -> dict:
+    """{run name: max relative deviation over its numeric arrays}; a run
+    whose arrays differ in names, shapes or strings reads inf."""
+    worst = {}
+    for key in sorted(set(current) | set(recorded)):
+        run = key.rsplit("/", 1)[0]
+        new, old = current.get(key), recorded.get(key)
+        if new is None or old is None or new.shape != old.shape:
+            rel = float("inf")
+        elif old.dtype.kind == "U":
+            rel = 0.0 if new.tolist() == old.tolist() else float("inf")
+        else:
+            rel = relative_deviation(new, old)
+        worst[run] = max(worst.get(run, 0.0), rel)
+    return worst
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Write or compare the golden fixture.")
+    parser.add_argument(
+        "--diff",
+        action="store_true",
+        help="print each run's max relative deviation from the fixture; do not rewrite it",
+    )
+    args = parser.parse_args(argv)
     flat = flatten(golden_runs())
+    if args.diff:
+        worst = run_deviations(flat, load_fixture())
+        for run, rel in worst.items():
+            print(f"{rel:.3e}  {run}")
+        print(f"{max(worst.values()):.3e}  max over {len(worst)} runs")
+        return
+    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     with open(FIXTURE, "wb") as fh:
         np.savez_compressed(fh, **flat)
     print(f"wrote {len(flat)} arrays to {FIXTURE}")

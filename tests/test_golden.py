@@ -1,15 +1,16 @@
 """Pinned behaviour: every trainer reproduces its recorded trajectory.
 
 The fixture was written by `tests/golden_runs.py`.  Each parameter
-vector and metric column must match within RTOL relative to its largest
-recorded magnitude (max |new - old| / max |old|); metric names and the
-sha256 of each saved dataset file must match exactly.
+vector, metric column and evaluation result must match within RTOL
+relative to its largest recorded magnitude (max |new - old| / max |old|);
+metric names and the sha256 of each saved dataset file must match
+exactly.
 """
 
 import numpy as np
 import pytest
 
-from golden_runs import FIXTURE, flatten, golden_runs
+from golden_runs import flatten, golden_runs, load_fixture, relative_deviation
 
 RTOL = 1e-10
 
@@ -21,13 +22,12 @@ def current():
 
 @pytest.fixture(scope="module")
 def recorded():
-    with np.load(FIXTURE, allow_pickle=False) as data:
-        return {name: data[name] for name in data.files}
+    return load_fixture()
 
 
 def test_same_runs_and_arrays(current, recorded):
     assert sorted(current) == sorted(recorded)
-    assert len({key.rsplit("/", 1)[0] for key in recorded}) == 46
+    assert len({key.rsplit("/", 1)[0] for key in recorded}) == 48
 
 
 def test_metric_names_match(current, recorded):
@@ -53,9 +53,7 @@ def test_values_match_within_tolerance(current, recorded):
             continue
         new = current[key]
         assert new.shape == old.shape, key
-        scale = float(np.max(np.abs(old)))
-        dev = float(np.max(np.abs(new - old)))
-        rel = dev / scale if scale > 0.0 else dev
+        rel = relative_deviation(new, old)
         assert rel <= RTOL, f"{key}: relative deviation {rel:.3e}"
         worst = max(worst, rel)
     print(f"max relative deviation {worst:.3e}")
