@@ -267,11 +267,21 @@ def _cmd_finetune(args) -> int:
     return 0
 
 
+def _load_config_env_checkpoints(config, *paths):
+    """Load each checkpoint, refusing any trained on another env than the config's."""
+    agents = [pipeline.load_checkpoint(path) for path in paths]
+    for path, agent in zip(paths, agents):
+        if agent.env_name != config.env:
+            raise ConfigError(
+                f"checkpoint {path} has env {agent.env_name!r} != config env {config.env!r}"
+            )
+    return agents
+
+
 def _cmd_landscape_line(args) -> int:
     config = _load_config(args)
-    a = pipeline.load_checkpoint(args.checkpoint_a)
-    b = pipeline.load_checkpoint(args.checkpoint_b)
-    env = make_env_spec(a.env_name)
+    a, b = _load_config_env_checkpoints(config, args.checkpoint_a, args.checkpoint_b)
+    env = make_env_spec(config.env)
     seeds = _seeds(args, config)
     ts = np.linspace(args.t_lo, args.t_hi, args.points)
     with _OutputDir(_resolve_out(args, "landscape-line")) as outdir:
@@ -289,10 +299,10 @@ def _cmd_landscape_line(args) -> int:
 
 def _cmd_landscape_plane(args) -> int:
     config = _load_config(args)
-    a = pipeline.load_checkpoint(args.checkpoint_a)
-    b = pipeline.load_checkpoint(args.checkpoint_b)
-    c = pipeline.load_checkpoint(args.checkpoint_c)
-    env = make_env_spec(a.env_name)
+    a, b, c = _load_config_env_checkpoints(
+        config, args.checkpoint_a, args.checkpoint_b, args.checkpoint_c
+    )
+    env = make_env_spec(config.env)
     seeds = _seeds(args, config)
     basis = analysis.plane_basis(a.policy.params, b.policy.params, c.policy.params)
     returns, l_coords, t_coords = analysis.plane_grid_eval(

@@ -28,7 +28,8 @@ STEP_SIZE = 0.1
 REACH2D_GOAL = np.zeros(2)
 GATE1D_GOAL = 0.8
 
-# Count of env_step calls whose action had to be clipped into bounds.
+# Count of transitions whose action env_step had to clip into bounds: one
+# per clipped row, so a call on n rows adds up to n.
 _clip_warnings = 0
 
 
@@ -40,8 +41,9 @@ def clip_warning_count() -> int:
 class EnvSpec:
     """Static description of one environment, with its dynamics.
 
-    `reset(rng)` draws an initial state; `dynamics(state, action)` maps a
-    state and an in-bounds action to (next state, reward, done);
+    `reset(rng)` draws an initial state; `dynamics(states, actions)` maps
+    `(n, d)` rows of states and in-bounds actions to (next states,
+    rewards, dones), each with n rows;
     `setpoint` is the state `ScriptedPolicy` steers towards.  Both
     functions are module-level so that a spec pickles into worker
     processes.
@@ -57,7 +59,7 @@ class EnvSpec:
     discount: float
     reward_bound: float
     reset: Callable[[np.random.Generator], np.ndarray]
-    dynamics: Callable[[np.ndarray, np.ndarray], tuple]
+    dynamics: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     setpoint: np.ndarray
 
     def __post_init__(self):
@@ -105,7 +107,10 @@ def _reach2d_reset(rng):
 
 def _reach2d_dynamics(state, action):
     nxt = np.clip(state + STEP_SIZE * action, -1.0, 1.0)
-    return nxt, -float(np.linalg.norm(nxt - REACH2D_GOAL)), False
+    d = nxt - REACH2D_GOAL
+    # Row-wise vecdot rounds exactly like the 1-D np.linalg.norm; neither
+    # (d * d).sum(1) nor norm(axis=1) does.
+    return nxt, -np.sqrt(np.vecdot(d, d)), np.zeros(nxt.shape[0], dtype=bool)
 
 
 def _gate1d_reset(rng):
@@ -114,8 +119,8 @@ def _gate1d_reset(rng):
 
 def _gate1d_dynamics(state, action):
     nxt = np.clip(state + STEP_SIZE * action, -1.0, 1.0)
-    done = bool(nxt[0] >= GATE1D_GOAL)
-    return nxt, 0.0 if done else -1.0, done
+    done = nxt[:, 0] >= GATE1D_GOAL
+    return nxt, np.where(done, 0.0, -1.0), done
 
 
 def _reach2d_spec() -> EnvSpec:
@@ -168,17 +173,29 @@ def env_reset(spec: EnvSpec, seed: int) -> np.ndarray:
 
 
 def env_step(spec: EnvSpec, state: np.ndarray, action: np.ndarray):
-    """Deterministic dynamics.  Out-of-bounds actions are clipped (counted)."""
+    """Deterministic dynamics for one `(d,)` state or for `(n, d)` rows.
+
+    One state gives (next state, float reward, bool done); rows give
+    (next states, rewards, dones) as arrays of n rows.  Out-of-bounds
+    actions are clipped, and each clipped row is counted.
+    """
     global _clip_warnings
+    state = np.asarray(state, dtype=np.float64)
     action = np.asarray(action, dtype=np.float64)
-    if not np.all(np.isfinite(action)):
-        raise NumericError("non-finite action")
-    if action.shape != (spec.action_dim,):
-        raise ShapeError(f"action shape {action.shape}, expected ({spec.action_dim},)")
+    single = state.ndim == 1
+    expected = (spec.action_dim,) if single else (state.shape[0], spec.action_dim)
+    if action.shape != expected:
+        raise ShapeError(f"action shape {action.shape}, expected {expected}")
+    finite = np.isfinite(action).all(axis=-1)
+    if not np.all(finite):
+        where = "" if single else f" in row {np.argmin(finite)}"
+        raise NumericError(f"non-finite action{where}")
     clipped = np.clip(action, spec.action_low, spec.action_high)
-    if np.any(clipped != action):
-        _clip_warnings += 1
-    return spec.dynamics(np.asarray(state, dtype=np.float64), clipped)
+    _clip_warnings += int(np.count_nonzero((clipped != action).any(axis=-1)))
+    if not single:
+        return spec.dynamics(state, clipped)
+    nxt, reward, done = spec.dynamics(state[None, :], clipped[None, :])
+    return nxt[0], float(reward[0]), bool(done[0])
 
 
 class ScriptedPolicy:
@@ -420,8 +437,9 @@ def load_dataset(path) -> Dataset:
     """Parse a dataset file; Monte-Carlo returns and outcome labels are
     recomputed from rewards, so the file never stores them.
 
-    Records may come in any order; they are grouped by trajectory (in
-    order of first appearance) and sorted by step.  A record with a
+    The header's `gamma` must equal the environment's discount.  Records
+    may come in any order; they are grouped by trajectory (in order of
+    first appearance) and sorted by step.  A record with a
     missing key, a non-finite number or a vector of the wrong length is
     rejected, and so is a trajectory whose steps are not 0..n-1; each
     error names the line.
@@ -446,6 +464,13 @@ def load_dataset(path) -> Dataset:
         if key not in header:
             raise FormatError(f"header missing key {key!r}", line=1, offset=0)
     spec = make_env_spec(header["env"])
+    gamma = header["gamma"]
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or gamma != spec.discount:
+        raise FormatError(
+            f"header gamma {gamma!r} != environment {spec.name!r} discount {spec.discount!r}",
+            line=1,
+            offset=0,
+        )
     if spec.state_dim != header["state_dim"] or spec.action_dim != header["action_dim"]:
         raise ShapeError(
             f"header dims ({header['state_dim']}, {header['action_dim']}) do not match "

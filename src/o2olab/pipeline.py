@@ -417,22 +417,25 @@ def evaluate_policy(policy: GaussianPolicy, env: EnvSpec, episodes: int, seed: i
     """Greedy (mean-action) rollouts; returns (mean return, standard error).
 
     Returns are undiscounted episodic sums, the usual benchmark
-    convention.  Deterministic per seed.
+    convention.  Deterministic per seed.  The episodes run in lock step:
+    each time step makes one `mean_action` call and one `env_step` call on
+    the rows of the episodes still running.
     """
     if episodes < 1:
         raise ValueError("episodes must be positive")
     rng = np.random.default_rng(seed)
-    returns = np.empty(episodes)
-    for ep in range(episodes):
-        state = env_reset(env, rng)
-        total = 0.0
-        for _ in range(env.horizon):
-            action = policy.mean_action(state[None, :])[0]
-            state, reward, done = env_step(env, state, np.clip(action, env.action_low, env.action_high))
-            total += reward
-            if done:
+    states = np.array([env_reset(env, rng) for _ in range(episodes)])
+    returns = np.zeros(episodes)
+    running = np.arange(episodes)
+    for _ in range(env.horizon):
+        actions = np.clip(policy.mean_action(states), env.action_low, env.action_high)
+        states, rewards, done = env_step(env, states, actions)
+        returns[running] += rewards
+        if done.any():
+            keep = ~done
+            running, states = running[keep], states[keep]
+            if running.size == 0:
                 break
-        returns[ep] = total
     mean = float(returns.mean())
     stderr = 0.0 if episodes == 1 else float(returns.std(ddof=1) / np.sqrt(episodes))
     return mean, stderr

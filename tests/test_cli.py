@@ -298,6 +298,41 @@ class TestErrorPaths:
         assert code == 2
         assert not out.parent.exists()
 
+    # Each case: (config override, env of checkpoints a, b[, c]).  The
+    # landscape commands used to evaluate in checkpoint a's env and record
+    # the config's env in the manifest.
+    @pytest.mark.parametrize(
+        "command, env_override, ckpt_envs",
+        [
+            ("landscape-line", ["--override", "env=gate1d"], ("reach2d", "reach2d")),
+            ("landscape-line", [], ("reach2d", "gate1d")),
+            ("landscape-plane", ["--override", "env=gate1d"], ("reach2d",) * 3),
+            ("landscape-plane", [], ("reach2d", "reach2d", "gate1d")),
+        ],
+    )
+    def test_landscape_env_mismatch_exits_2_without_leftover(
+        self, workdir, capsys, command, env_override, ckpt_envs
+    ):
+        for env in sorted(set(ckpt_envs)):
+            over = ["--override", f"env={env}", "--override", "offline_alg=sac"]
+            run(["gen-data", "--config", "cfg.json", *over, "--out", workdir / f"{env}-data"])
+            assert run(
+                [
+                    "pretrain", "--config", "cfg.json", *over, "--override", "offline_steps=2",
+                    "--data", workdir / f"{env}-data/dataset-s0.jsonl", "--out", workdir / env,
+                ]
+            ) == 0
+        ckpts = []
+        for flag, env in zip(("--checkpoint-a", "--checkpoint-b", "--checkpoint-c"), ckpt_envs):
+            ckpts += [flag, workdir / env / "seed-0" / "checkpoint.bin"]
+        out = workdir / "fresh" / "landscape"
+        capsys.readouterr()
+        code = run([command, "--config", "cfg.json", *env_override, *ckpts, "--out", out])
+        assert code == 2
+        assert not out.parent.exists()
+        bad = "reach2d" if env_override else "gate1d"
+        assert f"{bad}/seed-0/checkpoint.bin" in capsys.readouterr().err
+
     def test_unknown_config_key(self, workdir):
         assert run(["gen-data", "--config", "cfg.json", "--override", "bogus=1"]) == 2
 

@@ -124,6 +124,57 @@ class TestEnvBasics:
             assert env_step(back, state, action)[1:] == env_step(spec, state, action)[1:]
 
 
+def step_rows(name, n=40, seed=31):
+    """n states of `name` with actions in [-2, 2]: many out of bounds and,
+    on gate1d, many that cross the gate."""
+    spec = make_env_spec(name)
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-1.0, 1.0, size=(n, spec.state_dim))
+    actions = rng.uniform(-2.0, 2.0, size=(n, spec.action_dim))
+    return spec, states, actions
+
+
+@pytest.mark.parametrize("name", ["reach2d", "gate1d"])
+class TestRowStep:
+    def test_rows_match_single_steps(self, name):
+        spec, states, actions = step_rows(name)
+        nxt, reward, done = env_step(spec, states, actions)
+        assert nxt.shape == states.shape and reward.shape == done.shape == (len(states),)
+        if name == "gate1d":
+            assert 0 < done.sum() < len(states)
+        assert np.any(np.abs(actions) > 1.0)
+        for i in range(len(states)):
+            one_nxt, one_reward, one_done = env_step(spec, states[i], actions[i])
+            assert np.array_equal(nxt[i], one_nxt), i
+            assert reward[i] == one_reward and done[i] == one_done, i
+            assert type(one_reward) is float and type(one_done) is bool
+
+    def test_wrong_action_shape_rejected(self, name):
+        spec, states, actions = step_rows(name, n=3)
+        for bad in (actions[:2], np.zeros((3, spec.action_dim + 1)), actions[0], actions[:1]):
+            with pytest.raises(ShapeError):
+                env_step(spec, states, bad)
+        with pytest.raises(ShapeError):
+            env_step(spec, states[0], actions)
+
+    def test_non_finite_row_rejected(self, name):
+        spec, states, actions = step_rows(name, n=3)
+        actions[1, 0] = np.inf
+        with pytest.raises(NumericError, match="row 1"):
+            env_step(spec, states, actions)
+
+    def test_clip_count_counts_clipped_rows(self, name):
+        spec, states, actions = step_rows(name)
+        clipped_rows = int(np.any(np.abs(actions) > 1.0, axis=1).sum())
+        assert 0 < clipped_rows < len(states)
+        before = clip_warning_count()
+        env_step(spec, states, actions)
+        assert clip_warning_count() == before + clipped_rows
+        for state, action in zip(states, actions):
+            env_step(spec, state, action)
+        assert clip_warning_count() == before + 2 * clipped_rows
+
+
 class TestDataset:
     def test_single_trajectory_gets_label_one(self):
         spec = make_env_spec("reach2d")
@@ -306,6 +357,14 @@ class TestDatasetRecordChecks:
         header = lines[0].replace(f'"count": {len(lines) - 1}', '"count": 0')
         with pytest.raises(FormatError, match="no transitions"):
             load_dataset(write_lines(tmp_path, [header]))
+
+    @pytest.mark.parametrize("gamma", [0.5, "0.99", None, True])
+    def test_header_gamma_must_match_env_discount(self, tmp_path, gamma):
+        _, lines = saved_lines(tmp_path)
+        lines[0] = edit_record(lines[0], gamma=gamma)
+        with pytest.raises(FormatError, match="gamma") as err:
+            load_dataset(write_lines(tmp_path, lines))
+        assert err.value.line == 1
 
     def test_records_in_any_order_load_the_same(self, tmp_path):
         ds, lines = saved_lines(tmp_path)

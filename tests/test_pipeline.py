@@ -378,6 +378,40 @@ class TestEvaluate:
                 break
         assert mean == total
 
+    @pytest.mark.parametrize("name, rtol", [("gate1d", 0.0), ("reach2d", 1e-12)])
+    def test_many_episodes_match_manual_rollouts(self, name, rtol):
+        from o2olab.envs import env_reset, env_step
+        from o2olab.networks import make_policy
+        from o2olab.numkit import unflatten
+
+        env = make_env_spec(name)
+        policy = make_policy(env.state_dim, env.action_low, env.action_high, (8, 8), stream(27, "x"))
+        if name == "gate1d":
+            # A state-dependent push of about 0.22 towards the gate: some
+            # episodes end early, at different steps, and some time out.
+            weight, bias = unflatten(policy.params)[-1]
+            weight *= 0.1
+            bias[0] = np.arctanh(0.22)
+        r = np.random.default_rng(28)
+        returns, lengths = [], []
+        for _ in range(20):
+            state = env_reset(env, r)
+            total = 0.0
+            for step in range(env.horizon):
+                action = policy.mean_action(state[None, :])[0]
+                state, reward, done = env_step(env, state, np.clip(action, env.action_low, env.action_high))
+                total += reward
+                if done:
+                    break
+            returns.append(total)
+            lengths.append(step + 1)
+        if name == "gate1d":
+            assert len(set(lengths)) > 2 and env.horizon in lengths
+        returns = np.array(returns)
+        mean, err = evaluate_policy(policy, env, 20, seed=28)
+        assert mean == pytest.approx(returns.mean(), rel=rtol, abs=0.0)
+        assert err == pytest.approx(returns.std(ddof=1) / np.sqrt(20), rel=rtol, abs=0.0)
+
     def test_repeat_evaluations_identical(self):
         env = make_env_spec("gate1d")
         rng = stream(25, "x")
