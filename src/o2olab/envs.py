@@ -59,7 +59,7 @@ class EnvSpec:
     discount: float
     reward_bound: float
     reset: Callable[[np.random.Generator], np.ndarray]
-    dynamics: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    dynamics: Callable[[np.ndarray, np.ndarray], tuple]
     setpoint: np.ndarray
 
     def __post_init__(self):
@@ -465,7 +465,7 @@ def load_dataset(path) -> Dataset:
             raise FormatError(f"header missing key {key!r}", line=1, offset=0)
     spec = make_env_spec(header["env"])
     gamma = header["gamma"]
-    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or gamma != spec.discount:
+    if type(gamma) not in (int, float) or gamma != spec.discount:
         raise FormatError(
             f"header gamma {gamma!r} != environment {spec.name!r} discount {spec.discount!r}",
             line=1,
