@@ -186,12 +186,14 @@ def env_step(spec: EnvSpec, state: np.ndarray, action: np.ndarray):
     expected = (spec.action_dim,) if single else (state.shape[0], spec.action_dim)
     if action.shape != expected:
         raise ShapeError(f"action shape {action.shape}, expected {expected}")
-    finite = np.isfinite(action).all(axis=-1)
-    if not np.all(finite):
-        where = "" if single else f" in row {np.argmin(finite)}"
+    finite = np.isfinite(action)
+    if not finite.all():
+        where = "" if single else f" in row {np.argmin(finite.all(axis=1))}"
         raise NumericError(f"non-finite action{where}")
     clipped = np.clip(action, spec.action_low, spec.action_high)
-    _clip_warnings += int(np.count_nonzero((clipped != action).any(axis=-1)))
+    out_of_bounds = clipped != action
+    if out_of_bounds.any():
+        _clip_warnings += int(np.count_nonzero(out_of_bounds.any(axis=-1)))
     if not single:
         return spec.dynamics(state, clipped)
     nxt, reward, done = spec.dynamics(state[None, :], clipped[None, :])
