@@ -83,27 +83,33 @@ def adam_step(state: OptState, params: ParamVector, grad: ParamVector):
 
 
 def newton_schulz_orthogonalize(g: np.ndarray, iterations: int = NS_DEFAULT_ITERATIONS) -> np.ndarray:
-    """Approximate the orthogonal polar factor of a matrix.
+    """Approximate the orthogonal polar factor of a matrix, or of each
+    matrix in a `(..., m, n)` stack.
 
-    The input is scaled to unit Frobenius norm (so every singular value
+    Each matrix is scaled to unit Frobenius norm (so every singular value
     lands in (0, 1]) and then run through `iterations` sweeps of the
-    quintic iteration X <- aX + b(XX^T)X + c(XX^T)^2 X.  Wide matrices
-    are transposed first and transposed back at the end.
+    quintic iteration X <- aX + b(XX^T)X + c(XX^T)^2 X.  Tall matrices
+    are transposed first and transposed back at the end, so the Gram
+    matrix XX^T is formed on the smaller side; each sweep computes
+    (XX^T)X once and reuses it for the quintic term.
     """
     g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {g.shape}")
+    if g.ndim < 2:
+        raise ShapeError(f"expected a matrix or a stack of matrices, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite matrix entries")
-    norm = np.linalg.norm(g)
-    if norm == 0.0:
+    flat = g.reshape(*g.shape[:-2], -1)
+    # vecdot rounds like the dot product inside np.linalg.norm.
+    norm = np.sqrt(np.vecdot(flat, flat))[..., None, None]
+    if np.any(norm == 0.0):
         raise ValueError("cannot orthogonalize a zero matrix")
-    transposed = g.shape[0] < g.shape[1]
-    x = (g.T if transposed else g) / norm
+    transposed = g.shape[-2] > g.shape[-1]
+    x = (np.swapaxes(g, -1, -2) if transposed else g) / norm
     for _ in range(iterations):
-        a = x @ x.T
-        x = NS_COEF_A * x + NS_COEF_B * (a @ x) + NS_COEF_C * (a @ a @ x)
-    return x.T if transposed else x
+        a = x @ np.swapaxes(x, -1, -2)
+        ax = a @ x
+        x = NS_COEF_A * x + NS_COEF_B * ax + NS_COEF_C * (a @ ax)
+    return np.swapaxes(x, -1, -2) if transposed else x
 
 
 def muon_step(state: OptState, params: ParamVector, grad: ParamVector):

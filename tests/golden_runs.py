@@ -185,7 +185,7 @@ def golden_runs() -> dict:
                 }
 
         # Capacity equal to the warm-start count: every online push evicts.
-        cfg = _config(env_name, replay_capacity=12)
+        cfg = _config(env_name, optimizer="adam", replay_capacity=12)
         agent, rows = online_finetune(
             copy.deepcopy(smac_start), cfg, dataset, env, seed=6, run_id="ring"
         )

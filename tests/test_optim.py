@@ -140,6 +140,27 @@ class TestNewtonSchulz:
         assert out.shape == (4, 9)
         assert np.max(np.abs(out @ out.T - np.eye(4))) <= 0.3
 
+    @pytest.mark.parametrize("shape", [(64, 4), (4, 64), (1, 64), (64, 1)])
+    def test_small_side_shapes_match_svd_polar_factor(self, shape):
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal(shape)
+        u, _, vt = np.linalg.svd(g, full_matrices=False)
+        out = newton_schulz_orthogonalize(g, 12)
+        assert out.shape == shape
+        assert np.max(np.abs(out - u @ vt)) <= 1e-3
+
+    @pytest.mark.parametrize("shape", [(3, 64, 4), (2, 4, 64), (5, 8, 8), (2, 1, 64)])
+    def test_stack_equals_per_matrix_calls(self, shape):
+        g = np.random.default_rng(7).standard_normal(shape)
+        out = newton_schulz_orthogonalize(g, 5)
+        assert np.array_equal(out, np.stack([newton_schulz_orthogonalize(m, 5) for m in g]))
+
+    def test_zero_matrix_in_stack_rejected(self):
+        g = np.ones((2, 3, 3))
+        g[1] = 0.0
+        with pytest.raises(ValueError):
+            newton_schulz_orthogonalize(g)
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
             newton_schulz_orthogonalize(np.zeros((3, 3)))
