@@ -2,16 +2,21 @@
 
 The actor-critic family shares one convention: a loss function takes
 stacked batch arrays plus the networks it differentiates, and returns
-its scalar value together with flat parameter gradients (one per critic
-member, one per auxiliary network).  Gradients are exact reverse-mode,
-so every function here is covered by the finite-difference suite.
+its scalar value together with flat parameter gradients (an `(n, P)`
+array with one row per critic member, one flat vector per auxiliary
+network).  Gradients are exact reverse-mode, so every function here is
+covered by the finite-difference suite.
+
+Each loss runs one forward pass per network and set of input rows: the
+critic ensemble is evaluated as one `ParamStack`, and the gradient
+passes that follow reuse that forward through a `ForwardCache`.
 
 Critic arithmetic shared by several agents has one implementation each:
 `_td_regression` (every member regressed onto one TD target, used by
 soft actor-critic, IQL and TD3), `_min_member_action_grad` (the min-member
 Q and that member's action gradient, ascended by the SAC, TD3 and TD3+BC
-actors), `_member_qs` (per-member Q, behind `_min_over` and the AWR
-advantages), and `td3_critic_loss` (the critic of both TD3 and TD3+BC).
+actors), `_min_over` (the min-member Q of a stack, for TD targets and
+IQL), and `td3_critic_loss` (the critic of both TD3 and TD3+BC).
 
 The score-matching regularizer penalizes the distance between a
 critic's action gradient and a state-scaled noise estimate from the
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 from .networks import CriticEnsemble, GaussianPolicy, ScaleNet, critic_input
-from .numkit import mlp_forward_batch, mlp_grad_batch, mlp_second_grad
+from .numkit import ForwardCache, mlp_forward_batch, mlp_grad_batch, mlp_second_grad
 from .seeding import as_generator
 
 # Advantage weights are clipped here to keep exponentials from overflowing.
@@ -67,46 +72,52 @@ class LossParams:
             raise ValueError("awr temperature must be positive")
 
 
-def _q_forward(params, x) -> np.ndarray:
-    return mlp_forward_batch(params, x)[:, 0]
+def _q_forward(stack, x, cache=None) -> np.ndarray:
+    """Q of every member of a critic stack at every input row, shape (n, batch)."""
+    return mlp_forward_batch(stack, x, cache)[..., 0]
 
 
-def _member_qs(params_list, x) -> np.ndarray:
-    """Q of every critic in the list at every input row, shape (n, batch)."""
-    return np.stack([_q_forward(p, x) for p in params_list])
+def _in_member_order(values: np.ndarray) -> float:
+    """Sum of per-member scalars, added in member order from 0.0."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
 
 
-def _min_over(params_list, x):
-    """(per-sample min, argmin member index) over a critic list."""
-    qs = _member_qs(params_list, x)
+def _min_over(stack, x):
+    """(per-sample min, argmin member index) over a critic stack."""
+    qs = _q_forward(stack, x)
     idx = np.argmin(qs, axis=0)
     return qs[idx, np.arange(qs.shape[1])], idx
 
 
-def _min_member_action_grad(params_list, x, state_dim):
-    """(per-sample min Q, dQ/da of the member attaining it) over a critic list.
+def _min_member_action_grad(stack, x, state_dim):
+    """(per-sample min Q, dQ/da of the member attaining it) over a critic stack.
 
     The action block of each input row starts at column `state_dim`.
     This is what the SAC, TD3 and TD3+BC actors ascend; the gradient is
-    taken w.r.t. the input only, never the critic parameters.
+    taken w.r.t. the input only, never the critic parameters.  One
+    gradient pass yields every member's Q (from its forward) and input
+    gradient.
     """
-    qmin, idx = _min_over(params_list, x)
-    ones = np.ones((x.shape[0], 1))
-    ga = np.stack([mlp_grad_batch(p, x, ones)[1][:, state_dim:] for p in params_list])
-    return qmin, ga[idx, np.arange(x.shape[0])]
+    cache = ForwardCache()
+    _, gin = mlp_grad_batch(stack, x, np.ones((len(stack), x.shape[0], 1)), cache)
+    qs = cache.out[..., 0]
+    idx = np.argmin(qs, axis=0)
+    rows = np.arange(x.shape[0])
+    return qs[idx, rows], gin[idx, rows, state_dim:]
 
 
-def _td_regression(params_list, x, y):
+def _td_regression(stack, x, y):
     """Mean over members and batch of (Q(x) - y)^2, and each member's
-    flat parameter gradient.  The target y is a constant."""
-    n, b = len(params_list), x.shape[0]
-    loss = 0.0
-    grads = []
-    for params in params_list:
-        resid = _q_forward(params, x) - y
-        loss += float(resid @ resid)
-        flat, _ = mlp_grad_batch(params, x, (2.0 / (n * b)) * resid[:, None])
-        grads.append(flat)
+    flat parameter gradient as an (n, P) array.  The target y is a
+    constant."""
+    n, b = len(stack), x.shape[0]
+    cache = ForwardCache()
+    resid = _q_forward(stack, x, cache) - y
+    loss = _in_member_order(np.vecdot(resid, resid))
+    grads, _ = mlp_grad_batch(stack, x, (2.0 / (n * b)) * resid[..., None], cache)
     return loss / (n * b), grads
 
 
@@ -136,11 +147,11 @@ def sac_critic_loss(
         raise ValueError("empty batch")
     a2, logp2, _ = policy.sample(batch.s2, rng)
     x2 = critic_input(batch.s2, a2)
-    tq, _ = _min_over(ensemble.targets, x2)
+    tq, _ = _min_over(ensemble.target_stack, x2)
     y = batch.r + discount * (1.0 - batch.done) * (tq - entropy_coef * logp2)
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite TD target")
-    return _td_regression(ensemble.members, critic_input(batch.s, batch.a), y)
+    return _td_regression(ensemble.member_stack, critic_input(batch.s, batch.a), y)
 
 
 def sac_policy_loss(
@@ -159,7 +170,7 @@ def sac_policy_loss(
     """
     a, logp, internals = policy.sample(batch.s, rng)
     x = critic_input(batch.s, a)
-    qmin, ga_sel = _min_member_action_grad(ensemble.members, x, batch.s.shape[1])
+    qmin, ga_sel = _min_member_action_grad(ensemble.member_stack, x, batch.s.shape[1])
     b = batch.size
     loss = float(np.mean(entropy_coef * logp - qmin))
     d_logp = np.full(b, entropy_coef / b)
@@ -213,27 +224,27 @@ def score_match_loss(
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     eps = score_model.predict(s, actions, w, 1)
-    alpha = scale_net.values(s)
+    scale_cache = ForwardCache()
+    alpha = scale_net.values(s, scale_cache)
     x = critic_input(s, actions)
     state_dim = s.shape[1]
-    n, b = ensemble.n_members, s.shape[0]
-    ones = np.ones((b, 1))
-    loss = 0.0
-    member_grads = []
+    stack = ensemble.member_stack
+    n, b = len(stack), s.shape[0]
+    ones = np.ones((n, b, 1))
+    cache = ForwardCache()
+    _, gin = mlp_grad_batch(stack, x, ones, cache)
+    g = gin[..., state_dim:]
+    if not np.all(np.isfinite(g)):
+        raise NumericError("non-finite critic action gradient")
+    resid = g - alpha[:, None] * eps
+    loss = _in_member_order(np.sum((resid * resid).reshape(n, -1), axis=1))
+    direction = np.zeros((n, *x.shape))
+    direction[..., state_dim:] = (2.0 / (n * b)) * resid
+    _, member_grads = mlp_second_grad(stack, x, ones, direction, cache)
     d_alpha = np.zeros(b)
-    for member in ensemble.members:
-        _, gin = mlp_grad_batch(member, x, ones)
-        g = gin[:, state_dim:]
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite critic action gradient")
-        resid = g - alpha[:, None] * eps
-        loss += float(np.sum(resid * resid))
-        direction = np.zeros_like(x)
-        direction[:, state_dim:] = (2.0 / (n * b)) * resid
-        _, flat = mlp_second_grad(member, x, ones, direction)
-        member_grads.append(flat)
-        d_alpha += (-2.0 / (n * b)) * np.sum(resid * eps, axis=1)
-    scale_grad = scale_net.grads(s, d_alpha)
+    for term in (-2.0 / (n * b)) * np.sum(resid * eps, axis=2):
+        d_alpha += term
+    scale_grad = scale_net.grads(s, d_alpha, scale_cache)
     return loss / (n * b), member_grads, scale_grad
 
 
@@ -242,7 +253,7 @@ class SmacCriticOut:
     total: float
     td_loss: float
     sm_loss: float
-    member_grads: list
+    member_grads: np.ndarray
     scale_grad: np.ndarray
 
 
@@ -290,12 +301,11 @@ def smac_critic_loss(
         ensemble, scale_net, score_model, batch.s, sm_actions, 1.0
     )
     k = score_match_weight
-    member_grads = [g_td + k * g_sm for g_td, g_sm in zip(td_grads, sm_grads)]
     return SmacCriticOut(
         total=td_loss + k * sm_loss,
         td_loss=td_loss,
         sm_loss=sm_loss,
-        member_grads=member_grads,
+        member_grads=td_grads + k * sm_grads,
         scale_grad=k * scale_grad,
     )
 
@@ -335,23 +345,21 @@ def calql_penalty(
 def _conservative_penalty(ensemble, batch, a_ood, cap):
     x_ood = critic_input(batch.s, a_ood)
     x_data = critic_input(batch.s, batch.a)
-    n, b = ensemble.n_members, batch.size
-    penalty = 0.0
-    grads = []
-    for member in ensemble.members:
-        q_ood = _q_forward(member, x_ood)
-        q_data = _q_forward(member, x_data)
-        if cap is None:
-            ood_term = q_ood
-            up_ood = np.ones(b)
-        else:
-            ood_term = np.minimum(cap, q_ood)
-            up_ood = (q_ood <= cap).astype(np.float64)
-        penalty += float(np.mean(ood_term) - np.mean(q_data))
-        g_ood, _ = mlp_grad_batch(member, x_ood, (up_ood / (n * b))[:, None])
-        g_data, _ = mlp_grad_batch(member, x_data, np.full((b, 1), -1.0 / (n * b)))
-        grads.append(g_ood + g_data)
-    return penalty / n, grads
+    stack = ensemble.member_stack
+    n, b = len(stack), batch.size
+    ood_cache, data_cache = ForwardCache(), ForwardCache()
+    q_ood = _q_forward(stack, x_ood, ood_cache)
+    g_data, _ = mlp_grad_batch(stack, x_data, np.full((n, b, 1), -1.0 / (n * b)), data_cache)
+    q_data = data_cache.out[..., 0]
+    if cap is None:
+        ood_term = q_ood
+        up_ood = np.ones((n, b))
+    else:
+        ood_term = np.minimum(cap, q_ood)
+        up_ood = (q_ood <= cap).astype(np.float64)
+    penalty = _in_member_order(np.mean(ood_term, axis=1) - np.mean(q_data, axis=1))
+    g_ood, _ = mlp_grad_batch(stack, x_ood, (up_ood / (n * b))[..., None], ood_cache)
+    return penalty / n, g_ood + g_data
 
 
 @dataclass
@@ -359,7 +367,7 @@ class IqlOut:
     critic_loss: float
     value_loss: float
     policy_loss: float
-    member_grads: list
+    member_grads: np.ndarray
     value_grad: np.ndarray
     policy_grad: np.ndarray
 
@@ -384,15 +392,16 @@ def iql_losses(
         raise ValueError("expectile must lie in (0, 1)")
     b = batch.size
     x_data = critic_input(batch.s, batch.a)
-    qt, _ = _min_over(ensemble.targets, x_data)
-    v = value_net.values(batch.s)
+    qt, _ = _min_over(ensemble.target_stack, x_data)
+    value_cache = ForwardCache()
+    v = value_net.values(batch.s, value_cache)
     u = qt - v
     weight = np.abs(expectile - (u < 0.0).astype(np.float64))
     value_loss = float(np.mean(weight * u * u))
-    value_grad = value_net.grads(batch.s, (-2.0 / b) * weight * u)
+    value_grad = value_net.grads(batch.s, (-2.0 / b) * weight * u, value_cache)
 
     y = batch.r + discount * (1.0 - batch.done) * value_net.values(batch.s2)
-    critic_loss, member_grads = _td_regression(ensemble.members, x_data, y)
+    critic_loss, member_grads = _td_regression(ensemble.member_stack, x_data, y)
 
     adv_w = _clipped_exp_weights(u / awr_temperature)
     logp, internals = policy.logprob_given(batch.s, batch.a)
@@ -405,7 +414,7 @@ def iql_losses(
 class Td3Out:
     critic_loss: float
     policy_loss: float
-    member_grads: list
+    member_grads: np.ndarray
     policy_grad: np.ndarray
 
 
@@ -429,11 +438,11 @@ def td3_critic_loss(
         noise = np.clip(noise, -smoothing_clip * half, smoothing_clip * half)
         a2 = np.clip(a2 + noise, policy.action_low, policy.action_high)
     x2 = critic_input(batch.s2, a2)
-    tq, _ = _min_over(ensemble.targets, x2)
+    tq, _ = _min_over(ensemble.target_stack, x2)
     y = batch.r + discount * (1.0 - batch.done) * tq
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite TD target")
-    return _td_regression(ensemble.members, critic_input(batch.s, batch.a), y)
+    return _td_regression(ensemble.member_stack, critic_input(batch.s, batch.a), y)
 
 
 def td3_losses(
@@ -459,10 +468,11 @@ def td3_losses(
         smoothing_clip=smoothing_clip,
         smoothing=smoothing,
     )
-    x_pi = critic_input(batch.s, policy.mean_action(batch.s))
-    qmin, ga_sel = _min_member_action_grad(ensemble.members, x_pi, batch.s.shape[1])
+    cache = ForwardCache()
+    x_pi = critic_input(batch.s, policy.mean_action(batch.s, cache))
+    qmin, ga_sel = _min_member_action_grad(ensemble.member_stack, x_pi, batch.s.shape[1])
     policy_loss = float(-np.mean(qmin))
-    policy_grad = policy.mean_action_grads(batch.s, -ga_sel / batch.size)
+    policy_grad = policy.mean_action_grads(batch.s, -ga_sel / batch.size, cache)
     return Td3Out(critic_loss, policy_loss, member_grads, policy_grad)
 
 
@@ -484,16 +494,17 @@ def td3bc_policy_loss(
     if bc_weight < 0.0:
         raise ValueError("bc weight must be non-negative")
     b = batch.size
-    a_mean = policy.mean_action(batch.s)
+    cache = ForwardCache()
+    a_mean = policy.mean_action(batch.s, cache)
     x_pi = critic_input(batch.s, a_mean)
-    qmin, ga_sel = _min_member_action_grad(ensemble.members, x_pi, batch.s.shape[1])
+    qmin, ga_sel = _min_member_action_grad(ensemble.member_stack, x_pi, batch.s.shape[1])
     if normalizer is None:
         normalizer = float(np.mean(np.abs(qmin)))
     norm = max(normalizer, NORMALIZER_FLOOR)
     diff = a_mean - batch.a
     loss = float(np.mean(-qmin / norm + bc_weight * np.sum(diff * diff, axis=1)))
     d_action = -ga_sel / (b * norm) + (2.0 * bc_weight / b) * diff
-    grad = policy.mean_action_grads(batch.s, d_action)
+    grad = policy.mean_action_grads(batch.s, d_action, cache)
     return loss, grad
 
 
@@ -512,8 +523,8 @@ def awr_weights(
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     a_pi, _, _ = policy.sample(batch.s, rng)
-    q_base = np.mean(_member_qs(ensemble.members, critic_input(batch.s, a_pi)), axis=0)
-    q_data = np.mean(_member_qs(ensemble.members, critic_input(batch.s, batch.a)), axis=0)
+    q_base = np.mean(_q_forward(ensemble.member_stack, critic_input(batch.s, a_pi)), axis=0)
+    q_data = np.mean(_q_forward(ensemble.member_stack, critic_input(batch.s, batch.a)), axis=0)
     return _clipped_exp_weights((q_data - q_base) / temperature)
 
 

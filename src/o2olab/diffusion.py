@@ -24,7 +24,14 @@ import numpy as np
 
 from . import blobio
 from .errors import NumericError, ShapeError
-from .numkit import MlpSpec, ParamVector, init_params, mlp_forward_batch, mlp_grad_batch
+from .numkit import (
+    ForwardCache,
+    MlpSpec,
+    ParamVector,
+    init_params,
+    mlp_forward_batch,
+    mlp_grad_batch,
+)
 from .optim import init_opt_state, optimizer_step
 from .seeding import as_generator, stream
 
@@ -207,12 +214,13 @@ def diffusion_loss(model: ScoreModel, s, a, w, seed):
     ab = model.schedule.at(k)[:, None]
     noised = np.sqrt(ab) * a + np.sqrt(1.0 - ab) * eps
     x = model.net_input(s, noised, w, k)
-    pred = mlp_forward_batch(model.params, x)
+    cache = ForwardCache()
+    pred = mlp_forward_batch(model.params, x, cache)
     resid = pred - eps
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
     if not np.isfinite(loss):
         raise NumericError("non-finite diffusion loss")
-    grad, _ = mlp_grad_batch(model.params, x, 2.0 * resid / s.shape[0])
+    grad, _ = mlp_grad_batch(model.params, x, 2.0 * resid / s.shape[0], cache)
     return loss, grad
 
 

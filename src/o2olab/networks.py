@@ -9,18 +9,22 @@ Because losses here are optimized with hand-rolled reverse mode, the
 policy exposes its sampling internals together with closed-form partial
 derivatives of (log-density, action) w.r.t. the two heads; loss code
 supplies per-sample upstreams and receives flat parameter gradients.
+Sampling and log-density internals carry the `ForwardCache` of the
+heads, so the gradient call that follows reuses that forward pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .numkit import (
     EXP_CLAMP_HI,
     EXP_CLAMP_LO,
+    ForwardCache,
     MlpSpec,
+    ParamStack,
     ParamVector,
     init_params,
     mlp_forward_batch,
@@ -70,9 +74,9 @@ class GaussianPolicy:
     def with_params(self, params: ParamVector) -> "GaussianPolicy":
         return replace(self, params=params)
 
-    def heads(self, s: np.ndarray):
+    def heads(self, s: np.ndarray, cache: ForwardCache | None = None):
         """(mean, pre_std, std, clamp mask) for a batch of states."""
-        out = mlp_forward_batch(self.params, s)
+        out = mlp_forward_batch(self.params, s, cache)
         d = self.action_dim
         mu, rho = out[:, :d], out[:, d:]
         mask = ((rho > EXP_CLAMP_LO) & (rho < EXP_CLAMP_HI)).astype(np.float64)
@@ -82,7 +86,8 @@ class GaussianPolicy:
     def sample(self, s: np.ndarray, rng: np.random.Generator):
         """Reparameterized batch sample; returns (actions, logp, internals)."""
         s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        mu, _, std, mask = self.heads(s)
+        cache = ForwardCache()
+        mu, _, std, mask = self.heads(s, cache)
         xi = rng.standard_normal(mu.shape)
         u = mu + std * xi
         base = -0.5 * xi * xi - np.log(std) - 0.5 * LOG_2PI
@@ -94,7 +99,7 @@ class GaussianPolicy:
             t = None
             a = u
             logp = np.sum(base, axis=1)
-        internals = {"xi": xi, "u": u, "std": std, "mask": mask, "tanh_u": t}
+        internals = {"xi": xi, "u": u, "std": std, "mask": mask, "tanh_u": t, "cache": cache}
         return a, logp, internals
 
     def sample_grads(self, s, internals, d_logp, d_action) -> np.ndarray:
@@ -112,14 +117,16 @@ class GaussianPolicy:
         else:
             d_mu = d_action.copy()
             d_rho = (-d_logp[:, None] + d_action * xi * std) * mask
-        flat, _ = mlp_grad_batch(self.params, s, np.concatenate([d_mu, d_rho], axis=1))
+        upstream = np.concatenate([d_mu, d_rho], axis=1)
+        flat, _ = mlp_grad_batch(self.params, s, upstream, internals["cache"])
         return flat
 
     def logprob_given(self, s: np.ndarray, a: np.ndarray):
         """Log-density of given actions; returns (logp, internals)."""
         s = np.atleast_2d(np.asarray(s, dtype=np.float64))
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        mu, _, std, mask = self.heads(s)
+        cache = ForwardCache()
+        mu, _, std, mask = self.heads(s, cache)
         if self.squash:
             v = np.clip((a - self.center) / self.half, -ATANH_CLIP, ATANH_CLIP)
             u = np.arctanh(v)
@@ -129,34 +136,39 @@ class GaussianPolicy:
             corr = 0.0
         xi = (u - mu) / std
         logp = np.sum(-0.5 * xi * xi - np.log(std) - 0.5 * LOG_2PI, axis=1) - corr
-        return logp, {"xi": xi, "std": std, "mask": mask}
+        return logp, {"xi": xi, "std": std, "mask": mask, "cache": cache}
 
     def given_grads(self, s, internals, d_logp) -> np.ndarray:
         """Flat parameter gradient of sum_i d_logp_i * logp_i at fixed actions."""
         xi, std, mask = internals["xi"], internals["std"], internals["mask"]
         d_mu = d_logp[:, None] * xi / std
         d_rho = d_logp[:, None] * (xi * xi - 1.0) * mask
-        flat, _ = mlp_grad_batch(self.params, s, np.concatenate([d_mu, d_rho], axis=1))
+        upstream = np.concatenate([d_mu, d_rho], axis=1)
+        flat, _ = mlp_grad_batch(self.params, s, upstream, internals["cache"])
         return flat
 
-    def mean_action(self, s: np.ndarray) -> np.ndarray:
+    def mean_action(self, s: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
         s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        mu, _, _, _ = self.heads(s)
+        mu, _, _, _ = self.heads(s, cache)
         if self.squash:
             return self.center + self.half * np.tanh(mu)
         return mu
 
-    def mean_action_grads(self, s, d_action) -> np.ndarray:
-        """Flat parameter gradient of sum_i <d_action_i, mean_action_i>."""
+    def mean_action_grads(self, s, d_action, cache: ForwardCache | None = None) -> np.ndarray:
+        """Flat parameter gradient of sum_i <d_action_i, mean_action_i>;
+        pass the `cache` given to `mean_action` at the same states."""
         s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        mu, _, _, _ = self.heads(s)
+        if cache is None:
+            cache = ForwardCache()
+            mlp_forward_batch(self.params, s, cache)
+        mu = cache.out[:, : self.action_dim]
         if self.squash:
             t = np.tanh(mu)
             d_mu = d_action * self.half * (1.0 - t * t)
         else:
             d_mu = d_action
         upstream = np.concatenate([d_mu, np.zeros_like(d_mu)], axis=1)
-        flat, _ = mlp_grad_batch(self.params, s, upstream)
+        flat, _ = mlp_grad_batch(self.params, s, upstream, cache)
         return flat
 
 
@@ -179,27 +191,40 @@ def make_policy(
     )
 
 
-@dataclass
 class CriticEnsemble:
-    """N critics Q(s, a) with matching Polyak-averaged targets."""
+    """N critics Q(s, a) with matching Polyak-averaged targets.
 
-    members: list[ParamVector]
-    targets: list[ParamVector] = field(default=None)
+    Members and targets are held as two `ParamStack`s, so one numkit pass
+    evaluates every member.  `members` and `targets` read them as
+    per-member `ParamVector` views.
+    """
 
-    def __post_init__(self):
-        if len(self.members) < 2:
+    def __init__(self, members, targets=None):
+        self.member_stack = members if isinstance(members, ParamStack) else ParamStack.of(members)
+        if targets is None:
+            self.target_stack = self.member_stack.copy()
+        elif isinstance(targets, ParamStack):
+            self.target_stack = targets
+        else:
+            self.target_stack = ParamStack.of(targets)
+        if len(self.member_stack) < 2:
             raise ShapeError("critic ensemble needs at least 2 members")
-        if self.targets is None:
-            self.targets = [p.copy() for p in self.members]
-        if len(self.targets) != len(self.members):
+        if len(self.target_stack) != len(self.member_stack):
             raise ShapeError("target count != member count")
-        for m, t in zip(self.members, self.targets):
-            if m.spec != t.spec:
-                raise ShapeError("member/target spec mismatch")
+        if self.target_stack.spec != self.member_stack.spec:
+            raise ShapeError("member/target spec mismatch")
 
     @property
     def n_members(self) -> int:
-        return len(self.members)
+        return len(self.member_stack)
+
+    @property
+    def members(self) -> list[ParamVector]:
+        return self.member_stack.vectors()
+
+    @property
+    def targets(self) -> list[ParamVector]:
+        return self.target_stack.vectors()
 
 
 def critic_input(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -227,11 +252,13 @@ class ScaleNet:
 
     params: ParamVector
 
-    def values(self, s) -> np.ndarray:
-        return mlp_forward_batch(self.params, np.atleast_2d(s))[:, 0]
+    def values(self, s, cache: ForwardCache | None = None) -> np.ndarray:
+        return mlp_forward_batch(self.params, np.atleast_2d(s), cache)[:, 0]
 
-    def grads(self, s, d_out) -> np.ndarray:
-        flat, _ = mlp_grad_batch(self.params, np.atleast_2d(s), d_out[:, None])
+    def grads(self, s, d_out, cache: ForwardCache | None = None) -> np.ndarray:
+        """Flat parameter gradient of sum_i d_out_i * value_i; pass the
+        `cache` given to `values` at the same states."""
+        flat, _ = mlp_grad_batch(self.params, np.atleast_2d(s), d_out[:, None], cache)
         return flat
 
     def with_params(self, params: ParamVector) -> "ScaleNet":

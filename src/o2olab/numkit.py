@@ -13,6 +13,12 @@ Three levels of differentiation are provided:
 * `mlp_second_grad` -- the forward-over-reverse pass needed when a loss
   depends on an input gradient of the network (gradients of gradients).
 
+Every pass also takes a `ParamStack`, the parameters of several networks
+of one spec, and then evaluates all of them with one `np.matmul` per
+layer; inputs are shared `(batch, in)` rows or per-network
+`(n, batch, in)` rows.  A `ForwardCache` handed to successive passes
+over the same parameters and rows lets them share one forward.
+
 `finite_diff_check` is the house oracle used throughout the test suite.
 """
 
@@ -100,6 +106,62 @@ class ParamVector:
         return ParamVector(self.spec, self.values.copy())
 
 
+@dataclass
+class ParamStack:
+    """Flat parameters of n networks of one `MlpSpec`, one row each."""
+
+    spec: MlpSpec
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 2 or self.values.shape[1] != self.spec.param_count:
+            raise ShapeError(
+                f"parameter stack has shape {self.values.shape}, "
+                f"spec requires (n, {self.spec.param_count})"
+            )
+
+    @classmethod
+    def of(cls, vectors) -> "ParamStack":
+        """Stack `ParamVector`s that share one spec (copies their values)."""
+        vectors = list(vectors)
+        if not vectors or any(v.spec != vectors[0].spec for v in vectors):
+            raise ShapeError("a parameter stack needs one or more vectors of one spec")
+        return cls(vectors[0].spec, np.stack([v.values for v in vectors]))
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def vectors(self) -> list[ParamVector]:
+        """One `ParamVector` per row, each a view into this stack."""
+        return [ParamVector(self.spec, row) for row in self.values]
+
+    def copy(self) -> "ParamStack":
+        return ParamStack(self.spec, self.values.copy())
+
+
+class ForwardCache:
+    """Activations of one forward pass, shared by the passes after it.
+
+    Hand a fresh cache to the first pass over some parameters and input
+    rows; it fills the cache.  Later passes given the same parameter
+    object and the same input rows (the same array, or a view of the
+    same elements) read the cache instead of running the forward again.
+    """
+
+    def __init__(self):
+        self.params = None
+        self.x = None
+        self.layers = None
+        self.hs = None
+        self.dfs = None
+
+    @property
+    def out(self) -> np.ndarray:
+        """Network output of the cached pass."""
+        return self.hs[-1]
+
+
 def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParamVector:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
     chunks = []
@@ -110,14 +172,19 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParamVector:
     return ParamVector(spec, np.concatenate(chunks))
 
 
-def unflatten(params: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the flat vector into per-layer (weight, bias) views."""
+def unflatten(params) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split the flat parameters into per-layer (weight, bias) views.
+
+    For a `ParamStack` of n networks each weight is `(n, out, in)` and
+    each bias `(n, out)`.
+    """
+    lead = params.values.shape[:-1]
     layers = []
     pos = 0
     for (out_w, in_w), _ in params.spec.layer_shapes():
-        w = params.values[pos : pos + out_w * in_w].reshape(out_w, in_w)
+        w = params.values[..., pos : pos + out_w * in_w].reshape(*lead, out_w, in_w)
         pos += out_w * in_w
-        b = params.values[pos : pos + out_w]
+        b = params.values[..., pos : pos + out_w]
         pos += out_w
         layers.append((w, b))
     return layers
@@ -133,21 +200,28 @@ def flatten(spec: MlpSpec, layers) -> ParamVector:
 
 
 def _act(kind: str, z: np.ndarray):
-    """Value, first and second derivative of an elementwise activation."""
+    """Value and first derivative of an elementwise activation."""
     if kind == "relu":
-        mask = (z > 0).astype(np.float64)
-        return np.maximum(z, 0.0), mask, np.zeros_like(z)
+        return np.maximum(z, 0.0), (z > 0).astype(np.float64)
     if kind in ("tanh", "tanh_squash"):
         t = np.tanh(z)
-        d = 1.0 - t * t
-        return t, d, -2.0 * t * d
+        return t, 1.0 - t * t
     if kind == "identity":
-        return z, np.ones_like(z), np.zeros_like(z)
+        return z, np.ones_like(z)
     if kind == "exp":
         inside = ((z > EXP_CLAMP_LO) & (z < EXP_CLAMP_HI)).astype(np.float64)
         e = np.exp(np.clip(z, EXP_CLAMP_LO, EXP_CLAMP_HI))
-        return e, e * inside, e * inside
+        return e, e * inside
     raise ValueError(f"unknown activation {kind!r}")
+
+
+def _act_second(kind: str, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """Second derivative of an activation from its value and first derivative."""
+    if kind in ("tanh", "tanh_squash"):
+        return -2.0 * f * df
+    if kind == "exp":
+        return df
+    return np.zeros_like(f)
 
 
 def _layer_kinds(spec: MlpSpec) -> list[str]:
@@ -156,36 +230,68 @@ def _layer_kinds(spec: MlpSpec) -> list[str]:
     return kinds
 
 
-def _forward_cached(params: ParamVector, x: np.ndarray):
-    """Batched forward pass keeping per-layer caches for the backward passes."""
+def _T(a: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a (..., m, n) stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when a and b view the same elements in the same layout.  (An
+    unpickled array's dtype is a new instance, so `np.asarray(x, float64)`
+    may return a fresh view of x rather than x itself.)"""
+    return a is b or (
+        a.shape == b.shape
+        and a.strides == b.strides
+        and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+    )
+
+
+def _forward_cached(params, x: np.ndarray, cache: ForwardCache | None):
+    """Forward pass keeping per-layer activations for the backward passes.
+
+    Returns (layers, hs, dfs): the (weight, bias) views, the input and
+    every layer's output, and every layer's activation derivative.  A
+    filled `cache` is returned as it is; an empty one is filled.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.spec.in_dim:
+    if cache is not None and cache.hs is not None:
+        if cache.params is not params or not _same_memory(cache.x, x):
+            raise ValueError("cache holds a forward pass of other parameters or inputs")
+        return cache.layers, cache.hs, cache.dfs
+    lead = params.values.shape[:-1]
+    if x.ndim < 2 or x.shape[-1] != params.spec.in_dim or x.shape[:-2] not in ((), lead):
         raise ShapeError(
             f"input has shape {x.shape}, expected (batch, {params.spec.in_dim})"
+            + (f" or {(*lead, 'batch', params.spec.in_dim)}" if lead else "")
         )
     layers = unflatten(params)
-    kinds = _layer_kinds(params.spec)
     hs = [x]
-    zs = []
     dfs = []
-    ddfs = []
     h = x
-    for idx, ((w, b), kind) in enumerate(zip(layers, kinds)):
-        z = h @ w.T + b
+    for idx, ((w, b), kind) in enumerate(zip(layers, _layer_kinds(params.spec))):
+        z = h @ _T(w) + b[..., None, :]
         if not np.all(np.isfinite(z)):
             raise NumericError(f"non-finite pre-activation at layer {idx}")
-        f, df, ddf = _act(kind, z)
-        zs.append(z)
+        h, df = _act(kind, z)
         dfs.append(df)
-        ddfs.append(ddf)
-        hs.append(f)
-        h = f
-    return h, (layers, hs, zs, dfs, ddfs)
+        hs.append(h)
+    if cache is not None:
+        cache.params, cache.x = params, x
+        cache.layers, cache.hs, cache.dfs = layers, hs, dfs
+    return layers, hs, dfs
 
 
-def mlp_forward_batch(params: ParamVector, x: np.ndarray) -> np.ndarray:
-    out, _ = _forward_cached(params, x)
-    return out
+def _flat_grad(chunks, lead) -> np.ndarray:
+    return np.concatenate(
+        [np.concatenate([gw.reshape(*lead, -1), gb], axis=-1) for gw, gb in chunks], axis=-1
+    )
+
+
+def mlp_forward_batch(params, x: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
+    """Outputs for a batch of input rows: `(batch, out)`, or `(n, batch,
+    out)` for a `ParamStack`."""
+    _, hs, _ = _forward_cached(params, x, cache)
+    return hs[-1]
 
 
 def mlp_forward(params: ParamVector, x: np.ndarray) -> np.ndarray:
@@ -196,29 +302,28 @@ def mlp_forward(params: ParamVector, x: np.ndarray) -> np.ndarray:
     return mlp_forward_batch(params, x[None, :])[0]
 
 
-def mlp_grad_batch(params: ParamVector, x: np.ndarray, upstream: np.ndarray):
+def mlp_grad_batch(params, x: np.ndarray, upstream: np.ndarray, cache: ForwardCache | None = None):
     """Gradients of sum_b <upstream_b, output_b>.
 
     Returns (flat parameter gradient summed over the batch, per-sample
-    input gradients).
+    input gradients).  For a `ParamStack` both carry a leading member
+    axis, and each member's gradient is that of its own output block.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    out, (layers, hs, _, dfs, _) = _forward_cached(params, x)
-    if upstream.shape != out.shape:
-        raise ShapeError(f"upstream shape {upstream.shape} != output shape {out.shape}")
+    layers, hs, dfs = _forward_cached(params, x, cache)
+    if upstream.shape != hs[-1].shape:
+        raise ShapeError(f"upstream shape {upstream.shape} != output shape {hs[-1].shape}")
     grad_chunks = [None] * len(layers)
     delta = upstream * dfs[-1]
     for idx in range(len(layers) - 1, -1, -1):
         w, _ = layers[idx]
-        gw = delta.T @ hs[idx]
-        gb = delta.sum(axis=0)
+        gw = _T(delta) @ hs[idx]
+        gb = delta.sum(axis=-2)
         grad_chunks[idx] = (gw, gb)
         delta = delta @ w
         if idx > 0:
             delta = delta * dfs[idx - 1]
-    grad_input = delta
-    flat = np.concatenate([np.concatenate([gw.reshape(-1), gb]) for gw, gb in grad_chunks])
-    return flat, grad_input
+    return _flat_grad(grad_chunks, params.values.shape[:-1]), delta
 
 
 def mlp_grad(params: ParamVector, x: np.ndarray, upstream: np.ndarray):
@@ -232,16 +337,18 @@ def mlp_grad(params: ParamVector, x: np.ndarray, upstream: np.ndarray):
 
 
 def mlp_second_grad(
-    params: ParamVector,
+    params,
     x: np.ndarray,
     out_upstream: np.ndarray,
     in_direction: np.ndarray,
+    cache: ForwardCache | None = None,
 ):
     """Parameter gradient of a bilinear form of the network Jacobian.
 
     For phi = sum_b <u_b, J_b v_b>, with J_b the Jacobian of the output
     w.r.t. the input at sample b, u = `out_upstream` and v =
     `in_direction`, returns (per-sample J_b v_b, flat d phi / d params).
+    For a `ParamStack`, u and v carry the member axis like the output.
 
     This is forward-over-reverse differentiation.  The forward tangent
     pass computes jvp_b = J_b v_b; the reverse pass then differentiates
@@ -251,18 +358,19 @@ def mlp_second_grad(
     """
     u = np.asarray(out_upstream, dtype=np.float64)
     v = np.asarray(in_direction, dtype=np.float64)
-    out, (layers, hs, _, dfs, ddfs) = _forward_cached(params, x)
-    if u.shape != out.shape:
-        raise ShapeError(f"out_upstream shape {u.shape} != output shape {out.shape}")
-    if v.shape != hs[0].shape:
+    layers, hs, dfs = _forward_cached(params, x, cache)
+    if u.shape != hs[-1].shape:
+        raise ShapeError(f"out_upstream shape {u.shape} != output shape {hs[-1].shape}")
+    if v.shape != hs[-1].shape[:-1] + hs[0].shape[-1:]:
         raise ShapeError(f"in_direction shape {v.shape} != input shape {hs[0].shape}")
+    kinds = _layer_kinds(params.spec)
 
     # Forward tangent pass, keeping zdot per layer for the reverse sweep.
     hds = [v]
     zds = []
     hd = v
     for (w, _), df in zip(layers, dfs):
-        zd = hd @ w.T
+        zd = hd @ _T(w)
         zds.append(zd)
         hd = df * zd
         hds.append(hd)
@@ -274,15 +382,15 @@ def mlp_second_grad(
     hbar = np.zeros_like(u)  # d phi / d h_L
     for idx in range(n - 1, -1, -1):
         w, _ = layers[idx]
+        ddf = _act_second(kinds[idx], hs[idx + 1], dfs[idx])
         p = a * dfs[idx]
-        qz = a * ddfs[idx] * zds[idx] + hbar * dfs[idx]
-        gw = qz.T @ hs[idx] + p.T @ hds[idx]
-        gb = qz.sum(axis=0)
+        qz = a * ddf * zds[idx] + hbar * dfs[idx]
+        gw = _T(qz) @ hs[idx] + _T(p) @ hds[idx]
+        gb = qz.sum(axis=-2)
         grad_chunks[idx] = (gw, gb)
         a = p @ w
         hbar = qz @ w
-    flat = np.concatenate([np.concatenate([gw.reshape(-1), gb]) for gw, gb in grad_chunks])
-    return hds[-1], flat
+    return hds[-1], _flat_grad(grad_chunks, params.values.shape[:-1])
 
 
 def finite_diff_check(f, at: ParamVector, step: float, rng=None, max_coords: int = 128) -> float:

@@ -6,7 +6,9 @@ factor (approximated with a Newton-Schulz iteration) before the update.
 Bias vectors and other 1-D parameters fall back to momentum SGD.
 
 All steps are pure: they take an `OptState` and return a new one, never
-mutating their inputs.
+mutating their inputs.  Every step also takes a `ParamStack` with an
+`OptState` whose buffers have the stack's `(n, P)` shape; Muon then
+orthogonalizes each layer of all n networks in one Newton-Schulz call.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .numkit import ParamVector
 
 # Odd quintic x -> (15x - 10x^3 + 3x^5)/8 used inside Newton-Schulz.
 # It maps [0, 1] into itself, fixes 1 with two vanishing derivatives
@@ -52,21 +53,22 @@ class OptState:
             raise ValueError("learning rate must be positive")
 
 
-def init_opt_state(kind: str, n_params: int, learning_rate: float, **kwargs) -> OptState:
-    """Fresh optimizer state with zeroed moment buffers."""
-    m = np.zeros(n_params)
-    v = np.zeros(n_params) if kind == "adam" else None
+def init_opt_state(kind: str, shape, learning_rate: float, **kwargs) -> OptState:
+    """Fresh optimizer state with zeroed moment buffers of `shape` (the
+    parameter count, or `(n, P)` for a `ParamStack`)."""
+    m = np.zeros(shape)
+    v = np.zeros(shape) if kind == "adam" else None
     return OptState(kind=kind, learning_rate=learning_rate, m=m, v=v, **kwargs)
 
 
-def _check_grad(params: ParamVector, grad: ParamVector):
-    if grad.values.size != params.values.size:
+def _check_grad(params, grad):
+    if grad.values.shape != params.values.shape:
         raise ShapeError("gradient length does not match parameter length")
     if not np.all(np.isfinite(grad.values)):
         raise NumericError("non-finite gradient")
 
 
-def adam_step(state: OptState, params: ParamVector, grad: ParamVector):
+def adam_step(state: OptState, params, grad):
     """One bias-corrected Adam update."""
     if state.kind != "adam":
         raise ValueError(f"adam_step called with kind={state.kind!r}")
@@ -78,8 +80,7 @@ def adam_step(state: OptState, params: ParamVector, grad: ParamVector):
     m_hat = m / (1.0 - state.beta1**t)
     v_hat = v / (1.0 - state.beta2**t)
     new_values = params.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_params = ParamVector(params.spec, new_values)
-    return new_params, replace(state, step_count=t, m=m, v=v)
+    return replace(params, values=new_values), replace(state, step_count=t, m=m, v=v)
 
 
 def newton_schulz_orthogonalize(g: np.ndarray, iterations: int = NS_DEFAULT_ITERATIONS) -> np.ndarray:
@@ -112,13 +113,14 @@ def newton_schulz_orthogonalize(g: np.ndarray, iterations: int = NS_DEFAULT_ITER
     return np.swapaxes(x, -1, -2) if transposed else x
 
 
-def muon_step(state: OptState, params: ParamVector, grad: ParamVector):
+def muon_step(state: OptState, params, grad):
     """One Muon update.
 
     The momentum buffer is an EMA of gradients; the effective gradient is
     the Nesterov lookahead (1-mu)*g + mu*buffer.  Weight matrices are
     replaced by their orthogonalized effective gradient scaled by the
-    learning rate; bias vectors take the effective gradient directly
+    learning rate (a matrix whose effective gradient is all zero stays
+    as it is); bias vectors take the effective gradient directly
     (momentum SGD).
     """
     if state.kind != "muon":
@@ -128,33 +130,42 @@ def muon_step(state: OptState, params: ParamVector, grad: ParamVector):
     buf = mu * state.m + (1.0 - mu) * grad.values
     eff = (1.0 - mu) * grad.values + mu * buf
 
+    lead = params.values.shape[:-1]
     new_values = params.values.copy()
     pos = 0
     for (out_w, in_w), _ in params.spec.layer_shapes():
         w_len = out_w * in_w
-        eff_w = eff[pos : pos + w_len].reshape(out_w, in_w)
-        if np.any(eff_w):
+        eff_w = eff[..., pos : pos + w_len].reshape(*lead, out_w, in_w)
+        live = np.any(eff_w, axis=(-2, -1))
+        if np.all(live):
             update = newton_schulz_orthogonalize(eff_w, state.ns_iterations)
-            new_values[pos : pos + w_len] -= state.learning_rate * update.reshape(-1)
+        elif np.any(live):
+            update = np.zeros_like(eff_w)
+            update[live] = newton_schulz_orthogonalize(eff_w[live], state.ns_iterations)
+        else:
+            update = None
+        if update is not None:
+            new_values[..., pos : pos + w_len] -= state.learning_rate * update.reshape(*lead, w_len)
         pos += w_len
-        new_values[pos : pos + out_w] -= state.learning_rate * eff[pos : pos + out_w]
+        new_values[..., pos : pos + out_w] -= state.learning_rate * eff[..., pos : pos + out_w]
         pos += out_w
-    new_params = ParamVector(params.spec, new_values)
-    return new_params, replace(state, step_count=state.step_count + 1, m=buf)
+    return replace(params, values=new_values), replace(state, step_count=state.step_count + 1, m=buf)
 
 
-def optimizer_step(state: OptState, params: ParamVector, grad: ParamVector):
-    """Dispatch on `state.kind`."""
+def optimizer_step(state: OptState, params, grad):
+    """Dispatch on `state.kind`; `params` and `grad` are both `ParamVector`s
+    or both `ParamStack`s."""
     if state.kind == "adam":
         return adam_step(state, params, grad)
     return muon_step(state, params, grad)
 
 
-def polyak_update(target: ParamVector, online: ParamVector, rate: float) -> ParamVector:
-    """target <- rate * online + (1 - rate) * target, per coordinate."""
+def polyak_update(target, online, rate: float):
+    """target <- rate * online + (1 - rate) * target, per coordinate, for
+    a `ParamVector` or a `ParamStack`."""
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"polyak rate must be in (0, 1], got {rate}")
-    if target.values.size != online.values.size:
+    if target.values.shape != online.values.shape:
         raise ShapeError("target and online parameter lengths differ")
     mixed = rate * online.values + (1.0 - rate) * target.values
-    return ParamVector(target.spec, mixed)
+    return replace(target, values=mixed)

@@ -51,7 +51,7 @@ from .networks import (
     make_policy,
     make_scale_net,
 )
-from .numkit import MlpSpec, ParamVector
+from .numkit import MlpSpec, ParamStack, ParamVector
 from .optim import OptState, init_opt_state, optimizer_step, polyak_update
 
 AGENT_MAGIC = b"SMACAC01"
@@ -59,6 +59,9 @@ AGENT_MAGIC = b"SMACAC01"
 OFFLINE_ALGS = ("smac", "sac", "cql", "calql", "iql", "td3bc")
 ONLINE_ALGS = ("sac", "td3", "td3bc", "awr")
 TD3_EXPLORE_STD = 0.1
+# Name of the stacked critic optimizer state in `AgentCheckpoint.opt_states`;
+# a checkpoint file holds it as one `critic{i}` state per member.
+CRITIC_OPT = "critics"
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +320,41 @@ def _spec_header(spec: MlpSpec) -> dict:
     }
 
 
+def _split_critic_state(opt_states: dict) -> dict:
+    """The stacked critic optimizer state as one `critic{i}` state per
+    member, the checkpoint's layout."""
+    out = {name: st for name, st in opt_states.items() if name != CRITIC_OPT}
+    st = opt_states.get(CRITIC_OPT)
+    if st is not None:
+        for i in range(st.m.shape[0]):
+            out[f"critic{i}"] = replace(st, m=st.m[i], v=None if st.v is None else st.v[i])
+    return out
+
+
+def _stack_critic_state(opt_states: dict, n_critics: int) -> dict:
+    """Inverse of `_split_critic_state`: the per-member `critic{i}` states
+    of a checkpoint become one stacked state."""
+    names = [f"critic{i}" for i in range(n_critics)]
+    present = [name for name in names if name in opt_states]
+    if not present:
+        return opt_states
+    if len(present) != n_critics:
+        raise FormatError(f"checkpoint has optimizer states for {present}, expected {names}")
+    states = [opt_states[name] for name in names]
+    first = states[0]
+    if any(replace(st, m=None, v=None) != replace(first, m=None, v=None) for st in states):
+        raise FormatError("per-critic optimizer states disagree on their settings")
+    out = {name: st for name, st in opt_states.items() if name not in names}
+    out[CRITIC_OPT] = replace(
+        first,
+        m=np.stack([st.m for st in states]),
+        v=None if first.v is None else np.stack([st.v for st in states]),
+    )
+    return out
+
+
 def save_checkpoint(checkpoint: AgentCheckpoint, path):
+    opt_states = _split_critic_state(checkpoint.opt_states)
     header = {
         "step": checkpoint.step,
         "offline_alg": checkpoint.offline_alg,
@@ -326,7 +363,7 @@ def save_checkpoint(checkpoint: AgentCheckpoint, path):
         "target_entropy": checkpoint.target_entropy,
         "policy_spec": _spec_header(checkpoint.policy.params.spec),
         "policy_squash": checkpoint.policy.squash,
-        "critic_spec": _spec_header(checkpoint.critics.members[0].spec),
+        "critic_spec": _spec_header(checkpoint.critics.member_stack.spec),
         "n_critics": checkpoint.critics.n_members,
         "scale_spec": None
         if checkpoint.scale_net is None
@@ -334,7 +371,7 @@ def save_checkpoint(checkpoint: AgentCheckpoint, path):
         "value_spec": None
         if checkpoint.value_net is None
         else _spec_header(checkpoint.value_net.params.spec),
-        "opt_states": {name: _opt_header(st) for name, st in sorted(checkpoint.opt_states.items())},
+        "opt_states": {name: _opt_header(st) for name, st in sorted(opt_states.items())},
         "rng_states": checkpoint.rng_states,
     }
     arrays = {
@@ -342,15 +379,15 @@ def save_checkpoint(checkpoint: AgentCheckpoint, path):
         "action_high": checkpoint.policy.action_high,
         "policy": checkpoint.policy.params.values,
     }
-    for i, member in enumerate(checkpoint.critics.members):
-        arrays[f"critic{i}"] = member.values
-    for i, target in enumerate(checkpoint.critics.targets):
-        arrays[f"target{i}"] = target.values
+    for i, member in enumerate(checkpoint.critics.member_stack.values):
+        arrays[f"critic{i}"] = member
+    for i, target in enumerate(checkpoint.critics.target_stack.values):
+        arrays[f"target{i}"] = target
     if checkpoint.scale_net is not None:
         arrays["scale"] = checkpoint.scale_net.params.values
     if checkpoint.value_net is not None:
         arrays["value"] = checkpoint.value_net.params.values
-    for name, st in sorted(checkpoint.opt_states.items()):
+    for name, st in sorted(opt_states.items()):
         arrays[f"opt_{name}_m"] = st.m
         if st.v is not None:
             arrays[f"opt_{name}_v"] = st.v
@@ -370,9 +407,11 @@ def load_checkpoint(path) -> AgentCheckpoint:
         squash=header["policy_squash"],
     )
     cspec = spec_of(header["critic_spec"])
-    members = [ParamVector(cspec, arrays[f"critic{i}"]) for i in range(header["n_critics"])]
-    targets = [ParamVector(cspec, arrays[f"target{i}"]) for i in range(header["n_critics"])]
-    critics = CriticEnsemble(members=members, targets=targets)
+    n_critics = header["n_critics"]
+    critics = CriticEnsemble(
+        members=ParamStack(cspec, np.stack([arrays[f"critic{i}"] for i in range(n_critics)])),
+        targets=ParamStack(cspec, np.stack([arrays[f"target{i}"] for i in range(n_critics)])),
+    )
     scale_net = None
     if header["scale_spec"] is not None:
         scale_net = ScaleNet(ParamVector(spec_of(header["scale_spec"]), arrays["scale"]))
@@ -403,7 +442,7 @@ def load_checkpoint(path) -> AgentCheckpoint:
         value_net=value_net,
         log_entropy_coef=header["log_entropy_coef"],
         target_entropy=header["target_entropy"],
-        opt_states=opt_states,
+        opt_states=_stack_critic_state(opt_states, n_critics),
         rng_states=header["rng_states"],
     )
 
@@ -480,9 +519,10 @@ def _init_agent(config: ExperimentConfig, env: EnvSpec, seed: int) -> AgentCheck
         )
     opt = config.optim
     kind = config.optimizer
-    opt_states = {"policy": init_opt_state(kind, policy.params.values.size, opt.policy_lr)}
-    for i, member in enumerate(critics.members):
-        opt_states[f"critic{i}"] = init_opt_state(kind, member.values.size, opt.critic_lr)
+    opt_states = {
+        "policy": init_opt_state(kind, policy.params.values.size, opt.policy_lr),
+        CRITIC_OPT: init_opt_state(kind, critics.member_stack.values.shape, opt.critic_lr),
+    }
     if scale_net is not None:
         opt_states["scale"] = init_opt_state(kind, scale_net.params.values.size, opt.scale_lr)
     if value_net is not None:
@@ -509,19 +549,16 @@ def _init_agent(config: ExperimentConfig, env: EnvSpec, seed: int) -> AgentCheck
 
 
 def _polyak_all(agent: AgentCheckpoint, rate: float):
-    agent.critics.targets = [
-        polyak_update(t, m, rate) for t, m in zip(agent.critics.targets, agent.critics.members)
-    ]
+    critics = agent.critics
+    critics.target_stack = polyak_update(critics.target_stack, critics.member_stack, rate)
 
 
-def _step_critics(agent: AgentCheckpoint, grads):
-    for i, flat in enumerate(grads):
-        member = agent.critics.members[i]
-        new_params, new_state = optimizer_step(
-            agent.opt_states[f"critic{i}"], member, ParamVector(member.spec, flat)
-        )
-        agent.critics.members[i] = new_params
-        agent.opt_states[f"critic{i}"] = new_state
+def _step_critics(agent: AgentCheckpoint, grads: np.ndarray):
+    """One optimizer step of every critic member; `grads` is (n, P)."""
+    stack = agent.critics.member_stack
+    agent.critics.member_stack, agent.opt_states[CRITIC_OPT] = optimizer_step(
+        agent.opt_states[CRITIC_OPT], stack, ParamStack(stack.spec, grads)
+    )
 
 
 def _step_net(agent: AgentCheckpoint, name: str, net, flat):
@@ -602,8 +639,7 @@ def _offline_update(config, env, agent, batch, streams, score_model):
         penalty, pen_grads = penalty_fn(
             agent.critics, agent.policy, batch, streams["cql"], env.action_low, env.action_high
         )
-        grads = [g + loss_cfg.cql_alpha * p for g, p in zip(td_grads, pen_grads)]
-        _step_critics(agent, grads)
+        _step_critics(agent, td_grads + loss_cfg.cql_alpha * pen_grads)
         metrics.update(
             critic_loss=td_loss + loss_cfg.cql_alpha * penalty, td_loss=td_loss, penalty=penalty
         )
@@ -792,12 +828,11 @@ def online_finetune(
     # The online algorithm is a different optimization problem, so it
     # starts from fresh optimizer moments under the configured rule.
     agent.opt_states = {
-        "policy": init_opt_state(config.optimizer, agent.policy.params.values.size, config.optim.policy_lr)
+        "policy": init_opt_state(config.optimizer, agent.policy.params.values.size, config.optim.policy_lr),
+        CRITIC_OPT: init_opt_state(
+            config.optimizer, agent.critics.member_stack.values.shape, config.optim.critic_lr
+        ),
     }
-    for i, member in enumerate(agent.critics.members):
-        agent.opt_states[f"critic{i}"] = init_opt_state(
-            config.optimizer, member.values.size, config.optim.critic_lr
-        )
     streams = {
         name: seeding.stream(seed, f"online-{name}")
         for name in ("env", "explore", "batch", "policy", "smooth", "awr")

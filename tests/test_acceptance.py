@@ -102,7 +102,7 @@ def _loss_cases(setup, case_seed):
     acts = agents.sample_action_mixture(policy, lo, hi, batch.s, batch.size, case_seed)
 
     def td3bc_frozen_norm():
-        qmin, _ = agents._min_over(ens.members, critic_input(batch.s, policy.mean_action(batch.s)))
+        qmin, _ = agents._min_over(ens.member_stack, critic_input(batch.s, policy.mean_action(batch.s)))
         return float(np.mean(np.abs(qmin)))
 
     norm = td3bc_frozen_norm()
@@ -426,7 +426,7 @@ def test_criterion_7_expectile_reduction():
             mc=np.zeros(b),
         )
         out = agents.iql_losses(ens, value, policy, batch, 0.5, 1.0, 0.99)
-        qt, _ = agents._min_over(ens.targets, critic_input(batch.s, batch.a))
+        qt, _ = agents._min_over(ens.target_stack, critic_input(batch.s, batch.a))
         u = qt - value.values(batch.s)
         worst = max(worst, abs(out.value_loss - 0.5 * float(np.mean(u * u))))
     report(7, worst <= 1e-12, f"value loss at expectile 0.5 equals half MSE, max |diff| {worst:.2e} (tol 1e-12)")

@@ -130,7 +130,7 @@ class TestSacCritic:
         batch = random_batch(rng)
         a2, _, _ = policy.sample(batch.s2, np.random.default_rng(0))
         x2 = critic_input(batch.s2, a2)
-        tq, _ = agents._min_over(ens.targets, x2)
+        tq, _ = agents._min_over(ens.target_stack, x2)
         for t in ens.targets:
             assert np.all(tq <= mlp_forward_batch(t, x2)[:, 0] + 1e-15)
 
@@ -431,7 +431,7 @@ class TestIql:
             batch = random_batch(rng)
             out = agents.iql_losses(ens, value, policy, batch, 0.5, 1.0, 0.99)
             x = critic_input(batch.s, batch.a)
-            qt, _ = agents._min_over(ens.targets, x)
+            qt, _ = agents._min_over(ens.target_stack, x)
             u = qt - value.values(batch.s)
             assert abs(out.value_loss - 0.5 * np.mean(u * u)) <= 1e-12
 
@@ -483,7 +483,7 @@ class TestIql:
         batch = random_batch(rng)
         out = agents.iql_losses(ens, value, policy, batch, 0.7, 1e-6, 0.99)
         x = critic_input(batch.s, batch.a)
-        qt, _ = agents._min_over(ens.targets, x)
+        qt, _ = agents._min_over(ens.target_stack, x)
         u = qt - value.values(batch.s)
         wts = np.minimum(np.exp(np.minimum(u / 1e-6, 700.0)), agents.WEIGHT_CLIP)
         logp, _ = policy.logprob_given(batch.s, batch.a)
@@ -498,7 +498,7 @@ class TestTd3:
         out = agents.td3_losses(ens, policy, batch, 0.99, np.random.default_rng(0), smoothing=False)
         a2 = policy.mean_action(batch.s2)
         x2 = critic_input(batch.s2, a2)
-        tq, _ = agents._min_over(ens.targets, x2)
+        tq, _ = agents._min_over(ens.target_stack, x2)
         y = batch.r + 0.99 * (1.0 - batch.done) * tq
         x = critic_input(batch.s, batch.a)
         manual = np.mean([(mlp_forward_batch(m, x)[:, 0] - y) ** 2 for m in ens.members])

@@ -7,12 +7,15 @@ from o2olab.errors import NumericError, ShapeError
 from o2olab.numkit import (
     EXP_CLAMP_HI,
     EXP_CLAMP_LO,
+    ForwardCache,
     MlpSpec,
+    ParamStack,
     ParamVector,
     finite_diff_check,
     flatten,
     init_params,
     mlp_forward,
+    mlp_forward_batch,
     mlp_grad,
     mlp_grad_batch,
     mlp_second_grad,
@@ -218,6 +221,124 @@ class TestSecondGrad:
             params, np.array([[3.0]]), np.array([[1.0]]), np.array([[0.7]])
         )
         assert np.allclose(flat, [0.7, 0.0], atol=1e-15)
+
+
+def _stack_case(n, batch, activation, seed=11):
+    """A stack of n critics-shaped nets, shared rows, per-member rows and
+    per-member upstreams and directions."""
+    rng = np.random.default_rng(seed)
+    spec = MlpSpec((4, 64, 64, 1), activation=activation)
+    stack = ParamStack.of([init_params(spec, rng) for _ in range(n)])
+    stack.values[:, -65:] += rng.standard_normal((n, 65))  # nonzero biases
+    x = rng.standard_normal((batch, 4))
+    xs = rng.standard_normal((n, batch, 4))
+    up = rng.standard_normal((n, batch, 1))
+    v = rng.standard_normal((n, batch, 4))
+    return stack, x, xs, up, v
+
+
+class TestParamStack:
+    """A stacked pass equals the per-member loop bit for bit."""
+
+    cases = pytest.mark.parametrize(
+        "n,batch,activation",
+        [(n, b, act) for n in (2, 5) for b in (64, 256) for act in ("tanh", "relu")],
+    )
+
+    @cases
+    def test_forward_equals_member_loop(self, n, batch, activation):
+        stack, x, xs, _, _ = _stack_case(n, batch, activation)
+        members = stack.vectors()
+        assert np.array_equal(
+            mlp_forward_batch(stack, x), np.stack([mlp_forward_batch(m, x) for m in members])
+        )
+        assert np.array_equal(
+            mlp_forward_batch(stack, xs),
+            np.stack([mlp_forward_batch(m, xi) for m, xi in zip(members, xs)]),
+        )
+
+    @cases
+    def test_grad_equals_member_loop(self, n, batch, activation):
+        stack, x, xs, up, _ = _stack_case(n, batch, activation)
+        members = stack.vectors()
+        for rows in (x, xs):
+            flat, gin = mlp_grad_batch(stack, rows, up)
+            loop = [
+                mlp_grad_batch(m, rows if rows.ndim == 2 else rows[i], up[i])
+                for i, m in enumerate(members)
+            ]
+            assert np.array_equal(flat, np.stack([f for f, _ in loop]))
+            assert np.array_equal(gin, np.stack([g for _, g in loop]))
+
+    @cases
+    def test_second_grad_equals_member_loop(self, n, batch, activation):
+        stack, x, _, up, v = _stack_case(n, batch, activation)
+        jvp, flat = mlp_second_grad(stack, x, up, v)
+        loop = [mlp_second_grad(m, x, up[i], v[i]) for i, m in enumerate(stack.vectors())]
+        assert np.array_equal(jvp, np.stack([j for j, _ in loop]))
+        assert np.array_equal(flat, np.stack([f for _, f in loop]))
+
+    def test_rows_are_views(self):
+        stack, _, _, _, _ = _stack_case(2, 8, "tanh")
+        first = stack.vectors()[0]
+        stack.values[0, 0] = 123.0
+        assert first.values[0] == 123.0
+
+    def test_mixed_specs_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeError):
+            ParamStack.of([init_params(MlpSpec((2, 3, 1)), rng), init_params(MlpSpec((2, 4, 1)), rng)])
+
+    def test_rows_of_another_member_count_rejected(self):
+        stack, _, _, _, _ = _stack_case(2, 8, "tanh")
+        with pytest.raises(ShapeError):
+            mlp_forward_batch(stack, np.zeros((3, 8, 4)))
+
+
+class TestForwardCache:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_cached_passes_equal_uncached(self, activation):
+        stack, x, _, up, v = _stack_case(2, 64, activation)
+        cache = ForwardCache()
+        out = mlp_forward_batch(stack, x, cache)
+        assert np.array_equal(cache.out, out)
+        cached = mlp_grad_batch(stack, x, up, cache)
+        plain = mlp_grad_batch(stack, x, up)
+        assert all(np.array_equal(a, b) for a, b in zip(cached, plain))
+        cached = mlp_second_grad(stack, x, up, v, cache)
+        plain = mlp_second_grad(stack, x, up, v)
+        assert all(np.array_equal(a, b) for a, b in zip(cached, plain))
+
+    def test_grad_fills_an_empty_cache(self):
+        rng = np.random.default_rng(2)
+        params = init_params(MlpSpec((3, 5, 2)), rng)
+        x = rng.standard_normal((6, 3))
+        cache = ForwardCache()
+        mlp_grad_batch(params, x, np.ones((6, 2)), cache)
+        assert np.array_equal(cache.out, mlp_forward_batch(params, x))
+
+    def test_view_of_the_same_rows_reads_the_cache(self):
+        # An unpickled array's dtype is a new instance, and np.asarray then
+        # returns a fresh view of it; the cache must still apply.
+        rng = np.random.default_rng(4)
+        params = init_params(MlpSpec((3, 5, 2)), rng)
+        x = rng.standard_normal((6, 3))
+        cache = ForwardCache()
+        mlp_forward_batch(params, x, cache)
+        cached = mlp_grad_batch(params, x.view(), np.ones((6, 2)), cache)
+        plain = mlp_grad_batch(params, x, np.ones((6, 2)))
+        assert all(np.array_equal(a, b) for a, b in zip(cached, plain))
+
+    def test_cache_of_other_rows_rejected(self):
+        rng = np.random.default_rng(3)
+        params = init_params(MlpSpec((3, 5, 2)), rng)
+        x = rng.standard_normal((6, 3))
+        cache = ForwardCache()
+        mlp_forward_batch(params, x, cache)
+        with pytest.raises(ValueError):
+            mlp_grad_batch(params, x.copy(), np.ones((6, 2)), cache)
+        with pytest.raises(ValueError):
+            mlp_grad_batch(params.copy(), x, np.ones((6, 2)), cache)
 
 
 class TestFiniteDiffCheck:
