@@ -183,6 +183,10 @@ def env_step(spec: EnvSpec, state: np.ndarray, action: np.ndarray):
     state = np.asarray(state, dtype=np.float64)
     action = np.asarray(action, dtype=np.float64)
     single = state.ndim == 1
+    if not (single or state.ndim == 2) or state.shape[-1] != spec.state_dim:
+        raise ShapeError(
+            f"state shape {state.shape}, expected ({spec.state_dim},) or (n, {spec.state_dim})"
+        )
     expected = (spec.action_dim,) if single else (state.shape[0], spec.action_dim)
     if action.shape != expected:
         raise ShapeError(f"action shape {action.shape}, expected {expected}")
@@ -435,6 +439,51 @@ def save_dataset(dataset: Dataset, path):
         fh.write("\n".join(lines) + "\n")
 
 
+_RECORD_KEYS = ("s", "a", "r", "s2", "done", "traj", "t")
+_JSON = json.JSONDecoder()
+
+
+def _check_record(spec: EnvSpec, lineno: int, offset: int, rec):
+    """Raise the error of one dataset record, naming its line, if it has
+    a missing key, a value of the wrong type or a vector of the wrong
+    length."""
+    try:
+        s, a, s2 = (np.asarray(rec[key], dtype=np.float64) for key in ("s", "a", "s2"))
+        float(rec["r"]), int(rec["traj"]), int(rec["t"]), rec["done"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed record: {exc}", line=lineno, offset=offset) from None
+    if (s.shape, a.shape, s2.shape) != ((spec.state_dim,), (spec.action_dim,), (spec.state_dim,)):
+        raise ShapeError(f"transition dims do not match header (line {lineno})")
+
+
+def _record_columns(spec: EnvSpec, body):
+    """(s, a, r, s2, done, traj, t) columns of the parsed records, built
+    with one array per column.  When a record is malformed, the records
+    are checked one by one so that the error names the first bad line."""
+    n = len(body)
+    try:
+        recs = [rec for _, _, rec in body]
+        s, a, r, s2, done, traj, t = ([rec[key] for rec in recs] for key in _RECORD_KEYS)
+        widths = (spec.state_dim, spec.action_dim, spec.state_dim)
+        if all(len(v) == d for col, d in zip((s, a, s2), widths) for v in col):
+            s, a, s2 = (np.array(col, dtype=np.float64) for col in (s, a, s2))
+            if (s.shape, a.shape, s2.shape) == tuple((n, d) for d in widths):
+                return (
+                    s,
+                    a,
+                    np.fromiter(map(float, r), np.float64, n),
+                    s2,
+                    np.fromiter(map(bool, done), np.float64, n),
+                    np.fromiter(map(int, traj), np.int64, n),
+                    np.fromiter(map(int, t), np.int64, n),
+                )
+    except (KeyError, TypeError, ValueError):
+        pass
+    for lineno, offset, rec in body:
+        _check_record(spec, lineno, offset, rec)
+    raise FormatError("malformed records")  # pragma: no cover - a record above raised
+
+
 def load_dataset(path) -> Dataset:
     """Parse a dataset file; Monte-Carlo returns and outcome labels are
     recomputed from rewards, so the file never stores them.
@@ -454,9 +503,13 @@ def load_dataset(path) -> Dataset:
         stripped = line.strip()
         if stripped:
             try:
-                records.append((lineno, offset, json.loads(stripped.decode("utf-8"))))
+                text = stripped.decode("utf-8")
+                value, end = _JSON.raw_decode(text)
+                if end != len(text):
+                    raise ValueError(f"extra data after the record at column {end + 1}")
             except (ValueError, UnicodeDecodeError) as exc:
                 raise FormatError(f"malformed record: {exc}", line=lineno, offset=offset) from None
+            records.append((lineno, offset, value))
         offset += len(line) + 1
     if not records:
         raise FormatError("empty dataset file", line=1, offset=0)
@@ -488,21 +541,7 @@ def load_dataset(path) -> Dataset:
     if not body:
         raise FormatError("dataset has no transitions", line=1, offset=0)
 
-    dims = (spec.state_dim,), (spec.action_dim,), (spec.state_dim,)
-    rows = []
-    for lineno, off, rec in body:
-        try:
-            s, a, s2 = (np.asarray(rec[key], dtype=np.float64) for key in ("s", "a", "s2"))
-            row = (
-                s, a, float(rec["r"]), s2, float(bool(rec["done"])), int(rec["traj"]), int(rec["t"])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed record: {exc}", line=lineno, offset=off) from None
-        if (s.shape, a.shape, s2.shape) != dims:
-            raise ShapeError(f"transition dims do not match header (line {lineno})")
-        rows.append(row)
-
-    s, a, r, s2, done, traj, t = (np.array(col) for col in zip(*rows))
+    s, a, r, s2, done, traj, t = _record_columns(spec, body)
     finite = np.isfinite(s).all(1) & np.isfinite(a).all(1) & np.isfinite(r) & np.isfinite(s2).all(1)
     if not finite.all():
         lineno, off, _ = body[np.argmin(finite)]

@@ -395,7 +395,13 @@ def save_checkpoint(checkpoint: AgentCheckpoint, path):
 
 
 def load_checkpoint(path) -> AgentCheckpoint:
+    """Read a checkpoint written by `save_checkpoint`.  Every array must be
+    finite: a NaN or inf parameter or optimizer buffer raises
+    `FormatError` naming the array."""
     header, arrays = blobio.read_blob(path, AGENT_MAGIC)
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"checkpoint array {name!r} holds a non-finite value")
 
     def spec_of(h):
         return MlpSpec(tuple(h["layer_widths"]), h["activation"], h["output_transform"])

@@ -1,6 +1,9 @@
 """Command-line workflow: exit codes, manifests, byte-determinism."""
 
 import json
+import struct
+
+import numpy as np
 import pytest
 
 from o2olab.cli import main, parse_run_id
@@ -296,6 +299,33 @@ class TestErrorPaths:
             ]
         )
         assert code == 2
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("array", ["critic0", "opt_policy_v"])
+    def test_non_finite_checkpoint_exits_2_without_leftover(self, workdir, capsys, array):
+        # A NaN in a checkpoint used to load and fail at the first forward
+        # pass (exit 3), after the output directory was made.
+        run(["gen-data", "--config", "cfg.json"])
+        data = workdir / "runs/gen-data/dataset-s0.jsonl"
+        pre = ["--override", "offline_alg=sac", "--override", "offline_steps=2"]
+        pretrain = ["pretrain", "--config", "cfg.json", *pre, "--data", data]
+        assert run(pretrain + ["--out", workdir / "pre"]) == 0
+        path = workdir / "pre" / "seed-0" / "checkpoint.bin"
+        raw = bytearray(path.read_bytes())
+        (head_len,) = struct.unpack("<I", raw[8:12])
+        pos = 12 + head_len
+        for name, shape in json.loads(raw[12:pos])["arrays"]:
+            if name == array:
+                break
+            pos += 8 * int(np.prod(shape))
+        raw[pos : pos + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(raw))
+        out = workdir / "fresh" / "fin"
+        capsys.readouterr()
+        finetune = ["finetune", "--config", "cfg.json", "--data", data]
+        code = run(finetune + ["--checkpoint", workdir / "pre", "--out", out])
+        assert code == 2
+        assert repr(array) in capsys.readouterr().err
         assert not out.parent.exists()
 
     # Each case: (config override, env of checkpoints a, b[, c]).  The

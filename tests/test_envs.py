@@ -157,6 +157,18 @@ class TestRowStep:
         with pytest.raises(ShapeError):
             env_step(spec, states[0], actions)
 
+    def test_wrong_state_width_rejected(self, name):
+        spec, states, actions = step_rows(name, n=3)
+        narrow = np.zeros(spec.state_dim - 1) if spec.state_dim > 1 else np.zeros(2)
+        for bad_state, action in (
+            (narrow, actions[0]),
+            (np.zeros((3, narrow.size)), actions),
+            (np.zeros((3, 1, spec.state_dim)), actions),
+            (np.float64(0.0), actions[0]),
+        ):
+            with pytest.raises(ShapeError, match="state shape"):
+                env_step(spec, bad_state, action)
+
     def test_non_finite_row_rejected(self, name):
         spec, states, actions = step_rows(name, n=3)
         actions[1, 0] = np.inf
