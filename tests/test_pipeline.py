@@ -1,12 +1,17 @@
 """Training loops: configuration, determinism, checkpoints, warm start."""
 
+import sys
+
 import numpy as np
 import pytest
+
+from o2olab import blobio, numkit, pipeline
 
 from o2olab.diffusion import cosine_schedule, init_score_model, train_score_model
 from o2olab.envs import ScriptedPolicy, generate_dataset, make_env_spec
 from o2olab.errors import ConfigError, FormatError, NumericError
 from o2olab.pipeline import (
+    AGENT_MAGIC,
     _init_agent,
     apply_overrides,
     config_from_dict,
@@ -237,6 +242,20 @@ class TestCheckpoint:
             assert np.array_equal(back.opt_states[name].m, agent.opt_states[name].m)
             assert back.opt_states[name].step_count == agent.opt_states[name].step_count
 
+    def test_file_keeps_one_optimizer_state_per_critic(self, tmp_path):
+        cfg = small_config(offline_alg="sac", offline_steps=3, networks={"n_critics": 3})
+        agent, _ = offline_pretrain(cfg, tiny_dataset(), None, seed=11)
+        assert agent.opt_states[pipeline.CRITIC_OPT].m.shape == agent.critics.member_stack.values.shape
+        path = tmp_path / "agent.bin"
+        save_checkpoint(agent, path)
+        header, arrays = blobio.read_blob(path, AGENT_MAGIC)
+        assert sorted(header["opt_states"]) == ["critic0", "critic1", "critic2", "policy"]
+        for i in range(3):
+            assert np.array_equal(arrays[f"opt_critic{i}_m"], agent.opt_states["critics"].m[i])
+            assert np.array_equal(arrays[f"opt_critic{i}_v"], agent.opt_states["critics"].v[i])
+        save_checkpoint(load_checkpoint(path), tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
     def test_corrupted_magic_rejected(self, tmp_path):
         cfg = small_config(offline_alg="sac", offline_steps=5)
         agent, _ = offline_pretrain(cfg, tiny_dataset(), None, seed=11)
@@ -441,3 +460,66 @@ class TestMetricsCsv:
         (tmp_path / "m.csv").write_text("nope\n")
         with pytest.raises(FormatError):
             read_metrics_csv(tmp_path / "m.csv")
+
+
+@pytest.fixture()
+def numkit_passes(monkeypatch):
+    """Names of numkit's passes in call order, counted at every name that
+    binds them in the package (modules import them with `from`)."""
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name.startswith("o2olab")]
+    for name in ("mlp_forward_batch", "mlp_grad_batch", "mlp_second_grad"):
+        original = getattr(numkit, name)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPassCount:
+    """numkit passes per training step at the default network sizes.
+
+    A smac step runs, in its critic loss, the policy sample at s2, the
+    stacked target forward, the stacked member forward and gradient for
+    TD, the mixture's policy sample, the score forward, the scale forward,
+    the stacked member gradient and second-order pass for score matching
+    and the scale gradient; its actor runs the policy sample, one stacked
+    member gradient and the policy gradient: 13 in all (21 before the
+    ensemble was stacked).  A sac online step runs 8 (14 before).
+    """
+
+    def _setup(self, **over):
+        cfg = config_from_dict(
+            {"env": "reach2d", "offline_batch": 64, "online_batch": 256, **over}
+        )
+        ds = tiny_dataset()
+        agent = _init_agent(cfg, ds.env, seed=3)
+        return cfg, ds, agent
+
+    def test_smac_muon_offline_step(self, numkit_passes):
+        cfg, ds, agent = self._setup(offline_alg="smac", optimizer="muon")
+        model = init_score_model(
+            ds.env.state_dim, ds.env.action_dim, cosine_schedule(8), stream(1, "d"), hidden=(16, 16)
+        )
+        streams = {name: stream(4, name) for name in pipeline._OFFLINE_STREAMS}
+        batch = ds.sample_batch(cfg.offline_batch, streams["batch"])
+        pipeline._offline_update(cfg, ds.env, agent, batch, streams, model)
+        assert len(numkit_passes) <= 13, numkit_passes
+
+    def test_sac_online_step(self, numkit_passes):
+        cfg, ds, agent = self._setup(online_alg="sac", optimizer="adam")
+        agent.opt_states = {
+            "policy": agent.opt_states["policy"],
+            pipeline.CRITIC_OPT: agent.opt_states[pipeline.CRITIC_OPT],
+        }
+        streams = {name: stream(5, name) for name in ("explore", "batch", "policy")}
+        state = ds.s[0]
+        pipeline._explore_action(agent.policy, ds.env, state, "sac", streams["explore"])
+        batch = ds.sample_batch(cfg.online_batch, streams["batch"])
+        pipeline._online_update(cfg, ds.env, agent, batch, streams)
+        assert len(numkit_passes) <= 8, numkit_passes
