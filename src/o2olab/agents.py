@@ -78,7 +78,9 @@ def _q_forward(stack, x, cache=None) -> np.ndarray:
 
 
 def _in_member_order(values: np.ndarray) -> float:
-    """Sum of per-member scalars, added in member order from 0.0."""
+    """Sum of per-member scalars, added in member order from 0.0 like a
+    running total over the members.  (np.sum adds in pairs, and Python's
+    sum compensates from 3.12; either may round differently.)"""
     total = 0.0
     for value in values.tolist():
         total += value
@@ -242,7 +244,7 @@ def score_match_loss(
     direction[..., state_dim:] = (2.0 / (n * b)) * resid
     _, member_grads = mlp_second_grad(stack, x, ones, direction, cache)
     d_alpha = np.zeros(b)
-    for term in (-2.0 / (n * b)) * np.sum(resid * eps, axis=2):
+    for term in (-2.0 / (n * b)) * np.sum(resid * eps, axis=2):  # in member order, as above
         d_alpha += term
     scale_grad = scale_net.grads(s, d_alpha, scale_cache)
     return loss / (n * b), member_grads, scale_grad

@@ -160,6 +160,7 @@ class GaussianPolicy:
         s = np.atleast_2d(np.asarray(s, dtype=np.float64))
         if cache is None:
             cache = ForwardCache()
+        if cache.hs is None:
             mlp_forward_batch(self.params, s, cache)
         mu = cache.out[:, : self.action_dim]
         if self.squash:

@@ -335,11 +335,9 @@ def _stack_critic_state(opt_states: dict, n_critics: int) -> dict:
     """Inverse of `_split_critic_state`: the per-member `critic{i}` states
     of a checkpoint become one stacked state."""
     names = [f"critic{i}" for i in range(n_critics)]
-    present = [name for name in names if name in opt_states]
-    if not present:
-        return opt_states
-    if len(present) != n_critics:
-        raise FormatError(f"checkpoint has optimizer states for {present}, expected {names}")
+    missing = [name for name in names if name not in opt_states]
+    if missing:
+        raise FormatError(f"checkpoint has no optimizer state {missing[0]!r}")
     states = [opt_states[name] for name in names]
     first = states[0]
     if any(replace(st, m=None, v=None) != replace(first, m=None, v=None) for st in states):
