@@ -201,13 +201,8 @@ class CriticEnsemble:
     """
 
     def __init__(self, members, targets=None):
-        self.member_stack = members if isinstance(members, ParamStack) else ParamStack.of(members)
-        if targets is None:
-            self.target_stack = self.member_stack.copy()
-        elif isinstance(targets, ParamStack):
-            self.target_stack = targets
-        else:
-            self.target_stack = ParamStack.of(targets)
+        self.member_stack = ParamStack.of(members)
+        self.target_stack = ParamStack.of(members if targets is None else targets)
         if len(self.member_stack) < 2:
             raise ShapeError("critic ensemble needs at least 2 members")
         if len(self.target_stack) != len(self.member_stack):

@@ -136,9 +136,6 @@ class ParamStack:
         """One `ParamVector` per row, each a view into this stack."""
         return [ParamVector(self.spec, row) for row in self.values]
 
-    def copy(self) -> "ParamStack":
-        return ParamStack(self.spec, self.values.copy())
-
 
 class ForwardCache:
     """Activations of one forward pass, shared by the passes after it.

@@ -412,10 +412,9 @@ def load_checkpoint(path) -> AgentCheckpoint:
     )
     cspec = spec_of(header["critic_spec"])
     n_critics = header["n_critics"]
-    critics = CriticEnsemble(
-        members=ParamStack(cspec, np.stack([arrays[f"critic{i}"] for i in range(n_critics)])),
-        targets=ParamStack(cspec, np.stack([arrays[f"target{i}"] for i in range(n_critics)])),
-    )
+    members = [ParamVector(cspec, arrays[f"critic{i}"]) for i in range(n_critics)]
+    targets = [ParamVector(cspec, arrays[f"target{i}"]) for i in range(n_critics)]
+    critics = CriticEnsemble(members=members, targets=targets)
     scale_net = None
     if header["scale_spec"] is not None:
         scale_net = ScaleNet(ParamVector(spec_of(header["scale_spec"]), arrays["scale"]))
