@@ -227,11 +227,6 @@ def _layer_kinds(spec: MlpSpec) -> list[str]:
     return kinds
 
 
-def _T(a: np.ndarray) -> np.ndarray:
-    """Transpose of each matrix in a (..., m, n) stack."""
-    return np.swapaxes(a, -1, -2)
-
-
 def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
     """True when a and b view the same elements in the same layout.  (An
     unpickled array's dtype is a new instance, so `np.asarray(x, float64)`
@@ -266,8 +261,8 @@ def _forward_cached(params, x: np.ndarray, cache: ForwardCache | None):
     dfs = []
     h = x
     for idx, ((w, b), kind) in enumerate(zip(layers, _layer_kinds(params.spec))):
-        z = h @ _T(w) + b[..., None, :]
-        if not np.all(np.isfinite(z)):
+        z = h @ w.mT + b[..., None, :]
+        if not np.isfinite(z).all():
             raise NumericError(f"non-finite pre-activation at layer {idx}")
         h, df = _act(kind, z)
         dfs.append(df)
@@ -314,7 +309,7 @@ def mlp_grad_batch(params, x: np.ndarray, upstream: np.ndarray, cache: ForwardCa
     delta = upstream * dfs[-1]
     for idx in range(len(layers) - 1, -1, -1):
         w, _ = layers[idx]
-        gw = _T(delta) @ hs[idx]
+        gw = delta.mT @ hs[idx]
         gb = delta.sum(axis=-2)
         grad_chunks[idx] = (gw, gb)
         delta = delta @ w
@@ -367,7 +362,7 @@ def mlp_second_grad(
     zds = []
     hd = v
     for (w, _), df in zip(layers, dfs):
-        zd = hd @ _T(w)
+        zd = hd @ w.mT
         zds.append(zd)
         hd = df * zd
         hds.append(hd)
@@ -382,7 +377,7 @@ def mlp_second_grad(
         ddf = _act_second(kinds[idx], hs[idx + 1], dfs[idx])
         p = a * dfs[idx]
         qz = a * ddf * zds[idx] + hbar * dfs[idx]
-        gw = _T(qz) @ hs[idx] + _T(p) @ hds[idx]
+        gw = qz.mT @ hs[idx] + p.mT @ hds[idx]
         gb = qz.sum(axis=-2)
         grad_chunks[idx] = (gw, gb)
         a = p @ w

@@ -64,7 +64,7 @@ def init_opt_state(kind: str, shape, learning_rate: float, **kwargs) -> OptState
 def _check_grad(params, grad):
     if grad.values.shape != params.values.shape:
         raise ShapeError("gradient length does not match parameter length")
-    if not np.all(np.isfinite(grad.values)):
+    if not np.isfinite(grad.values).all():
         raise NumericError("non-finite gradient")
 
 
@@ -97,7 +97,7 @@ def newton_schulz_orthogonalize(g: np.ndarray, iterations: int = NS_DEFAULT_ITER
     g = np.asarray(g, dtype=np.float64)
     if g.ndim < 2:
         raise ShapeError(f"expected a matrix or a stack of matrices, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericError("non-finite matrix entries")
     flat = g.reshape(*g.shape[:-2], -1)
     # vecdot rounds like the dot product inside np.linalg.norm.
@@ -105,12 +105,12 @@ def newton_schulz_orthogonalize(g: np.ndarray, iterations: int = NS_DEFAULT_ITER
     if np.any(norm == 0.0):
         raise ValueError("cannot orthogonalize a zero matrix")
     transposed = g.shape[-2] > g.shape[-1]
-    x = (np.swapaxes(g, -1, -2) if transposed else g) / norm
+    x = (g.mT if transposed else g) / norm
     for _ in range(iterations):
-        a = x @ np.swapaxes(x, -1, -2)
+        a = x @ x.mT
         ax = a @ x
         x = NS_COEF_A * x + NS_COEF_B * ax + NS_COEF_C * (a @ ax)
-    return np.swapaxes(x, -1, -2) if transposed else x
+    return x.mT if transposed else x
 
 
 def muon_step(state: OptState, params, grad):
@@ -136,10 +136,10 @@ def muon_step(state: OptState, params, grad):
     for (out_w, in_w), _ in params.spec.layer_shapes():
         w_len = out_w * in_w
         eff_w = eff[..., pos : pos + w_len].reshape(*lead, out_w, in_w)
-        live = np.any(eff_w, axis=(-2, -1))
-        if np.all(live):
+        live = eff_w.any(axis=(-2, -1))
+        if live.all():
             update = newton_schulz_orthogonalize(eff_w, state.ns_iterations)
-        elif np.any(live):
+        elif live.any():
             update = np.zeros_like(eff_w)
             update[live] = newton_schulz_orthogonalize(eff_w[live], state.ns_iterations)
         else:
