@@ -450,7 +450,7 @@ def _check_record(spec: EnvSpec, lineno: int, offset: int, rec):
     try:
         s, a, s2 = (np.asarray(rec[key], dtype=np.float64) for key in ("s", "a", "s2"))
         float(rec["r"]), int(rec["traj"]), int(rec["t"]), rec["done"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed record: {exc}", line=lineno, offset=offset) from None
     if (s.shape, a.shape, s2.shape) != ((spec.state_dim,), (spec.action_dim,), (spec.state_dim,)):
         raise ShapeError(f"transition dims do not match header (line {lineno})")
@@ -461,6 +461,7 @@ def _record_columns(spec: EnvSpec, body):
     with one array per column.  When a record is malformed, the records
     are checked one by one so that the error names the first bad line."""
     n = len(body)
+    problem = "vector of the wrong length"
     try:
         recs = [rec for _, _, rec in body]
         s, a, r, s2, done, traj, t = ([rec[key] for rec in recs] for key in _RECORD_KEYS)
@@ -477,11 +478,13 @@ def _record_columns(spec: EnvSpec, body):
                     np.fromiter(map(int, traj), np.int64, n),
                     np.fromiter(map(int, t), np.int64, n),
                 )
-    except (KeyError, TypeError, ValueError):
-        pass
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        problem = str(exc)
     for lineno, offset, rec in body:
         _check_record(spec, lineno, offset, rec)
-    raise FormatError("malformed records")  # pragma: no cover - a record above raised
+    # Every record converts on its own, but not into a column (an integer
+    # beyond int64, say).
+    raise FormatError(f"malformed records: {problem}")
 
 
 def load_dataset(path) -> Dataset:

@@ -139,13 +139,11 @@ def muon_step(state: OptState, params, grad):
         live = eff_w.any(axis=(-2, -1))
         if live.all():
             update = newton_schulz_orthogonalize(eff_w, state.ns_iterations)
-        elif live.any():
+        else:  # a zero matrix has no polar factor and takes no step
             update = np.zeros_like(eff_w)
-            update[live] = newton_schulz_orthogonalize(eff_w[live], state.ns_iterations)
-        else:
-            update = None
-        if update is not None:
-            new_values[..., pos : pos + w_len] -= state.learning_rate * update.reshape(*lead, w_len)
+            if live.any():
+                update[live] = newton_schulz_orthogonalize(eff_w[live], state.ns_iterations)
+        new_values[..., pos : pos + w_len] -= state.learning_rate * update.reshape(*lead, w_len)
         pos += w_len
         new_values[..., pos : pos + out_w] -= state.learning_rate * eff[..., pos : pos + out_w]
         pos += out_w

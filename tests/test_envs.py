@@ -357,6 +357,14 @@ class TestDatasetRecordChecks:
         with pytest.raises(ShapeError, match="line 3"):
             load_dataset(write_lines(tmp_path, lines))
 
+    def test_infinite_trajectory_id_rejected(self, tmp_path):
+        # int(inf) raises OverflowError, which used to escape as a traceback.
+        _, lines = saved_lines(tmp_path)
+        lines[3] = edit_record(lines[3], traj=float("inf"))
+        with pytest.raises(FormatError) as err:
+            load_dataset(write_lines(tmp_path, lines))
+        assert err.value.line == 4
+
     def test_duplicate_step_rejected(self, tmp_path):
         _, lines = saved_lines(tmp_path)
         lines[3] = edit_record(lines[3], t=json.loads(lines[2])["t"])

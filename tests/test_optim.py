@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from o2olab.errors import NumericError, ShapeError
-from o2olab.numkit import MlpSpec, ParamVector, init_params
+from o2olab.numkit import MlpSpec, ParamStack, ParamVector, init_params
 from o2olab.optim import (
     adam_step,
     init_opt_state,
     muon_step,
     newton_schulz_orthogonalize,
+    optimizer_step,
     polyak_update,
 )
 
@@ -271,3 +272,27 @@ class TestPolyak:
         other = ParamVector(MlpSpec((1, 2)), np.zeros(MlpSpec((1, 2)).param_count))
         with pytest.raises(ShapeError):
             polyak_update(target, other, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["adam", "muon"])
+def test_stacked_steps_equal_per_member_steps(kind):
+    # Member 1's first-layer gradient is zero, so Muon must orthogonalize
+    # member 0's matrix alone and leave member 1's as it is.
+    rng = np.random.default_rng(8)
+    spec = MlpSpec((3, 4, 2), activation="tanh")
+    members = [init_params(spec, rng) for _ in range(3)]
+    stack = ParamStack.of(members)
+    grads = rng.standard_normal(stack.values.shape)
+    grads[1, :12] = 0.0
+    state = init_opt_state(kind, stack.values.shape, 0.05)
+    singles = [init_opt_state(kind, spec.param_count, 0.05) for _ in members]
+    for _ in range(3):
+        stack, state = optimizer_step(state, stack, ParamStack(spec, grads))
+        stepped = [optimizer_step(st, p, vec(spec, g)) for st, p, g in zip(singles, members, grads)]
+        members, singles = [p for p, _ in stepped], [st for _, st in stepped]
+        assert np.array_equal(stack.values, np.stack([p.values for p in members]))
+        assert np.array_equal(state.m, np.stack([st.m for st in singles]))
+    target = ParamStack(spec, stack.values + 1.0)
+    mixed = polyak_update(target, stack, 0.3)
+    for i, p in enumerate(members):
+        assert np.array_equal(mixed.values[i], polyak_update(vec(spec, target.values[i]), p, 0.3).values)
