@@ -44,6 +44,10 @@ def _clipped_exp_weights(exponents: np.ndarray) -> np.ndarray:
     return np.minimum(np.exp(np.minimum(exponents, 700.0)), WEIGHT_CLIP)
 # Floor for the TD3+BC critic normalizer (batch-mean |Q| can be zero at init).
 NORMALIZER_FLOOR = 1e-12
+# TD3 target-policy smoothing: Gaussian noise of this many half-ranges of
+# the action box, clipped at +-TD3_SMOOTHING_CLIP half-ranges.
+TD3_SMOOTHING_STD = 0.2
+TD3_SMOOTHING_CLIP = 0.5
 
 
 @dataclass(frozen=True)
@@ -427,8 +431,6 @@ def td3_critic_loss(
     discount: float,
     rng: np.random.Generator,
     *,
-    smoothing_std: float = 0.2,
-    smoothing_clip: float = 0.5,
     smoothing: bool = True,
 ):
     """TD regression onto the min-target Q at the smoothed mean action of
@@ -436,8 +438,8 @@ def td3_critic_loss(
     a2 = policy.mean_action(batch.s2)
     if smoothing:
         half = policy.half
-        noise = smoothing_std * half * rng.standard_normal(a2.shape)
-        noise = np.clip(noise, -smoothing_clip * half, smoothing_clip * half)
+        noise = TD3_SMOOTHING_STD * half * rng.standard_normal(a2.shape)
+        noise = np.clip(noise, -TD3_SMOOTHING_CLIP * half, TD3_SMOOTHING_CLIP * half)
         a2 = np.clip(a2 + noise, policy.action_low, policy.action_high)
     x2 = critic_input(batch.s2, a2)
     tq, _ = _min_over(ensemble.target_stack, x2)
@@ -454,21 +456,12 @@ def td3_losses(
     discount: float,
     rng: np.random.Generator,
     *,
-    smoothing_std: float = 0.2,
-    smoothing_clip: float = 0.5,
     smoothing: bool = True,
 ) -> Td3Out:
     """Deterministic-gradient losses: `td3_critic_loss`, and policy ascent
     on the min-member Q at the mean action."""
     critic_loss, member_grads = td3_critic_loss(
-        ensemble,
-        policy,
-        batch,
-        discount,
-        rng,
-        smoothing_std=smoothing_std,
-        smoothing_clip=smoothing_clip,
-        smoothing=smoothing,
+        ensemble, policy, batch, discount, rng, smoothing=smoothing
     )
     cache = ForwardCache()
     x_pi = critic_input(batch.s, policy.mean_action(batch.s, cache))

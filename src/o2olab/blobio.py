@@ -16,6 +16,14 @@ import numpy as np
 from .errors import FormatError
 
 
+class Entries(dict):
+    """A blob's header objects and its arrays by name.  The file decides
+    the keys, so reading one it lacks raises `FormatError` naming it."""
+
+    def __missing__(self, key):
+        raise FormatError(f"blob has no entry {key!r}")
+
+
 def write_blob(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray]):
     if len(magic) != 8:
         raise ValueError("magic must be exactly 8 bytes")
@@ -32,6 +40,7 @@ def write_blob(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray]):
 
 
 def read_blob(path, expected_magic: bytes):
+    """(header, arrays) as `Entries`: a key the file lacks is a `FormatError`."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12:
@@ -46,12 +55,14 @@ def read_blob(path, expected_magic: bytes):
     if len(raw) < head_end:
         raise FormatError("truncated header", offset=len(raw))
     try:
-        header = json.loads(raw[12:head_end].decode("utf-8"))
+        header = json.loads(raw[12:head_end].decode("utf-8"), object_hook=Entries)
     except (ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"malformed header: {exc}") from None
-    arrays = {}
+    if not isinstance(header, Entries):
+        raise FormatError("header is not a JSON object")
+    arrays = Entries()
     pos = head_end
-    for name, shape in header.pop("arrays"):
+    for name, shape in header["arrays"]:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if len(raw) < pos + nbytes:
@@ -60,4 +71,5 @@ def read_blob(path, expected_magic: bytes):
         pos += nbytes
     if pos != len(raw):
         raise FormatError(f"{len(raw) - pos} trailing bytes after the last array", offset=pos)
+    del header["arrays"]
     return header, arrays

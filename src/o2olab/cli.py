@@ -37,16 +37,6 @@ from .errors import ConfigError, FormatError, NumericError
 from .seeding import stream
 
 
-def _default_out_root() -> Path:
-    return Path(os.environ.get("O2OLAB_OUT", "runs"))
-
-
-def _resolve_out(args, command: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    return _default_out_root() / command
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -55,36 +45,22 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _finalize(tmp: Path, out: Path, command: str, config_dict, seeds):
-    artifacts = {}
-    for path in sorted(tmp.rglob("*")):
-        if path.is_file():
-            artifacts[str(path.relative_to(tmp))] = _sha256(path)
-    manifest = {
-        "command": command,
-        "config": config_dict,
-        "seeds": list(seeds),
-        "artifacts": artifacts,
-    }
-    with open(tmp / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, out)
-
-
 class _OutputDir:
-    """Atomic output directory: write into a sibling temp dir, rename last.
+    """Atomic output directory `args.out`, or O2OLAB_OUT (default ./runs)
+    / `args.command`: write into the sibling temp dir `tmp`, rename last.
 
     Used as a context manager; if the body raises, the temp dir is
     removed, so a failed command leaves nothing behind.
     """
 
-    def __init__(self, out: Path):
-        self.out = out
-        if out.exists():
-            raise ConfigError(f"output directory {out} already exists")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        self.tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    def __init__(self, args):
+        self.command = args.command
+        root = Path(os.environ.get("O2OLAB_OUT", "runs"))
+        self.out = Path(args.out) if args.out else root / args.command
+        if self.out.exists():
+            raise ConfigError(f"output directory {self.out} already exists")
+        self.out.parent.mkdir(parents=True, exist_ok=True)
+        self.tmp = Path(tempfile.mkdtemp(prefix=f".{self.out.name}-", dir=self.out.parent))
 
     def __enter__(self):
         return self
@@ -93,8 +69,22 @@ class _OutputDir:
         if exc_type is not None:
             shutil.rmtree(self.tmp, ignore_errors=True)
 
-    def finalize(self, command, config_dict, seeds):
-        _finalize(self.tmp, self.out, command, config_dict, seeds)
+    def finalize(self, config_dict, seeds):
+        """Write the manifest, then rename the temp dir to `out`."""
+        artifacts = {}
+        for path in sorted(self.tmp.rglob("*")):
+            if path.is_file():
+                artifacts[str(path.relative_to(self.tmp))] = _sha256(path)
+        manifest = {
+            "command": self.command,
+            "config": config_dict,
+            "seeds": list(seeds),
+            "artifacts": artifacts,
+        }
+        with open(self.tmp / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        os.replace(self.tmp, self.out)
 
 
 def _map_seeds(jobs: int, fn, *per_seed):
@@ -118,7 +108,7 @@ def _load_config(args) -> pipeline.ExperimentConfig:
 def _seeds(args, config) -> list[int]:
     if args.seed is not None:
         return [args.seed]
-    return [int(s) for s in config.seeds]
+    return list(config.seeds)
 
 
 def _run_id(env: str, offline: str, online: str, seed: int) -> str:
@@ -140,11 +130,11 @@ def _cmd_gen_data(args) -> int:
     env = make_env_spec(config.env)
     seeds = _seeds(args, config)
     behavior = ScriptedPolicy(env, noise_std=config.data.behavior_noise, gain=config.data.behavior_gain)
-    with _OutputDir(_resolve_out(args, "gen-data")) as outdir:
+    with _OutputDir(args) as outdir:
         for seed in seeds:
             dataset = generate_dataset(env, behavior, config.data.n_trajectories, seed)
             save_dataset(dataset, outdir.tmp / f"dataset-s{seed}.jsonl")
-        outdir.finalize("gen-data", pipeline.config_to_dict(config), seeds)
+        outdir.finalize(pipeline.config_to_dict(config), seeds)
     print(f"wrote {len(seeds)} dataset(s) to {outdir.out}")
     return 0
 
@@ -154,7 +144,7 @@ def _cmd_train_diffusion(args) -> int:
     dataset = load_dataset(args.data)
     seeds = _seeds(args, config)
     dc = config.diffusion
-    with _OutputDir(_resolve_out(args, "train-diffusion")) as outdir:
+    with _OutputDir(args) as outdir:
         for seed in seeds:
             schedule = cosine_schedule(dc.n_steps)
             model = init_score_model(
@@ -182,7 +172,7 @@ def _cmd_train_diffusion(args) -> int:
                 if (i + 1) % max(1, dc.steps // 200) == 0 or i + 1 == dc.steps
             ]
             pipeline.write_metrics_csv(rows, seed_dir / "metrics.csv")
-        outdir.finalize("train-diffusion", pipeline.config_to_dict(config), seeds)
+        outdir.finalize(pipeline.config_to_dict(config), seeds)
     print(f"trained {len(seeds)} score model(s) into {outdir.out}")
     return 0
 
@@ -195,7 +185,6 @@ def _pretrain_one(config, dataset, score_model, seed, seed_dir: Path):
     seed_dir.mkdir(parents=True, exist_ok=True)
     pipeline.save_checkpoint(agent, seed_dir / "checkpoint.bin")
     pipeline.write_metrics_csv(rows, seed_dir / "metrics.csv")
-    return seed
 
 
 def _cmd_pretrain(args) -> int:
@@ -209,14 +198,14 @@ def _cmd_pretrain(args) -> int:
             raise ConfigError("pretrain with the score-matched agent needs --diffusion")
         score_model = load_score_model(args.diffusion)
     seeds = _seeds(args, config)
-    with _OutputDir(_resolve_out(args, "pretrain")) as outdir:
+    with _OutputDir(args) as outdir:
         _map_seeds(
             args.jobs,
             partial(_pretrain_one, config, dataset, score_model),
             seeds,
             [outdir.tmp / f"seed-{s}" for s in seeds],
         )
-        outdir.finalize("pretrain", pipeline.config_to_dict(config), seeds)
+        outdir.finalize(pipeline.config_to_dict(config), seeds)
     print(f"pre-trained {len(seeds)} agent(s) into {outdir.out}")
     return 0
 
@@ -239,7 +228,6 @@ def _finetune_one(config, dataset, agent, seed, seed_dir: Path):
     seed_dir.mkdir(parents=True, exist_ok=True)
     pipeline.save_checkpoint(agent, seed_dir / "final_checkpoint.bin")
     pipeline.write_metrics_csv(rows, seed_dir / "metrics.csv")
-    return seed
 
 
 def _cmd_finetune(args) -> int:
@@ -254,7 +242,7 @@ def _cmd_finetune(args) -> int:
             raise ConfigError(
                 f"checkpoint env {agent.env_name!r} != dataset env {dataset.env.name!r}"
             )
-    with _OutputDir(_resolve_out(args, "finetune")) as outdir:
+    with _OutputDir(args) as outdir:
         _map_seeds(
             args.jobs,
             partial(_finetune_one, config, dataset),
@@ -262,7 +250,7 @@ def _cmd_finetune(args) -> int:
             seeds,
             [outdir.tmp / f"seed-{s}" for s in seeds],
         )
-        outdir.finalize("finetune", pipeline.config_to_dict(config), seeds)
+        outdir.finalize(pipeline.config_to_dict(config), seeds)
     print(f"fine-tuned {len(seeds)} agent(s) into {outdir.out}")
     return 0
 
@@ -284,7 +272,7 @@ def _cmd_landscape_line(args) -> int:
     env = make_env_spec(config.env)
     seeds = _seeds(args, config)
     ts = np.linspace(args.t_lo, args.t_hi, args.points)
-    with _OutputDir(_resolve_out(args, "landscape-line")) as outdir:
+    with _OutputDir(args) as outdir:
         results = analysis.interpolate_eval(
             a.policy, a.policy.params, b.policy.params, ts, env, config.eval_episodes, seeds[0]
         )
@@ -292,7 +280,7 @@ def _cmd_landscape_line(args) -> int:
         for t, mean, err in results:
             lines.append(f"{format(t, '.17g')},{format(mean, '.17g')},{format(err, '.17g')}")
         (outdir.tmp / "line.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        outdir.finalize("landscape-line", pipeline.config_to_dict(config), seeds)
+        outdir.finalize(pipeline.config_to_dict(config), seeds)
     print(f"wrote interpolation curve to {outdir.out}")
     return 0
 
@@ -321,9 +309,9 @@ def _cmd_landscape_plane(args) -> int:
             lines.append(
                 f"{format(t, '.17g')},{format(l, '.17g')},{format(returns[ti, li], '.17g')}"
             )
-    with _OutputDir(_resolve_out(args, "landscape-plane")) as outdir:
+    with _OutputDir(args) as outdir:
         (outdir.tmp / "plane.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        outdir.finalize("landscape-plane", pipeline.config_to_dict(config), seeds)
+        outdir.finalize(pipeline.config_to_dict(config), seeds)
     print(f"wrote plane grid to {outdir.out}")
     return 0
 
@@ -380,10 +368,10 @@ def _cmd_regret_table(args) -> int:
             raise ConfigError(f"input {path} does not exist")
         records = analysis.read_regret_records(path) if path.is_file() else _records_from_runs(path)
     table = analysis.aggregate_normalized_regret(records)
-    with _OutputDir(_resolve_out(args, "regret-table")) as outdir:
+    with _OutputDir(args) as outdir:
         analysis.write_regret_table(table, outdir.tmp / "regret_table.csv")
         analysis.write_regret_records(records, outdir.tmp / "regret_records.csv")
-        outdir.finalize("regret-table", {"input": str(args.input or "fixture")}, [])
+        outdir.finalize({"input": str(args.input or "fixture")}, [])
     header = "offline_alg " + " ".join(f"{on:>8s}" for on in table.online_algs)
     print(header)
     for off in table.offline_algs:
@@ -397,12 +385,10 @@ def _cmd_verify_identity(args) -> int:
     center = args.center
     grid = np.linspace(center - 4.0, center + 4.0, args.grid_points)
     gap = verify_maxent_identity(lambda a: -0.5 * (a - center) ** 2, args.alpha, grid)
-    with _OutputDir(_resolve_out(args, "verify-identity")) as outdir:
+    with _OutputDir(args) as outdir:
         (outdir.tmp / "gap.txt").write_text(f"{format(gap, '.17g')}\n", encoding="utf-8")
         outdir.finalize(
-            "verify-identity",
-            {"alpha": args.alpha, "center": center, "grid_points": args.grid_points},
-            [],
+            {"alpha": args.alpha, "center": center, "grid_points": args.grid_points}, []
         )
     print(f"max-entropy identity sup-norm gap: {gap:.3e}")
     return 0
@@ -413,11 +399,9 @@ def _cmd_export_checkpoints(args) -> int:
     for path in args.checkpoints:
         agent = pipeline.load_checkpoint(path)
         params.append(agent.policy.params)
-    with _OutputDir(_resolve_out(args, "export-checkpoints")) as outdir:
+    with _OutputDir(args) as outdir:
         analysis.export_checkpoint_matrix(params, outdir.tmp / "checkpoint_matrix.csv")
-        outdir.finalize(
-            "export-checkpoints", {"checkpoints": [str(p) for p in args.checkpoints]}, []
-        )
+        outdir.finalize({"checkpoints": [str(p) for p in args.checkpoints]}, [])
     print(f"wrote {len(params)} x {params[0].values.size} matrix to {outdir.out}")
     return 0
 

@@ -35,7 +35,7 @@ from .errors import NumericError, ShapeError
 EXP_CLAMP_LO = -10.0
 EXP_CLAMP_HI = 5.0
 
-_ACTIVATIONS = ("relu", "tanh")
+ACTIVATIONS = ("relu", "tanh")
 _OUTPUT_TRANSFORMS = ("identity", "tanh_squash", "exp")
 
 
@@ -59,7 +59,7 @@ class MlpSpec:
             raise ShapeError(f"need at least 2 layer widths, got {widths}")
         if any(w <= 0 for w in widths):
             raise ShapeError(f"layer widths must be positive, got {widths}")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.output_transform not in _OUTPUT_TRANSFORMS:
             raise ValueError(f"unknown output transform {self.output_transform!r}")

@@ -6,16 +6,26 @@ streams so it never perturbs training, and checkpoints carry the
 optimizer buffers and stream states needed to resume an offline run
 bit-exactly.
 
+Both training phases run through one phase runner, the only step loop:
+per step it draws one batch, calls the algorithm's update once and moves
+the critic targets one Polyak step; it owns the evaluations, metric rows
+and the "<phase> step N" prefix of a numeric abort.
+
 The plain soft actor-critic trainer and the score-matched one share a
 single code path: the regularized critic loss with weight zero skips
 the regularizer entirely, so the two produce bit-identical parameter
 trajectories given the same seed.
+
+A config is checked as it loads, so a bad value fails before any file
+is written: value types (list entries too), section ranges, hidden
+widths and activation names.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -41,6 +51,7 @@ from .envs import (
     env_reset,
     env_step,
     mixed_batch,
+    rollout_episode,
 )
 from .errors import ConfigError, FormatError, NumericError
 from .networks import (
@@ -51,7 +62,7 @@ from .networks import (
     make_policy,
     make_scale_net,
 )
-from .numkit import MlpSpec, ParamStack, ParamVector
+from .numkit import ACTIVATIONS, MlpSpec, ParamStack, ParamVector
 from .optim import OptState, init_opt_state, optimizer_step, polyak_update
 
 AGENT_MAGIC = b"SMACAC01"
@@ -85,6 +96,8 @@ class NetworkConfig:
     def __post_init__(self):
         if self.n_critics < 2:
             raise ConfigError("networks.n_critics must be at least 2")
+        for net in ("critic", "policy", "scale", "value"):
+            _check_mlp("networks", self, f"{net}_")
 
 
 @dataclass(frozen=True)
@@ -114,12 +127,30 @@ class DiffusionConfig:
     k_embed_dim: int = 8
     activation: str = "relu"
 
+    def __post_init__(self):
+        for name in ("steps", "batch"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"diffusion.{name} must be positive")
+        if not self.lr > 0.0:
+            raise ConfigError("diffusion.lr must be positive")
+        if self.n_steps < 2:
+            raise ConfigError("diffusion.n_steps must be at least 2")
+        if self.k_embed_dim < 0:
+            raise ConfigError("diffusion.k_embed_dim must be non-negative")
+        _check_mlp("diffusion", self, "")
+
 
 @dataclass(frozen=True)
 class DataConfig:
     n_trajectories: int = 100
     behavior_noise: float = 0.5
     behavior_gain: float = 5.0
+
+    def __post_init__(self):
+        if self.n_trajectories < 1:
+            raise ConfigError("data.n_trajectories must be positive")
+        if not self.behavior_noise >= 0.0:
+            raise ConfigError("data.behavior_noise must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -168,8 +199,8 @@ class ExperimentConfig:
             raise ConfigError("replay_capacity must be null or an int >= warm_start_count")
         if self.offline_batch % 2 or self.online_batch % 2:
             raise ConfigError("batch sizes must be even (the action sampler splits them)")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds must be a non-empty list of non-negative ints")
 
 
 _NESTED = {
@@ -182,10 +213,11 @@ _NESTED = {
 
 
 def _type_matches(default, val) -> bool:
-    """Whether a JSON value fits a field with this bool, int, float or
-    str default (other defaults are not checked here).  bool is an int
-    subclass in Python, so it is tested first and refused elsewhere;
-    float fields take ints."""
+    """Whether a JSON value fits a field with this bool, int, float, str
+    or tuple default (other defaults are not checked here).  bool is an
+    int subclass in Python, so it is tested first and refused elsewhere;
+    float fields take ints; a tuple field takes a list of values of its
+    default's first entry's type."""
     if isinstance(default, bool):
         return isinstance(val, bool)
     if isinstance(default, int):
@@ -194,7 +226,19 @@ def _type_matches(default, val) -> bool:
         return isinstance(val, (int, float)) and not isinstance(val, bool)
     if isinstance(default, str):
         return isinstance(val, str)
+    if isinstance(default, tuple):
+        return isinstance(val, list) and all(_type_matches(default[0], x) for x in val)
     return True
+
+
+def _check_mlp(path: str, section, prefix: str):
+    """Refuse a width below 1 in `section`'s `prefix`hidden field, or an
+    activation numkit does not know in its `prefix`activation field."""
+    hidden, act = getattr(section, prefix + "hidden"), getattr(section, prefix + "activation")
+    if min(hidden, default=1) < 1:
+        raise ConfigError(f"{path}.{prefix}hidden widths must be positive, got {list(hidden)}")
+    if act not in ACTIVATIONS:
+        raise ConfigError(f"{path}.{prefix}activation {act!r} is not one of {ACTIVATIONS}")
 
 
 def _build_section(cls, data: dict, path: str):
@@ -206,6 +250,8 @@ def _build_section(cls, data: dict, path: str):
     for key, val in data.items():
         if not _type_matches(fields[key].default, val):
             kind = type(fields[key].default).__name__
+            if kind == "tuple":
+                kind = f"list of {type(fields[key].default[0]).__name__}"
             raise ConfigError(f"{path}.{key} must be of type {kind}, got {val!r}")
         if isinstance(val, list):
             val = tuple(val)
@@ -230,16 +276,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    out = asdict(config)
-
-    def detuple(obj):
-        if isinstance(obj, tuple):
-            return [detuple(x) for x in obj]
-        if isinstance(obj, dict):
-            return {k: detuple(v) for k, v in obj.items()}
-        return obj
-
-    return detuple(out)
+    """The config as JSON values (tuples become lists)."""
+    return json.loads(json.dumps(asdict(config)))
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
@@ -298,18 +336,15 @@ class AgentCheckpoint:
     rng_states: dict
 
 
+# The settings of an optimizer state that a checkpoint header holds, next
+# to "has_v"; its moment buffers are arrays.
+_OPT_SETTINGS = (
+    "kind", "learning_rate", "step_count", "beta1", "beta2", "eps", "momentum", "ns_iterations"
+)
+
+
 def _opt_header(state: OptState) -> dict:
-    return {
-        "kind": state.kind,
-        "learning_rate": state.learning_rate,
-        "step_count": state.step_count,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "eps": state.eps,
-        "momentum": state.momentum,
-        "ns_iterations": state.ns_iterations,
-        "has_v": state.v is not None,
-    }
+    return {**{key: getattr(state, key) for key in _OPT_SETTINGS}, "has_v": state.v is not None}
 
 
 def _spec_header(spec: MlpSpec) -> dict:
@@ -332,12 +367,9 @@ def _split_critic_state(opt_states: dict) -> dict:
 
 
 def _stack_critic_state(opt_states: dict, n_critics: int) -> dict:
-    """Inverse of `_split_critic_state`: the per-member `critic{i}` states
-    of a checkpoint become one stacked state."""
+    """Inverse of `_split_critic_state`: a checkpoint's `critic{i}` states
+    (`blobio.Entries`, so a missing one is a `FormatError`) become one stacked state."""
     names = [f"critic{i}" for i in range(n_critics)]
-    missing = [name for name in names if name not in opt_states]
-    if missing:
-        raise FormatError(f"checkpoint has no optimizer state {missing[0]!r}")
     states = [opt_states[name] for name in names]
     first = states[0]
     if any(replace(st, m=None, v=None) != replace(first, m=None, v=None) for st in states):
@@ -421,20 +453,14 @@ def load_checkpoint(path) -> AgentCheckpoint:
     value_net = None
     if header["value_spec"] is not None:
         value_net = ScaleNet(ParamVector(spec_of(header["value_spec"]), arrays["value"]))
-    opt_states = {}
-    for name, oh in header["opt_states"].items():
-        opt_states[name] = OptState(
-            kind=oh["kind"],
-            learning_rate=oh["learning_rate"],
-            step_count=oh["step_count"],
-            beta1=oh["beta1"],
-            beta2=oh["beta2"],
-            eps=oh["eps"],
-            momentum=oh["momentum"],
-            ns_iterations=oh["ns_iterations"],
+    opt_states = blobio.Entries({
+        name: OptState(
+            **{key: oh[key] for key in _OPT_SETTINGS},
             m=arrays[f"opt_{name}_m"],
             v=arrays[f"opt_{name}_v"] if oh["has_v"] else None,
         )
+        for name, oh in header["opt_states"].items()
+    })
     return AgentCheckpoint(
         step=header["step"],
         offline_alg=header["offline_alg"],
@@ -491,6 +517,16 @@ def evaluate_policy(policy: GaussianPolicy, env: EnvSpec, episodes: int, seed: i
 _OFFLINE_STREAMS = ("batch", "policy", "bsample", "cql", "smooth")
 
 
+def _init_opt_states(config: ExperimentConfig, params: dict) -> dict:
+    """Fresh optimizer states under the configured rule and learning rates,
+    one per entry of `params` ({state name: ParamVector or ParamStack})."""
+    lr = {"policy": "policy_lr", CRITIC_OPT: "critic_lr", "scale": "scale_lr", "value": "value_lr"}
+    return {
+        name: init_opt_state(config.optimizer, p.values.shape, getattr(config.optim, lr[name]))
+        for name, p in params.items()
+    }
+
+
 def _init_agent(config: ExperimentConfig, env: EnvSpec, seed: int) -> AgentCheckpoint:
     net = config.networks
     policy = make_policy(
@@ -510,26 +546,19 @@ def _init_agent(config: ExperimentConfig, env: EnvSpec, seed: int) -> AgentCheck
         seeding.stream(seed, "init-critic"),
         activation=net.critic_activation,
     )
+    params = {"policy": policy.params, CRITIC_OPT: critics.member_stack}
     scale_net = None
     if config.offline_alg == "smac":
         scale_net = make_scale_net(
             env.state_dim, net.scale_hidden, seeding.stream(seed, "init-scale"), net.scale_activation
         )
+        params["scale"] = scale_net.params
     value_net = None
     if config.offline_alg == "iql":
         value_net = make_scale_net(
             env.state_dim, net.value_hidden, seeding.stream(seed, "init-value"), net.value_activation
         )
-    opt = config.optim
-    kind = config.optimizer
-    opt_states = {
-        "policy": init_opt_state(kind, policy.params.values.size, opt.policy_lr),
-        CRITIC_OPT: init_opt_state(kind, critics.member_stack.values.shape, opt.critic_lr),
-    }
-    if scale_net is not None:
-        opt_states["scale"] = init_opt_state(kind, scale_net.params.values.size, opt.scale_lr)
-    if value_net is not None:
-        opt_states["value"] = init_opt_state(kind, value_net.params.values.size, opt.value_lr)
+        params["value"] = value_net.params
     target_entropy = config.loss.target_entropy
     if target_entropy is None:
         target_entropy = -10.0 * env.action_dim
@@ -546,14 +575,9 @@ def _init_agent(config: ExperimentConfig, env: EnvSpec, seed: int) -> AgentCheck
         value_net=value_net,
         log_entropy_coef=float(np.log(config.loss.entropy_coef)),
         target_entropy=float(target_entropy),
-        opt_states=opt_states,
+        opt_states=_init_opt_states(config, params),
         rng_states=rng_states,
     )
-
-
-def _polyak_all(agent: AgentCheckpoint, rate: float):
-    critics = agent.critics
-    critics.target_stack = polyak_update(critics.target_stack, critics.member_stack, rate)
 
 
 def _step_critics(agent: AgentCheckpoint, grads: np.ndarray):
@@ -574,16 +598,12 @@ def _step_net(agent: AgentCheckpoint, name: str, net, flat):
     return net.with_params(new_params)
 
 
-def _step_policy(agent: AgentCheckpoint, flat):
-    agent.policy = _step_net(agent, "policy", agent.policy, flat)
-
-
 def _sac_actor_step(config, agent, batch, coef: float, rng) -> dict:
     """Max-entropy actor update shared by smac, sac, cql and calql offline
     and sac online: policy loss, policy step, then one entropy-coefficient
     step driven by the same policy samples.  Returns its metrics."""
     ploss, pgrad, mean_logp = sac_policy_loss(agent.policy, agent.critics, batch, coef, rng)
-    _step_policy(agent, pgrad)
+    agent.policy = _step_net(agent, "policy", agent.policy, pgrad)
     agent.log_entropy_coef = entropy_coef_update(
         agent.log_entropy_coef, mean_logp, agent.target_entropy, config.optim.entropy_lr
     )
@@ -597,18 +617,46 @@ def _td3bc_update(config, agent, batch, streams) -> dict:
     )
     _step_critics(agent, cgrads)
     ploss, pgrad = td3bc_policy_loss(agent.critics, agent.policy, batch, config.loss.bc_weight)
-    _step_policy(agent, pgrad)
+    agent.policy = _step_net(agent, "policy", agent.policy, pgrad)
     return {"critic_loss": closs, "policy_loss": ploss}
 
 
-def _offline_update(config, env, agent, batch, streams, score_model):
-    """One gradient step of the configured offline algorithm.
-
-    Returns a metrics dict.  Critic targets are Polyak-updated here, and
-    nowhere else.
-    """
-    loss_cfg = config.loss
+def _run_phase(config, agent, env, seed, run_id, phase, steps: range, batches, update) -> list:
+    """Run the steps in `steps` of one phase (see the module docstring)
+    and return its metric rows.  `batches` yields one batch per step, and
+    `update(batch)` takes the algorithm's optimizer steps and returns a
+    metrics dict.  The policy is evaluated before a phase that starts at
+    step 0 and after every `eval_every`-th step and the last, where that
+    step's metrics are logged too."""
+    rows = []
+    log_every = min(config.eval_every, max(steps.stop, 1))
     rate = config.optim.target_update_rate
+
+    def evaluate(step):
+        eval_seed = int(seeding.stream(seed, f"eval-{phase}-{step}").integers(0, 2**31 - 1))
+        mean, err = evaluate_policy(agent.policy, env, config.eval_episodes, eval_seed)
+        rows.append((run_id, phase, step, "eval_return", mean))
+        rows.append((run_id, phase, step, "eval_stderr", err))
+
+    if steps.start == 0:
+        evaluate(0)
+    for step, batch in zip(steps, batches):
+        try:
+            metrics = update(batch)
+            critics = agent.critics
+            critics.target_stack = polyak_update(critics.target_stack, critics.member_stack, rate)
+        except NumericError as exc:
+            raise NumericError(f"{phase} step {step}: {exc}") from None
+        if (step + 1) % log_every == 0 or step + 1 == steps.stop:
+            rows.extend((run_id, phase, step + 1, name, float(v)) for name, v in metrics.items())
+            evaluate(step + 1)
+    return rows
+
+
+def _offline_update(config, env, agent, batch, streams, score_model):
+    """One gradient step of the configured offline algorithm; returns a
+    metrics dict.  The critic targets are left to the phase runner."""
+    loss_cfg = config.loss
     alg = config.offline_alg
     coef = float(np.exp(agent.log_entropy_coef))
     metrics = {}
@@ -659,7 +707,7 @@ def _offline_update(config, env, agent, batch, streams, score_model):
         )
         _step_critics(agent, out.member_grads)
         agent.value_net = _step_net(agent, "value", agent.value_net, out.value_grad)
-        _step_policy(agent, out.policy_grad)
+        agent.policy = _step_net(agent, "policy", agent.policy, out.policy_grad)
         metrics.update(
             critic_loss=out.critic_loss, value_loss=out.value_loss, policy_loss=out.policy_loss
         )
@@ -667,7 +715,6 @@ def _offline_update(config, env, agent, batch, streams, score_model):
         metrics.update(_td3bc_update(config, agent, batch, streams))
     else:  # pragma: no cover - guarded by config validation
         raise ConfigError(f"unknown offline algorithm {alg!r}")
-    _polyak_all(agent, rate)
     return metrics
 
 
@@ -691,45 +738,20 @@ def offline_pretrain(
     if config.offline_alg == "calql" and np.any(np.isnan(dataset.mc)):
         raise ConfigError("calql needs Monte-Carlo returns in the dataset")
 
-    if start is None:
-        agent = _init_agent(config, env, seed)
-    else:
-        if start.offline_alg != config.offline_alg:
-            raise ConfigError(
-                f"checkpoint algorithm {start.offline_alg!r} != config {config.offline_alg!r}"
-            )
-        agent = start
-    streams = {name: seeding.restore_state(agent.rng_states[name]) for name in _OFFLINE_STREAMS}
-
-    rows = []
-    log_every = min(config.eval_every, max(config.offline_steps, 1))
-
-    def evaluate(step):
-        mean, err = evaluate_policy(
-            agent.policy, env, config.eval_episodes, _eval_seed(seed, "offline", step)
+    if start is not None and start.offline_alg != config.offline_alg:
+        raise ConfigError(
+            f"checkpoint algorithm {start.offline_alg!r} != config {config.offline_alg!r}"
         )
-        rows.append((run_id, "offline", step, "eval_return", mean))
-        rows.append((run_id, "offline", step, "eval_stderr", err))
-
-    if agent.step == 0:
-        evaluate(0)
-    for step in range(agent.step, config.offline_steps):
-        batch = dataset.sample_batch(config.offline_batch, streams["batch"])
-        try:
-            metrics = _offline_update(config, env, agent, batch, streams, score_model)
-        except NumericError as exc:
-            raise NumericError(f"offline step {step}: {exc}") from None
-        agent.step = step + 1
-        if agent.step % log_every == 0 or agent.step == config.offline_steps:
-            for name, value in metrics.items():
-                rows.append((run_id, "offline", agent.step, name, float(value)))
-            evaluate(agent.step)
+    agent = _init_agent(config, env, seed) if start is None else start
+    streams = {name: seeding.restore_state(agent.rng_states[name]) for name in _OFFLINE_STREAMS}
+    rows = _run_phase(
+        config, agent, env, seed, run_id, "offline", range(agent.step, config.offline_steps),
+        iter(lambda: dataset.sample_batch(config.offline_batch, streams["batch"]), None),
+        lambda batch: _offline_update(config, env, agent, batch, streams, score_model),
+    )
+    agent.step = max(agent.step, config.offline_steps)
     agent.rng_states = {name: seeding.capture_state(rng) for name, rng in streams.items()}
     return agent, rows
-
-
-def _eval_seed(seed: int, phase: str, step: int) -> int:
-    return int(seeding.stream(seed, f"eval-{phase}-{step}").integers(0, 2**31 - 1))
 
 
 # ----------------------------------------------------------------------
@@ -740,24 +762,23 @@ def _eval_seed(seed: int, phase: str, step: int) -> int:
 def warm_start(
     agent: AgentCheckpoint, env: EnvSpec, count: int, seed: int, capacity=None
 ) -> ReplayBuffer:
-    """Fill a fresh replay buffer with `count` on-policy transitions from
-    the frozen pre-trained policy (stochastic samples)."""
+    """Fill a fresh replay buffer with the first `count` transitions of
+    episodes sampled from the frozen pre-trained policy.  The rest of the
+    last episode is drawn from this function's own stream and dropped."""
     if count < 1:
         raise ValueError("count must be positive")
     if capacity is not None and capacity < count:
         raise ValueError(f"replay capacity {capacity} cannot hold {count} warm-start transitions")
     rng = seeding.stream(seed, "warmstart")
+
+    def act(state, rng):
+        return _explore_action(agent.policy, env, state, "sac", rng)
+
+    episodes = iter(lambda: rollout_episode(env, act, rng), None)
+    transitions = chain.from_iterable(zip(ep.s, ep.a, ep.r, ep.s2, ep.done) for ep in episodes)
     buffer = ReplayBuffer(env.state_dim, env.action_dim, capacity)
-    while buffer.size < count:
-        state = env_reset(env, rng)
-        for _ in range(env.horizon):
-            action, _, _ = agent.policy.sample(state[None, :], rng)
-            action = np.clip(action[0], env.action_low, env.action_high)
-            nxt, reward, done = env_step(env, state, action)
-            buffer.push(state, action, reward, nxt, done)
-            state = nxt
-            if buffer.size >= count or done:
-                break
+    for transition in islice(transitions, count):
+        buffer.push(*transition)
     return buffer
 
 
@@ -771,7 +792,27 @@ def _explore_action(policy, env, state, online_alg, rng):
     return np.clip(action[0], env.action_low, env.action_high)
 
 
+def _online_batches(agent, config, dataset, env, buffer, streams):
+    """Endless batches of the online phase.  Before each, the current policy
+    takes one exploring step into the replay ring (a terminal step or the
+    horizon restarts the episode); each is a mixed dataset/replay draw."""
+    state = env_reset(env, streams["env"])
+    t_in_ep = 0
+    while True:
+        action = _explore_action(agent.policy, env, state, config.online_alg, streams["explore"])
+        nxt, reward, done = env_step(env, state, action)
+        buffer.push(state, action, reward, nxt, done)
+        state = nxt
+        t_in_ep += 1
+        if done or t_in_ep >= env.horizon:
+            state = env_reset(env, streams["env"])
+            t_in_ep = 0
+        yield mixed_batch(dataset, buffer, config.online_batch, config.mix, streams["batch"])
+
+
 def _online_update(config, env, agent, batch, streams):
+    """One gradient step of the configured online algorithm; returns a
+    metrics dict.  The critic targets are left to the phase runner."""
     loss_cfg = config.loss
     alg = config.online_alg
     coef = float(np.exp(agent.log_entropy_coef))
@@ -786,7 +827,7 @@ def _online_update(config, env, agent, batch, streams):
     elif alg == "td3":
         out = td3_losses(agent.critics, agent.policy, batch, loss_cfg.discount, streams["smooth"])
         _step_critics(agent, out.member_grads)
-        _step_policy(agent, out.policy_grad)
+        agent.policy = _step_net(agent, "policy", agent.policy, out.policy_grad)
         metrics.update(critic_loss=out.critic_loss, policy_loss=out.policy_loss)
     elif alg == "td3bc":
         metrics.update(_td3bc_update(config, agent, batch, streams))
@@ -800,11 +841,10 @@ def _online_update(config, env, agent, batch, streams):
         ploss, pgrad = awr_policy_loss(
             agent.critics, agent.policy, batch, loss_cfg.awr_temperature, streams["awr"]
         )
-        _step_policy(agent, pgrad)
+        agent.policy = _step_net(agent, "policy", agent.policy, pgrad)
         metrics.update(critic_loss=closs, policy_loss=ploss)
     else:  # pragma: no cover
         raise ConfigError(f"unknown online algorithm {alg!r}")
-    _polyak_all(agent, config.optim.target_update_rate)
     return metrics
 
 
@@ -819,9 +859,9 @@ def online_finetune(
 ):
     """Fine-tune a pre-trained agent with the configured online algorithm.
 
-    Loop: act in the environment with the current policy, push the
-    transition, draw a mixed dataset/replay batch, take one gradient
-    step, and evaluate every `eval_every` steps.  Also reports the
+    Each step acts in the environment with the current policy, pushes the
+    transition, draws a mixed dataset/replay batch and takes one gradient
+    step; evaluation runs every `eval_every` steps.  Also reports the
     stable-transfer statistic: the first online evaluation minus the
     pre-fine-tuning evaluation.
     """
@@ -830,49 +870,19 @@ def online_finetune(
         buffer = warm_start(agent, env, config.warm_start_count, seed, config.replay_capacity)
     # The online algorithm is a different optimization problem, so it
     # starts from fresh optimizer moments under the configured rule.
-    agent.opt_states = {
-        "policy": init_opt_state(config.optimizer, agent.policy.params.values.size, config.optim.policy_lr),
-        CRITIC_OPT: init_opt_state(
-            config.optimizer, agent.critics.member_stack.values.shape, config.optim.critic_lr
-        ),
-    }
+    agent.opt_states = _init_opt_states(
+        config, {"policy": agent.policy.params, CRITIC_OPT: agent.critics.member_stack}
+    )
     streams = {
         name: seeding.stream(seed, f"online-{name}")
         for name in ("env", "explore", "batch", "policy", "smooth", "awr")
     }
-    rows = []
-    evals = []
-
-    def evaluate(step):
-        mean, err = evaluate_policy(
-            agent.policy, env, config.eval_episodes, _eval_seed(seed, "online", step)
-        )
-        evals.append((step, mean))
-        rows.append((run_id, "online", step, "eval_return", mean))
-        rows.append((run_id, "online", step, "eval_stderr", err))
-
-    evaluate(0)
-    state = env_reset(env, streams["env"])
-    t_in_ep = 0
-    log_every = min(config.eval_every, max(config.online_steps, 1))
-    for step in range(config.online_steps):
-        action = _explore_action(agent.policy, env, state, config.online_alg, streams["explore"])
-        nxt, reward, done = env_step(env, state, action)
-        buffer.push(state, action, reward, nxt, done)
-        state = nxt
-        t_in_ep += 1
-        if done or t_in_ep >= env.horizon:
-            state = env_reset(env, streams["env"])
-            t_in_ep = 0
-        batch = mixed_batch(dataset, buffer, config.online_batch, config.mix, streams["batch"])
-        try:
-            metrics = _online_update(config, env, agent, batch, streams)
-        except NumericError as exc:
-            raise NumericError(f"online step {step}: {exc}") from None
-        if (step + 1) % log_every == 0 or step + 1 == config.online_steps:
-            for name, value in metrics.items():
-                rows.append((run_id, "online", step + 1, name, float(value)))
-            evaluate(step + 1)
+    rows = _run_phase(
+        config, agent, env, seed, run_id, "online", range(config.online_steps),
+        _online_batches(agent, config, dataset, env, buffer, streams),
+        lambda batch: _online_update(config, env, agent, batch, streams),
+    )
+    evals = [(step, value) for _, _, step, metric, value in rows if metric == "eval_return"]
     if len(evals) > 1:
         rows.append((run_id, "online", evals[-1][0], "stable_transfer_gap", evals[1][1] - evals[0][1]))
     return agent, rows

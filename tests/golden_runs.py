@@ -29,7 +29,10 @@ Regenerate the fixture only for an intended change to the numbers:
     PYTHONPATH=src python tests/golden_runs.py
 
 With `--diff` the script instead prints each run's max relative deviation
-from the fixture and leaves the fixture as it is.
+from the fixture, leaves the fixture as it is, and exits 1 when any run
+deviates by more than RTOL (0 otherwise):
+
+    PYTHONPATH=src python tests/golden_runs.py --diff
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
+import sys
 import tempfile
 from pathlib import Path
 
@@ -63,6 +67,8 @@ from o2olab.pipeline import (
 from o2olab.seeding import stream
 
 FIXTURE = Path(__file__).parent / "data" / "golden_trajectories.npz"
+# Largest max |new - old| / max |old| a run may show against the fixture.
+RTOL = 1e-10
 ENVS = ("reach2d", "gate1d")
 OPTIMIZERS = ("adam", "muon")
 EVAL_EPISODES = (1, 7, 20)
@@ -227,7 +233,7 @@ def run_deviations(current: dict, recorded: dict) -> dict:
     return worst
 
 
-def main(argv=None):
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Write or compare the golden fixture.")
     parser.add_argument(
         "--diff",
@@ -241,12 +247,17 @@ def main(argv=None):
         for run, rel in worst.items():
             print(f"{rel:.3e}  {run}")
         print(f"{max(worst.values()):.3e}  max over {len(worst)} runs")
-        return
+        over = [run for run, rel in worst.items() if not rel <= RTOL]
+        if over:
+            print(f"{len(over)} run(s) exceed RTOL {RTOL:.0e}: {', '.join(over)}")
+            return 1
+        return 0
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     with open(FIXTURE, "wb") as fh:
         np.savez_compressed(fh, **flat)
     print(f"wrote {len(flat)} arrays to {FIXTURE}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

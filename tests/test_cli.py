@@ -254,6 +254,15 @@ class TestErrorPaths:
             "optim.critic_lr=0",
             "networks.n_critics=1",
             "replay_capacity=5",
+            "diffusion.lr=0",
+            "diffusion.steps=-1",
+            "diffusion.batch=0",
+            "data.n_trajectories=0",
+            "networks.critic_hidden=[0]",
+            'networks.critic_hidden=["a"]',
+            'networks.critic_activation="gelu"',
+            "networks.policy_hidden=[2.5]",
+            "seeds=[1.5]",
         ],
     )
     def test_bad_value_exits_2_without_leftover(self, workdir, override):
@@ -326,6 +335,53 @@ class TestErrorPaths:
         code = run(finetune + ["--checkpoint", workdir / "pre", "--out", out])
         assert code == 2
         assert repr(array) in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    # Each case drops or changes one header key (a dotted path) of a file
+    # the command reads first: (file, key, new value or None to drop it,
+    # name in the error).  A missing key or array used to escape as a
+    # KeyError.
+    @pytest.mark.parametrize(
+        "target, key, value, named",
+        [
+            ("checkpoint", "n_critics", None, "n_critics"),
+            ("checkpoint", "n_critics", 3, "critic2"),
+            ("checkpoint", "opt_states.critic1", None, "critic1"),
+            ("score_model", "k_embed_dim", None, "k_embed_dim"),
+        ],
+    )
+    def test_incomplete_blob_header_exits_2_without_leftover(
+        self, workdir, capsys, target, key, value, named
+    ):
+        run(["gen-data", "--config", "cfg.json"])
+        data = workdir / "runs/gen-data/dataset-s0.jsonl"
+        assert run(["train-diffusion", "--config", "cfg.json", "--data", data]) == 0
+        model = workdir / "runs/train-diffusion/seed-0/score_model.bin"
+        pre = ["--override", "offline_alg=sac", "--override", "offline_steps=2"]
+        assert run(["pretrain", "--config", "cfg.json", *pre, "--data", data, "--out", "pre"]) == 0
+        ckpt = workdir / "pre/seed-0/checkpoint.bin"
+        path = ckpt if target == "checkpoint" else model
+        raw = path.read_bytes()
+        (head_len,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + head_len])
+        *parents, last = key.split(".")
+        node = header
+        for part in parents:
+            node = node[part]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+        head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + head_len :])
+        out = workdir / "fresh" / "out"
+        capsys.readouterr()
+        if target == "checkpoint":
+            argv = ["finetune", "--config", "cfg.json", "--data", data, "--checkpoint", ckpt]
+        else:
+            argv = ["pretrain", "--config", "cfg.json", "--data", data, "--diffusion", model]
+        assert run(argv + ["--out", out]) == 2
+        assert repr(named) in capsys.readouterr().err
         assert not out.parent.exists()
 
     # Each case: (config override, env of checkpoints a, b[, c]).  The

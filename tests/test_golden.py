@@ -10,9 +10,7 @@ exactly.
 import numpy as np
 import pytest
 
-from golden_runs import flatten, golden_runs, load_fixture, relative_deviation
-
-RTOL = 1e-10
+from golden_runs import RTOL, flatten, golden_runs, load_fixture, main, relative_deviation
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +55,12 @@ def test_values_match_within_tolerance(current, recorded):
         assert rel <= RTOL, f"{key}: relative deviation {rel:.3e}"
         worst = max(worst, rel)
     print(f"max relative deviation {worst:.3e}")
+
+
+def test_diff_exit_code(monkeypatch, recorded, capsys):
+    assert main(["--diff"]) == 0
+    key = next(key for key in sorted(recorded) if key.endswith("/policy"))
+    bumped = {**recorded, key: recorded[key] * (1.0 + 10.0 * RTOL)}
+    monkeypatch.setattr("golden_runs.load_fixture", lambda: bumped)
+    assert main(["--diff"]) == 1
+    assert key.rsplit("/", 1)[0] in capsys.readouterr().out.splitlines()[-1]

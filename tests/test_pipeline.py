@@ -347,6 +347,12 @@ class TestWarmStartAndOnline:
         assert len(evals) == 1 and evals[0][2] == 0
         assert all(r[3] in ("eval_return", "eval_stderr") for r in rows)
 
+    def test_numeric_abort_names_online_step(self):
+        cfg, ds, agent = self._pretrained()
+        cfg_on = small_config(online_steps=200, optim={"critic_lr": 1e12, "policy_lr": 1e12})
+        with pytest.raises(NumericError, match=r"^online step \d+: "):
+            online_finetune(agent, cfg_on, ds, ds.env, seed=8)
+
     @pytest.mark.parametrize("alg", ["sac", "td3", "td3bc", "awr"])
     def test_every_online_algorithm_runs(self, alg):
         cfg, ds, agent = self._pretrained()
