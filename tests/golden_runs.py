@@ -13,7 +13,12 @@
 - `evaluate_policy` of a fixed (8, 8) policy at 1, 7 and 20 episodes.
   On gate1d the policy's mean action is a constant 0.22, so episodes end
   at different steps, one on the last step, and those that start below
-  about -0.52 run the full horizon.
+  about -0.52 run the full horizon;
+- `plane_grid_eval` and `interpolate_eval` through three fixed (8, 8)
+  policies at 1 and 7 episodes.  On gate1d each policy pushes towards
+  the gate at its own speed (0.18, 0.26 or 0.34 plus a small
+  state-dependent term), so within a cell episodes end at different
+  steps, and the slowest cells run some episodes to the horizon.
 
 Each training run yields its final parameter vectors (policy, every
 critic member and target, and the scale or value net when the agent has
@@ -46,6 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
+from o2olab.analysis import interpolate_eval, plane_basis, plane_grid_eval
 from o2olab.diffusion import cosine_schedule, init_score_model, train_score_model
 from o2olab.envs import (
     ScriptedPolicy,
@@ -72,6 +78,10 @@ RTOL = 1e-10
 ENVS = ("reach2d", "gate1d")
 OPTIMIZERS = ("adam", "muon")
 EVAL_EPISODES = (1, 7, 20)
+LANDSCAPE_EPISODES = (1, 7)
+# Each gate1d landscape policy's push towards the gate, before its
+# state-dependent term.
+GATE_PUSHES = (0.18, 0.26, 0.34)
 
 
 def _config(env: str, **over):
@@ -147,6 +157,42 @@ def _evaluate_arrays(env) -> dict:
     }
 
 
+def _landscape_policies(env):
+    policies = []
+    for i in range(3):
+        policy = make_policy(
+            env.state_dim, env.action_low, env.action_high, (8, 8), stream(9 + i, "golden-landscape")
+        )
+        if env.name == "gate1d":
+            weight, bias = unflatten(policy.params)[-1]
+            weight *= 0.1
+            bias[0] = np.arctanh(GATE_PUSHES[i])
+        policies.append(policy)
+    return policies
+
+
+def _plane_arrays(env) -> dict:
+    a, b, c = _landscape_policies(env)
+    basis = plane_basis(a.params, b.params, c.params)
+    arrays = {}
+    for n in LANDSCAPE_EPISODES:
+        returns, coords, _ = plane_grid_eval(a, basis, env, n, seed=10, resolution=4)
+        arrays[f"returns_e{n}"] = returns
+    arrays["coords"] = coords
+    return arrays
+
+
+def _line_arrays(env) -> dict:
+    _, b, c = _landscape_policies(env)
+    ts = np.linspace(-0.25, 1.25, 7)
+    arrays = {"ts": ts}
+    for n in LANDSCAPE_EPISODES:
+        curve = interpolate_eval(b, b.params, c.params, ts, env, n, seed=11)
+        arrays[f"mean_e{n}"] = np.array([mean for _, mean, _ in curve])
+        arrays[f"stderr_e{n}"] = np.array([err for _, _, err in curve])
+    return arrays
+
+
 def golden_runs() -> dict:
     """{run name: {array name: array}} for every golden run."""
     runs = {}
@@ -197,6 +243,8 @@ def golden_runs() -> dict:
         )
         runs[f"{env_name}/online-ring/sac/adam"] = {**_agent_arrays(agent), **_metric_arrays(rows)}
         runs[f"{env_name}/evaluate"] = _evaluate_arrays(env)
+        runs[f"{env_name}/plane"] = _plane_arrays(env)
+        runs[f"{env_name}/line"] = _line_arrays(env)
     return runs
 
 

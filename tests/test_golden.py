@@ -25,7 +25,7 @@ def recorded():
 
 def test_same_runs_and_arrays(current, recorded):
     assert sorted(current) == sorted(recorded)
-    assert len({key.rsplit("/", 1)[0] for key in recorded}) == 48
+    assert len({key.rsplit("/", 1)[0] for key in recorded}) == 52
 
 
 def test_metric_names_match(current, recorded):
