@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .networks import GaussianPolicy
-from .numkit import ParamVector
-from .pipeline import evaluate_policy
+from .numkit import ParamStack, ParamVector
+from .pipeline import greedy_returns, mean_stderr
 
 COLLINEAR_TOL = 1e-8
 
@@ -42,23 +42,23 @@ def interpolate_eval(
 
     theta(t) = (1 - t) * offline + t * online; the endpoints reuse the
     original parameter arrays so t in {0, 1} reproduces the endpoint
-    evaluations exactly.  Every point is evaluated with the same seed.
+    evaluations exactly.  Every point is evaluated with the same seed, all
+    of them in one stacked rollout.  Returns [(t, mean, stderr)].
     """
     if theta_offline.values.size != theta_online.values.size:
         raise ShapeError("endpoint parameter vectors differ in length")
-    results = []
+    ts = [float(t) for t in ts]
+    rows = []
     for t in ts:
-        t = float(t)
         if t == 0.0:
-            values = theta_offline.values
+            rows.append(theta_offline.values)
         elif t == 1.0:
-            values = theta_online.values
+            rows.append(theta_online.values)
         else:
-            values = (1.0 - t) * theta_offline.values + t * theta_online.values
-        policy = policy_template.with_params(ParamVector(theta_offline.spec, values))
-        mean, err = evaluate_policy(policy, env, episodes, seed)
-        results.append((t, mean, err))
-    return results
+            rows.append((1.0 - t) * theta_offline.values + t * theta_online.values)
+    stack = ParamStack(theta_offline.spec, np.stack(rows))
+    returns = greedy_returns(policy_template.with_params(stack), env, episodes, seed)
+    return [(t, *mean_stderr(r)) for t, r in zip(ts, returns)]
 
 
 @dataclass(frozen=True)
@@ -116,18 +116,18 @@ def plane_grid_eval(
     """Mean return at theta(l, t) = origin + l*u + t*v over a square grid.
 
     Returns (matrix indexed [t_index, l_index], l coordinates,
-    t coordinates).  Cells are independent evaluations sharing a seed.
+    t coordinates).  Cells are independent evaluations sharing a seed,
+    all of them in one stacked rollout.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
     coords = np.linspace(grid_lo, grid_hi, resolution)
-    returns = np.empty((resolution, resolution))
-    base = basis.origin.values
-    for ti, t in enumerate(coords):
-        for li, l in enumerate(coords):
-            values = base + l * basis.u + t * basis.v
-            policy = policy_template.with_params(ParamVector(basis.origin.spec, values))
-            returns[ti, li], _ = evaluate_policy(policy, env, episodes, seed)
+    # Cell (ti, li) is row ti * resolution + li.
+    ls, ts = coords[None, :, None], coords[:, None, None]
+    values = basis.origin.values + ls * basis.u + ts * basis.v
+    stack = ParamStack(basis.origin.spec, values.reshape(resolution * resolution, -1))
+    returns = greedy_returns(policy_template.with_params(stack), env, episodes, seed)
+    returns = returns.mean(axis=1).reshape(resolution, resolution)
     return returns, coords.copy(), coords.copy()
 
 

@@ -107,6 +107,8 @@ def _load_config(args) -> pipeline.ExperimentConfig:
 
 def _seeds(args, config) -> list[int]:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative int, got {args.seed}")
         return [args.seed]
     return list(config.seeds)
 
@@ -271,14 +273,16 @@ def _cmd_landscape_line(args) -> int:
     a, b = _load_config_env_checkpoints(config, args.checkpoint_a, args.checkpoint_b)
     env = make_env_spec(config.env)
     seeds = _seeds(args, config)
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     ts = np.linspace(args.t_lo, args.t_hi, args.points)
+    results = analysis.interpolate_eval(
+        a.policy, a.policy.params, b.policy.params, ts, env, config.eval_episodes, seeds[0]
+    )
+    lines = ["t,mean_return,stderr"]
+    for t, mean, err in results:
+        lines.append(f"{format(t, '.17g')},{format(mean, '.17g')},{format(err, '.17g')}")
     with _OutputDir(args) as outdir:
-        results = analysis.interpolate_eval(
-            a.policy, a.policy.params, b.policy.params, ts, env, config.eval_episodes, seeds[0]
-        )
-        lines = ["t,mean_return,stderr"]
-        for t, mean, err in results:
-            lines.append(f"{format(t, '.17g')},{format(mean, '.17g')},{format(err, '.17g')}")
         (outdir.tmp / "line.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         outdir.finalize(pipeline.config_to_dict(config), seeds)
     print(f"wrote interpolation curve to {outdir.out}")

@@ -43,9 +43,14 @@ def _log1m_tanh2(u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GaussianPolicy:
-    """Tanh-squashed (optionally) diagonal Gaussian policy."""
+    """Tanh-squashed (optionally) diagonal Gaussian policy.
 
-    params: ParamVector
+    `params` may also be a `ParamStack` of m policies of one spec; then
+    `heads` and `mean_action` evaluate all of them in one pass, on shared
+    `(batch, d)` or per-policy `(m, batch, d)` states.
+    """
+
+    params: ParamVector | ParamStack
     action_low: np.ndarray
     action_high: np.ndarray
     squash: bool = True
@@ -71,14 +76,15 @@ class GaussianPolicy:
     def half(self) -> np.ndarray:
         return 0.5 * (self.action_high - self.action_low)
 
-    def with_params(self, params: ParamVector) -> "GaussianPolicy":
+    def with_params(self, params: ParamVector | ParamStack) -> "GaussianPolicy":
         return replace(self, params=params)
 
     def heads(self, s: np.ndarray, cache: ForwardCache | None = None):
-        """(mean, pre_std, std, clamp mask) for a batch of states."""
+        """(mean, pre_std, std, clamp mask) for a batch of states; with a
+        `ParamStack` of n policies each carries a leading member axis."""
         out = mlp_forward_batch(self.params, s, cache)
         d = self.action_dim
-        mu, rho = out[:, :d], out[:, d:]
+        mu, rho = out[..., :d], out[..., d:]
         mask = ((rho > EXP_CLAMP_LO) & (rho < EXP_CLAMP_HI)).astype(np.float64)
         std = np.exp(np.clip(rho, EXP_CLAMP_LO, EXP_CLAMP_HI))
         return mu, rho, std, mask
@@ -149,7 +155,7 @@ class GaussianPolicy:
 
     def mean_action(self, s: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
         s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        mu, _, _, _ = self.heads(s, cache)
+        mu = mlp_forward_batch(self.params, s, cache)[..., : self.action_dim]
         if self.squash:
             return self.center + self.half * np.tanh(mu)
         return mu

@@ -213,11 +213,14 @@ _NESTED = {
 
 
 def _type_matches(default, val) -> bool:
-    """Whether a JSON value fits a field with this bool, int, float, str
-    or tuple default (other defaults are not checked here).  bool is an
-    int subclass in Python, so it is tested first and refused elsewhere;
-    float fields take ints; a tuple field takes a list of values of its
-    default's first entry's type."""
+    """Whether a JSON value fits a field with this bool, int, float, str,
+    tuple or None default.  bool is an int subclass in Python, so it is
+    tested first and refused elsewhere; float fields take ints; a tuple
+    field takes a list of values of its default's first entry's type; a
+    field whose default is None (an optional number) takes null or a
+    number."""
+    if default is None:
+        return val is None or _type_matches(0.0, val)
     if isinstance(default, bool):
         return isinstance(val, bool)
     if isinstance(default, int):
@@ -250,7 +253,9 @@ def _build_section(cls, data: dict, path: str):
     for key, val in data.items():
         if not _type_matches(fields[key].default, val):
             kind = type(fields[key].default).__name__
-            if kind == "tuple":
+            if kind == "NoneType":
+                kind = "number or null"
+            elif kind == "tuple":
                 kind = f"list of {type(fields[key].default[0]).__name__}"
             raise ConfigError(f"{path}.{key} must be of type {kind}, got {val!r}")
         if isinstance(val, list):
@@ -481,32 +486,58 @@ def load_checkpoint(path) -> AgentCheckpoint:
 # ----------------------------------------------------------------------
 
 
-def evaluate_policy(policy: GaussianPolicy, env: EnvSpec, episodes: int, seed: int):
-    """Greedy (mean-action) rollouts; returns (mean return, standard error).
+def greedy_returns(policy: GaussianPolicy, env: EnvSpec, episodes: int, seed: int) -> np.ndarray:
+    """Returns of greedy (mean-action) rollouts of a stack of m policies.
 
+    `policy.params` is a `ParamStack`; the result is `(m, episodes)`.
     Returns are undiscounted episodic sums, the usual benchmark
-    convention.  Deterministic per seed.  The episodes run in lock step:
-    each time step makes one `mean_action` call and one `env_step` call on
-    the rows of the episodes still running.
+    convention.  Every policy starts from the same `episodes` initial
+    states, drawn from `seed`.  All m * episodes rollouts run in lock
+    step: each time step makes one stacked `mean_action` forward over
+    `(m, episodes, d)` rows and one `env_step` on the rows still running.
+    A finished row keeps the state it took its last step from, and its
+    action is computed but ignored: it is neither stepped nor credited
+    again.  Until a row finishes, no row is masked.  Each policy's rows
+    stay in their own matmul slice, so its returns do not depend on the
+    rest of the stack.
     """
     if episodes < 1:
         raise ValueError("episodes must be positive")
     rng = np.random.default_rng(seed)
-    states = np.array([env_reset(env, rng) for _ in range(episodes)])
-    returns = np.zeros(episodes)
-    running = np.arange(episodes)
+    starts = np.array([env_reset(env, rng) for _ in range(episodes)])
+    m = len(policy.params)
+    # Row i * episodes + j is policy i's episode j.
+    states = np.tile(starts, (m, 1))
+    returns = np.zeros(m * episodes)
+    running = slice(None)  # every row, until one finishes; then their indices
     for _ in range(env.horizon):
-        actions = np.clip(policy.mean_action(states), env.action_low, env.action_high)
-        states, rewards, done = env_step(env, states, actions)
+        actions = policy.mean_action(states.reshape(m, episodes, -1)).reshape(m * episodes, -1)
+        actions = np.clip(actions, env.action_low, env.action_high)
+        nxt, rewards, done = env_step(env, states[running], actions[running])
         returns[running] += rewards
-        if done.any():
-            keep = ~done
-            running, states = running[keep], states[keep]
-            if running.size == 0:
-                break
+        if not done.any():
+            states[running] = nxt
+            continue
+        keep = ~done
+        running = np.arange(m * episodes)[running][keep]
+        states[running] = nxt[keep]
+        if running.size == 0:
+            break
+    return returns.reshape(m, episodes)
+
+
+def mean_stderr(returns: np.ndarray) -> tuple[float, float]:
+    """(mean, standard error) of one policy's episode returns."""
     mean = float(returns.mean())
-    stderr = 0.0 if episodes == 1 else float(returns.std(ddof=1) / np.sqrt(episodes))
+    stderr = 0.0 if returns.size == 1 else float(returns.std(ddof=1) / np.sqrt(returns.size))
     return mean, stderr
+
+
+def evaluate_policy(policy: GaussianPolicy, env: EnvSpec, episodes: int, seed: int):
+    """Greedy rollouts of one policy; returns (mean return, standard
+    error).  Deterministic per seed: `greedy_returns` with a stack of one."""
+    one = policy.with_params(ParamStack(policy.params.spec, policy.params.values[None]))
+    return mean_stderr(greedy_returns(one, env, episodes, seed)[0])
 
 
 # ----------------------------------------------------------------------

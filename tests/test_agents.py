@@ -14,7 +14,14 @@ from o2olab.networks import (
     make_policy,
     make_scale_net,
 )
-from o2olab.numkit import MlpSpec, ParamVector, init_params, mlp_forward_batch, mlp_grad_batch
+from o2olab.numkit import (
+    MlpSpec,
+    ParamStack,
+    ParamVector,
+    init_params,
+    mlp_forward_batch,
+    mlp_grad_batch,
+)
 from o2olab.optim import adam_step, init_opt_state
 from o2olab.seeding import stream
 
@@ -93,6 +100,23 @@ class TestPolicy:
         policy = make_policy(1, [-0.5], [2.0], (8,), rng)
         a, _, _ = policy.sample(np.zeros((500, 1)), rng)
         assert np.all(a >= -0.5) and np.all(a <= 2.0)
+
+    @pytest.mark.parametrize("squash", [True, False])
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_stacked_mean_action_matches_each_member(self, squash, batch):
+        rng = stream(4, "policy")
+        members = [
+            make_policy(2, [-1.0, -0.5], [1.0, 2.0], (64, 64), rng, squash=squash) for _ in range(3)
+        ]
+        stack = members[0].with_params(ParamStack.of(m.params for m in members))
+        shared = rng.standard_normal((batch, 2))
+        per_member = rng.standard_normal((3, batch, 2))
+        stacked_shared = stack.mean_action(shared)
+        stacked_own = stack.mean_action(per_member)
+        assert stacked_shared.shape == stacked_own.shape == (3, batch, 2)
+        for i, member in enumerate(members):
+            assert np.array_equal(stacked_shared[i], member.mean_action(shared))
+            assert np.array_equal(stacked_own[i], member.mean_action(per_member[i]))
 
 
 class TestSacCritic:

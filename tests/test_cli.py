@@ -244,8 +244,8 @@ class TestErrorPaths:
     def test_invalid_config_value(self, workdir):
         assert run(["gen-data", "--config", "cfg.json", "--override", "mix=2.0"]) == 2
 
-    # A bad value is refused while the config loads, before the output
-    # directory or its parent is made.
+    # A bad config value or flag is refused before the output directory or
+    # its parent is made.
     @pytest.mark.parametrize(
         "override",
         [
@@ -263,12 +263,15 @@ class TestErrorPaths:
             'networks.critic_activation="gelu"',
             "networks.policy_hidden=[2.5]",
             "seeds=[1.5]",
+            'loss.target_entropy="abc"',
+            "--seed=-1",
         ],
     )
     def test_bad_value_exits_2_without_leftover(self, workdir, override):
         run(["gen-data", "--config", "cfg.json"])
         data = workdir / "runs/gen-data/dataset-s0.jsonl"
         out = workdir / "fresh" / "pre"
+        bad = [override] if override.startswith("--") else ["--override", override]
         code = run(
             [
                 "pretrain",
@@ -276,8 +279,7 @@ class TestErrorPaths:
                 "cfg.json",
                 "--override",
                 "offline_alg=sac",
-                "--override",
-                override,
+                *bad,
                 "--data",
                 data,
                 "--out",
@@ -418,6 +420,25 @@ class TestErrorPaths:
         assert not out.parent.exists()
         bad = "reach2d" if env_override else "gate1d"
         assert f"{bad}/seed-0/checkpoint.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_landscape_line_without_points_exits_2_without_leftover(self, workdir, capsys, points):
+        run(["gen-data", "--config", "cfg.json", "--override", "offline_alg=sac"])
+        pre = ["--override", "offline_alg=sac", "--override", "offline_steps=2", "--out", "pre"]
+        data = workdir / "runs/gen-data/dataset-s0.jsonl"
+        assert run(["pretrain", "--config", "cfg.json", *pre, "--data", data]) == 0
+        ckpt = workdir / "pre" / "seed-0" / "checkpoint.bin"
+        out = workdir / "fresh" / "line"
+        capsys.readouterr()
+        code = run(
+            [
+                "landscape-line", "--config", "cfg.json", "--checkpoint-a", ckpt,
+                "--checkpoint-b", ckpt, "--points", points, "--out", out,
+            ]
+        )
+        assert code == 2
+        assert "--points" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_unknown_config_key(self, workdir):
         assert run(["gen-data", "--config", "cfg.json", "--override", "bogus=1"]) == 2

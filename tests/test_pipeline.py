@@ -17,7 +17,9 @@ from o2olab.pipeline import (
     config_from_dict,
     config_to_dict,
     evaluate_policy,
+    greedy_returns,
     load_checkpoint,
+    mean_stderr,
     offline_pretrain,
     online_finetune,
     read_metrics_csv,
@@ -436,6 +438,46 @@ class TestEvaluate:
         mean, err = evaluate_policy(policy, env, 20, seed=28)
         assert mean == pytest.approx(returns.mean(), rel=rtol, abs=0.0)
         assert err == pytest.approx(returns.std(ddof=1) / np.sqrt(20), rel=rtol, abs=0.0)
+
+    def test_returns_python_floats(self):
+        env = make_env_spec("reach2d")
+        from o2olab.networks import make_policy
+
+        policy = make_policy(2, env.action_low, env.action_high, (8,), stream(29, "x"))
+        for episodes in (1, 3):
+            result = evaluate_policy(policy, env, episodes, seed=30)
+            assert type(result) is tuple and len(result) == 2
+            assert all(type(x) is float for x in result)
+
+    @pytest.mark.parametrize("name", ["gate1d", "reach2d"])
+    def test_stacked_rollout_matches_one_policy_at_a_time(self, name):
+        from o2olab.networks import make_policy
+        from o2olab.numkit import ParamStack, unflatten
+
+        env = make_env_spec(name)
+        policies = []
+        for i, push in enumerate((0.2, 0.25, 0.3, 0.35)):
+            policy = make_policy(
+                env.state_dim, env.action_low, env.action_high, (64, 64), stream(31 + i, "x")
+            )
+            if name == "gate1d":
+                # State-dependent pushes towards the gate at four speeds.
+                weight, bias = unflatten(policy.params)[-1]
+                weight *= 0.1
+                bias[0] = np.arctanh(push)
+            policies.append(policy)
+        stack = policies[0].with_params(ParamStack.of(p.params for p in policies))
+        returns = greedy_returns(stack, env, 9, seed=32)
+        assert returns.shape == (4, 9)
+        if name == "gate1d":
+            # Episodes end at different steps within a policy and across
+            # policies, and some run to the horizon.
+            assert all(len(set(row)) > 2 for row in returns)
+            assert -float(env.horizon) in returns and len(set(returns.ravel())) > 12
+        for policy, row in zip(policies, returns):
+            assert evaluate_policy(policy, env, 9, seed=32) == mean_stderr(row)
+            one = policy.with_params(ParamStack.of([policy.params]))
+            assert np.array_equal(greedy_returns(one, env, 9, seed=32)[0], row)
 
     def test_repeat_evaluations_identical(self):
         env = make_env_spec("gate1d")
