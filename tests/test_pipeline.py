@@ -474,6 +474,21 @@ class TestEvaluate:
             # policies, and some run to the horizon.
             assert all(len(set(row)) > 2 for row in returns)
             assert -float(env.horizon) in returns and len(set(returns.ravel())) > 12
+            # Integer returns: one episode at a time gives the same numbers.
+            from o2olab.envs import env_reset, env_step
+
+            r = np.random.default_rng(32)
+            starts = [env_reset(env, r) for _ in range(9)]
+            for policy, row in zip(policies, returns):
+                for start, want in zip(starts, row):
+                    state, total = start, 0.0
+                    for _ in range(env.horizon):
+                        action = np.clip(policy.mean_action(state[None, :])[0], -1.0, 1.0)
+                        state, reward, done = env_step(env, state, action)
+                        total += reward
+                        if done:
+                            break
+                    assert total == want
         for policy, row in zip(policies, returns):
             assert evaluate_policy(policy, env, 9, seed=32) == mean_stderr(row)
             one = policy.with_params(ParamStack.of([policy.params]))
