@@ -23,6 +23,16 @@ class Entries(dict):
     def __missing__(self, key):
         raise FormatError(f"blob has no entry {key!r}")
 
+    def typed(self, key, kind: type):
+        """The entry `key`, refusing a value that is not a `kind` with
+        `FormatError`: a float entry takes an int, and a bool is no int."""
+        value = self[key]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind
+        ):
+            raise FormatError(f"blob entry {key!r} is not a {kind.__name__}: {value!r}")
+        return value
+
 
 def write_blob(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray]):
     if len(magic) != 8:

@@ -89,10 +89,11 @@ class _OutputDir:
 
 def _map_seeds(jobs: int, fn, *per_seed):
     """Call fn once per seed, with the i-th item of each `per_seed` list
-    as its arguments; in `jobs` worker processes when jobs > 1 and there
-    is more than one seed, else in order in this process."""
+    as its arguments; in up to `jobs` worker processes, never more than
+    there are seeds, when jobs > 1 and there is more than one seed, else
+    in order in this process."""
     if jobs > 1 and len(per_seed[0]) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(per_seed[0]))) as pool:
             list(pool.map(fn, *per_seed))
     else:
         for args in zip(*per_seed):
@@ -111,6 +112,14 @@ def _seeds(args, config) -> list[int]:
             raise ConfigError(f"--seed must be a non-negative int, got {args.seed}")
         return [args.seed]
     return list(config.seeds)
+
+
+def _check_finite(args, *flags):
+    """Refuse a non-finite value of any of these float flags."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not np.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
 
 
 def _run_id(env: str, offline: str, online: str, seed: int) -> str:
@@ -269,6 +278,7 @@ def _load_config_env_checkpoints(config, *paths):
 
 
 def _cmd_landscape_line(args) -> int:
+    _check_finite(args, "--t-lo", "--t-hi")
     config = _load_config(args)
     a, b = _load_config_env_checkpoints(config, args.checkpoint_a, args.checkpoint_b)
     env = make_env_spec(config.env)
@@ -290,6 +300,7 @@ def _cmd_landscape_line(args) -> int:
 
 
 def _cmd_landscape_plane(args) -> int:
+    _check_finite(args, "--grid-lo", "--grid-hi")
     config = _load_config(args)
     a, b, c = _load_config_env_checkpoints(
         config, args.checkpoint_a, args.checkpoint_b, args.checkpoint_c
@@ -502,6 +513,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)

@@ -31,6 +31,8 @@ from .numkit import (
     init_params,
     mlp_forward_batch,
     mlp_grad_batch,
+    spec_from_header,
+    spec_header,
 )
 from .optim import init_opt_state, optimizer_step
 from .seeding import as_generator, stream
@@ -310,9 +312,7 @@ def save_score_model(model: ScoreModel, path):
         "state_dim": model.state_dim,
         "action_dim": model.action_dim,
         "k_embed_dim": model.k_embed_dim,
-        "layer_widths": list(model.params.spec.layer_widths),
-        "activation": model.params.spec.activation,
-        "output_transform": model.params.spec.output_transform,
+        **spec_header(model.params.spec),
     }
     arrays = {
         "alpha_bar": model.schedule.alpha_bar,
@@ -325,17 +325,12 @@ def save_score_model(model: ScoreModel, path):
 
 def load_score_model(path) -> ScoreModel:
     header, arrays = blobio.read_blob(path, CHECKPOINT_MAGIC)
-    spec = MlpSpec(
-        tuple(header["layer_widths"]),
-        activation=header["activation"],
-        output_transform=header["output_transform"],
-    )
     return ScoreModel(
-        state_dim=header["state_dim"],
-        action_dim=header["action_dim"],
+        state_dim=header.typed("state_dim", int),
+        action_dim=header.typed("action_dim", int),
         schedule=NoiseSchedule(arrays["alpha_bar"]),
-        params=ParamVector(spec, arrays["params"]),
-        k_embed_dim=header["k_embed_dim"],
+        params=ParamVector(spec_from_header(header, "score model header"), arrays["params"]),
+        k_embed_dim=header.typed("k_embed_dim", int),
         action_low=arrays["action_low"],
         action_high=arrays["action_high"],
     )

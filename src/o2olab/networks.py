@@ -20,8 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numkit import (
-    EXP_CLAMP_HI,
-    EXP_CLAMP_LO,
     ForwardCache,
     MlpSpec,
     ParamStack,
@@ -33,6 +31,10 @@ from .numkit import (
 from .errors import ShapeError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# Clamp of the policy's pre-std head; keeps standard deviations inside a
+# sane dynamic range.
+EXP_CLAMP_LO = -10.0
+EXP_CLAMP_HI = 5.0
 ATANH_CLIP = 1.0 - 1e-10
 
 

@@ -1,9 +1,11 @@
 """Dense numeric core: MLPs with exact reverse-mode gradients.
 
-Everything is float64 numpy.  Networks are described by an `MlpSpec` and
-their parameters live in a single flat vector (`ParamVector`), which is
-what makes parameter-space arithmetic (interpolation, plane grids,
-Polyak averaging) trivial elsewhere in the package.
+Everything is float64 numpy.  Networks are described by an `MlpSpec`:
+affine layers with one hidden activation (relu or tanh) between them and
+an affine output.  Their parameters live in a single flat vector
+(`ParamVector`), which is what makes parameter-space arithmetic
+(interpolation, plane grids, Polyak averaging) trivial elsewhere in the
+package.
 
 Three levels of differentiation are provided:
 
@@ -17,7 +19,13 @@ Every pass also takes a `ParamStack`, the parameters of several networks
 of one spec, and then evaluates all of them with one `np.matmul` per
 layer; inputs are shared `(batch, in)` rows or per-network
 `(n, batch, in)` rows.  A `ForwardCache` handed to successive passes
-over the same parameters and rows lets them share one forward.
+over the same parameters and rows lets them share one forward.  A
+forward keeps only each layer's output: the gradient passes take the
+activation's derivatives from those outputs (relu `h > 0`, tanh
+`1 - h*h`), so a plain evaluation computes none.
+
+`spec_header` and `spec_from_header` are the one codec of a spec in the
+JSON header of a checkpoint or score-model file.
 
 `finite_diff_check` is the house oracle used throughout the test suite.
 """
@@ -28,15 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
-
-# Pre-activation clamp for the exp output transform; keeps downstream
-# standard deviations inside a sane dynamic range.
-EXP_CLAMP_LO = -10.0
-EXP_CLAMP_HI = 5.0
+from .errors import FormatError, NumericError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh")
-_OUTPUT_TRANSFORMS = ("identity", "tanh_squash", "exp")
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,12 @@ class MlpSpec:
     """Architecture of a fully connected network.
 
     `layer_widths` includes the input and output widths, so a spec always
-    has at least two entries.  The hidden activation applies to every
-    layer except the last, which uses `output_transform`.
+    has at least two entries.  The hidden `activation` follows every
+    layer except the last, whose output is affine.
     """
 
     layer_widths: tuple[int, ...]
     activation: str = "tanh"
-    output_transform: str = "identity"
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.layer_widths)
@@ -61,8 +62,6 @@ class MlpSpec:
             raise ShapeError(f"layer widths must be positive, got {widths}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.output_transform not in _OUTPUT_TRANSFORMS:
-            raise ValueError(f"unknown output transform {self.output_transform!r}")
 
     @property
     def in_dim(self) -> int:
@@ -85,6 +84,34 @@ class MlpSpec:
     def param_count(self) -> int:
         widths = self.layer_widths
         return sum(widths[i + 1] * (widths[i] + 1) for i in range(self.n_layers))
+
+
+def spec_header(spec: MlpSpec) -> dict:
+    """The file-header entries of a spec; `spec_from_header` reads them.
+    Every spec has an affine output, which files record as
+    "output_transform": "identity"."""
+    return {
+        "layer_widths": list(spec.layer_widths),
+        "activation": spec.activation,
+        "output_transform": "identity",
+    }
+
+
+def spec_from_header(entries, name: str) -> MlpSpec:
+    """The spec that `spec_header` entries describe; `name` says where
+    they are in the file.  A non-object, a field of the wrong type or an
+    output transform other than "identity" raises `FormatError`."""
+    if not isinstance(entries, dict):
+        raise FormatError(f"{name} is not a network spec: {entries!r}")
+    widths, activation = entries["layer_widths"], entries["activation"]
+    if not isinstance(widths, list) or any(type(w) is not int for w in widths):
+        raise FormatError(f"{name} has a 'layer_widths' that is not a list of ints: {widths!r}")
+    if activation not in ACTIVATIONS:
+        raise FormatError(f"{name} has an 'activation' outside {ACTIVATIONS}: {activation!r}")
+    transform = entries["output_transform"]
+    if transform != "identity":
+        raise FormatError(f"{name} has an 'output_transform' other than 'identity': {transform!r}")
+    return MlpSpec(tuple(widths), activation)
 
 
 @dataclass
@@ -151,7 +178,6 @@ class ForwardCache:
         self.x = None
         self.layers = None
         self.hs = None
-        self.dfs = None
 
     @property
     def out(self) -> np.ndarray:
@@ -196,35 +222,14 @@ def flatten(spec: MlpSpec, layers) -> ParamVector:
     return ParamVector(spec, np.concatenate(chunks))
 
 
-def _act(kind: str, z: np.ndarray):
-    """Value and first derivative of an elementwise activation."""
-    if kind == "relu":
-        return np.maximum(z, 0.0), (z > 0).astype(np.float64)
-    if kind in ("tanh", "tanh_squash"):
-        t = np.tanh(z)
-        return t, 1.0 - t * t
-    if kind == "identity":
-        return z, np.ones_like(z)
-    if kind == "exp":
-        inside = ((z > EXP_CLAMP_LO) & (z < EXP_CLAMP_HI)).astype(np.float64)
-        e = np.exp(np.clip(z, EXP_CLAMP_LO, EXP_CLAMP_HI))
-        return e, e * inside
-    raise ValueError(f"unknown activation {kind!r}")
+def _act_deriv(kind: str, h: np.ndarray) -> np.ndarray:
+    """First derivative of a hidden activation, from its output h."""
+    return (h > 0).astype(np.float64) if kind == "relu" else 1.0 - h * h
 
 
 def _act_second(kind: str, f: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """Second derivative of an activation from its value and first derivative."""
-    if kind in ("tanh", "tanh_squash"):
-        return -2.0 * f * df
-    if kind == "exp":
-        return df
-    return np.zeros_like(f)
-
-
-def _layer_kinds(spec: MlpSpec) -> list[str]:
-    kinds = [spec.activation] * (spec.n_layers - 1)
-    kinds.append(spec.output_transform)
-    return kinds
+    """Second derivative of a hidden activation from its value and first derivative."""
+    return -2.0 * f * df if kind == "tanh" else np.zeros_like(f)
 
 
 def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
@@ -241,15 +246,15 @@ def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
 def _forward_cached(params, x: np.ndarray, cache: ForwardCache | None):
     """Forward pass keeping per-layer activations for the backward passes.
 
-    Returns (layers, hs, dfs): the (weight, bias) views, the input and
-    every layer's output, and every layer's activation derivative.  A
-    filled `cache` is returned as it is; an empty one is filled.
+    Returns (layers, hs): the (weight, bias) views, and the input and
+    every layer's output.  A filled `cache` is returned as it is; an
+    empty one is filled.
     """
     x = np.asarray(x, dtype=np.float64)
     if cache is not None and cache.hs is not None:
         if cache.params is not params or not _same_memory(cache.x, x):
             raise ValueError("cache holds a forward pass of other parameters or inputs")
-        return cache.layers, cache.hs, cache.dfs
+        return cache.layers, cache.hs
     lead = params.values.shape[:-1]
     if x.ndim < 2 or x.shape[-1] != params.spec.in_dim or x.shape[:-2] not in ((), lead):
         raise ShapeError(
@@ -258,19 +263,18 @@ def _forward_cached(params, x: np.ndarray, cache: ForwardCache | None):
         )
     layers = unflatten(params)
     hs = [x]
-    dfs = []
     h = x
-    for idx, ((w, b), kind) in enumerate(zip(layers, _layer_kinds(params.spec))):
-        z = h @ w.mT + b[..., None, :]
-        if not np.isfinite(z).all():
+    for idx, (w, b) in enumerate(layers):
+        h = h @ w.mT + b[..., None, :]
+        if not np.isfinite(h).all():
             raise NumericError(f"non-finite pre-activation at layer {idx}")
-        h, df = _act(kind, z)
-        dfs.append(df)
+        if idx < len(layers) - 1:
+            h = np.maximum(h, 0.0) if params.spec.activation == "relu" else np.tanh(h)
         hs.append(h)
     if cache is not None:
         cache.params, cache.x = params, x
-        cache.layers, cache.hs, cache.dfs = layers, hs, dfs
-    return layers, hs, dfs
+        cache.layers, cache.hs = layers, hs
+    return layers, hs
 
 
 def _flat_grad(chunks, lead) -> np.ndarray:
@@ -282,7 +286,7 @@ def _flat_grad(chunks, lead) -> np.ndarray:
 def mlp_forward_batch(params, x: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
     """Outputs for a batch of input rows: `(batch, out)`, or `(n, batch,
     out)` for a `ParamStack`."""
-    _, hs, _ = _forward_cached(params, x, cache)
+    _, hs = _forward_cached(params, x, cache)
     return hs[-1]
 
 
@@ -302,11 +306,11 @@ def mlp_grad_batch(params, x: np.ndarray, upstream: np.ndarray, cache: ForwardCa
     axis, and each member's gradient is that of its own output block.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    layers, hs, dfs = _forward_cached(params, x, cache)
+    layers, hs = _forward_cached(params, x, cache)
     if upstream.shape != hs[-1].shape:
         raise ShapeError(f"upstream shape {upstream.shape} != output shape {hs[-1].shape}")
     grad_chunks = [None] * len(layers)
-    delta = upstream * dfs[-1]
+    delta = upstream  # the output layer is affine
     for idx in range(len(layers) - 1, -1, -1):
         w, _ = layers[idx]
         gw = delta.mT @ hs[idx]
@@ -314,7 +318,7 @@ def mlp_grad_batch(params, x: np.ndarray, upstream: np.ndarray, cache: ForwardCa
         grad_chunks[idx] = (gw, gb)
         delta = delta @ w
         if idx > 0:
-            delta = delta * dfs[idx - 1]
+            delta = delta * _act_deriv(params.spec.activation, hs[idx])
     return _flat_grad(grad_chunks, params.values.shape[:-1]), delta
 
 
@@ -350,12 +354,17 @@ def mlp_second_grad(
     """
     u = np.asarray(out_upstream, dtype=np.float64)
     v = np.asarray(in_direction, dtype=np.float64)
-    layers, hs, dfs = _forward_cached(params, x, cache)
+    layers, hs = _forward_cached(params, x, cache)
     if u.shape != hs[-1].shape:
         raise ShapeError(f"out_upstream shape {u.shape} != output shape {hs[-1].shape}")
     if v.shape != hs[-1].shape[:-1] + hs[0].shape[-1:]:
         raise ShapeError(f"in_direction shape {v.shape} != input shape {hs[0].shape}")
-    kinds = _layer_kinds(params.spec)
+    # Activation derivatives of every layer, from the layer outputs; the
+    # affine output layer's are 1 and 0.
+    kind, n = params.spec.activation, len(layers)
+    dfs = [_act_deriv(kind, h) for h in hs[1:n]]
+    ddfs = [_act_second(kind, h, df) for h, df in zip(hs[1:n], dfs)] + [0.0]
+    dfs.append(1.0)
 
     # Forward tangent pass, keeping zdot per layer for the reverse sweep.
     hds = [v]
@@ -368,15 +377,13 @@ def mlp_second_grad(
         hds.append(hd)
 
     # Reverse pass: adjoint of the tangent output w.r.t. every node.
-    n = len(layers)
     grad_chunks = [None] * n
     a = u  # d phi / d hdot_L
     hbar = np.zeros_like(u)  # d phi / d h_L
     for idx in range(n - 1, -1, -1):
         w, _ = layers[idx]
-        ddf = _act_second(kinds[idx], hs[idx + 1], dfs[idx])
         p = a * dfs[idx]
-        qz = a * ddf * zds[idx] + hbar * dfs[idx]
+        qz = a * ddfs[idx] * zds[idx] + hbar * dfs[idx]
         gw = qz.mT @ hs[idx] + p.mT @ hds[idx]
         gb = qz.sum(axis=-2)
         grad_chunks[idx] = (gw, gb)

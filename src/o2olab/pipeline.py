@@ -62,7 +62,7 @@ from .networks import (
     make_policy,
     make_scale_net,
 )
-from .numkit import ACTIVATIONS, MlpSpec, ParamStack, ParamVector
+from .numkit import ACTIVATIONS, ParamStack, ParamVector, spec_from_header, spec_header
 from .optim import OptState, init_opt_state, optimizer_step, polyak_update
 
 AGENT_MAGIC = b"SMACAC01"
@@ -342,22 +342,15 @@ class AgentCheckpoint:
 
 
 # The settings of an optimizer state that a checkpoint header holds, next
-# to "has_v"; its moment buffers are arrays.
-_OPT_SETTINGS = (
-    "kind", "learning_rate", "step_count", "beta1", "beta2", "eps", "momentum", "ns_iterations"
-)
+# to "has_v", with the type each must have; its moment buffers are arrays.
+_OPT_SETTINGS = {
+    "kind": str, "learning_rate": float, "step_count": int, "beta1": float, "beta2": float,
+    "eps": float, "momentum": float, "ns_iterations": int,
+}
 
 
 def _opt_header(state: OptState) -> dict:
     return {**{key: getattr(state, key) for key in _OPT_SETTINGS}, "has_v": state.v is not None}
-
-
-def _spec_header(spec: MlpSpec) -> dict:
-    return {
-        "layer_widths": list(spec.layer_widths),
-        "activation": spec.activation,
-        "output_transform": spec.output_transform,
-    }
 
 
 def _split_critic_state(opt_states: dict) -> dict:
@@ -396,16 +389,16 @@ def save_checkpoint(checkpoint: AgentCheckpoint, path):
         "env_name": checkpoint.env_name,
         "log_entropy_coef": checkpoint.log_entropy_coef,
         "target_entropy": checkpoint.target_entropy,
-        "policy_spec": _spec_header(checkpoint.policy.params.spec),
+        "policy_spec": spec_header(checkpoint.policy.params.spec),
         "policy_squash": checkpoint.policy.squash,
-        "critic_spec": _spec_header(checkpoint.critics.member_stack.spec),
+        "critic_spec": spec_header(checkpoint.critics.member_stack.spec),
         "n_critics": checkpoint.critics.n_members,
         "scale_spec": None
         if checkpoint.scale_net is None
-        else _spec_header(checkpoint.scale_net.params.spec),
+        else spec_header(checkpoint.scale_net.params.spec),
         "value_spec": None
         if checkpoint.value_net is None
-        else _spec_header(checkpoint.value_net.params.spec),
+        else spec_header(checkpoint.value_net.params.spec),
         "opt_states": {name: _opt_header(st) for name, st in sorted(opt_states.items())},
         "rng_states": checkpoint.rng_states,
     }
@@ -438,44 +431,42 @@ def load_checkpoint(path) -> AgentCheckpoint:
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"checkpoint array {name!r} holds a non-finite value")
 
-    def spec_of(h):
-        return MlpSpec(tuple(h["layer_widths"]), h["activation"], h["output_transform"])
+    def spec_of(key):
+        return spec_from_header(header[key], f"checkpoint entry {key!r}")
+
+    def net_of(key, array):
+        return None if header[key] is None else ScaleNet(ParamVector(spec_of(key), arrays[array]))
 
     policy = GaussianPolicy(
-        params=ParamVector(spec_of(header["policy_spec"]), arrays["policy"]),
+        params=ParamVector(spec_of("policy_spec"), arrays["policy"]),
         action_low=arrays["action_low"],
         action_high=arrays["action_high"],
-        squash=header["policy_squash"],
+        squash=header.typed("policy_squash", bool),
     )
-    cspec = spec_of(header["critic_spec"])
-    n_critics = header["n_critics"]
+    cspec = spec_of("critic_spec")
+    n_critics = header.typed("n_critics", int)
     members = [ParamVector(cspec, arrays[f"critic{i}"]) for i in range(n_critics)]
     targets = [ParamVector(cspec, arrays[f"target{i}"]) for i in range(n_critics)]
     critics = CriticEnsemble(members=members, targets=targets)
-    scale_net = None
-    if header["scale_spec"] is not None:
-        scale_net = ScaleNet(ParamVector(spec_of(header["scale_spec"]), arrays["scale"]))
-    value_net = None
-    if header["value_spec"] is not None:
-        value_net = ScaleNet(ParamVector(spec_of(header["value_spec"]), arrays["value"]))
-    opt_states = blobio.Entries({
-        name: OptState(
-            **{key: oh[key] for key in _OPT_SETTINGS},
+    opt_headers = header.typed("opt_states", dict)
+    opt_states = blobio.Entries()
+    for name in opt_headers:
+        oh = opt_headers.typed(name, dict)
+        opt_states[name] = OptState(
+            **{key: oh.typed(key, kind) for key, kind in _OPT_SETTINGS.items()},
             m=arrays[f"opt_{name}_m"],
-            v=arrays[f"opt_{name}_v"] if oh["has_v"] else None,
+            v=arrays[f"opt_{name}_v"] if oh.typed("has_v", bool) else None,
         )
-        for name, oh in header["opt_states"].items()
-    })
     return AgentCheckpoint(
-        step=header["step"],
-        offline_alg=header["offline_alg"],
-        env_name=header["env_name"],
+        step=header.typed("step", int),
+        offline_alg=header.typed("offline_alg", str),
+        env_name=header.typed("env_name", str),
         policy=policy,
         critics=critics,
-        scale_net=scale_net,
-        value_net=value_net,
-        log_entropy_coef=header["log_entropy_coef"],
-        target_entropy=header["target_entropy"],
+        scale_net=net_of("scale_spec", "scale"),
+        value_net=net_of("value_spec", "value"),
+        log_entropy_coef=header.typed("log_entropy_coef", float),
+        target_entropy=header.typed("target_entropy", float),
         opt_states=_stack_critic_state(opt_states, n_critics),
         rng_states=header["rng_states"],
     )

@@ -245,7 +245,8 @@ class TestErrorPaths:
         assert run(["gen-data", "--config", "cfg.json", "--override", "mix=2.0"]) == 2
 
     # A bad config value or flag is refused before the output directory or
-    # its parent is made.
+    # its parent is made.  A landscape flag is given to the landscape
+    # command that takes it, the rest to pretrain.
     @pytest.mark.parametrize(
         "override",
         [
@@ -265,29 +266,62 @@ class TestErrorPaths:
             "seeds=[1.5]",
             'loss.target_entropy="abc"',
             "--seed=-1",
+            "--jobs=0",
+            "--jobs=-3",
+            "--grid-lo=nan",
+            "--grid-hi=inf",
+            "--t-lo=nan",
+            "--t-hi=-inf",
         ],
     )
     def test_bad_value_exits_2_without_leftover(self, workdir, override):
         run(["gen-data", "--config", "cfg.json"])
         data = workdir / "runs/gen-data/dataset-s0.jsonl"
-        out = workdir / "fresh" / "pre"
+        out = workdir / "fresh" / "out"
         bad = [override] if override.startswith("--") else ["--override", override]
-        code = run(
-            [
-                "pretrain",
-                "--config",
-                "cfg.json",
-                "--override",
-                "offline_alg=sac",
-                *bad,
-                "--data",
-                data,
-                "--out",
-                out,
-            ]
-        )
-        assert code == 2
+        sac = ["--override", "offline_alg=sac"]
+        command = ["pretrain", "--config", "cfg.json", *sac, "--data", data]
+        if override.startswith(("--grid", "--t-")):
+            # Three seeds, so that the plane's checkpoints span a plane.
+            pre = ["--override", "offline_steps=2", "--override", "seeds=[0,1,2]", "--out", "pre"]
+            assert run(command + pre) == 0
+            plane = override.startswith("--grid")
+            command = ["landscape-plane" if plane else "landscape-line", "--config", "cfg.json"]
+            flags = ["--checkpoint-a", "--checkpoint-b", "--checkpoint-c"][: 2 + plane]
+            for seed, flag in enumerate(flags):
+                command += [flag, workdir / f"pre/seed-{seed}/checkpoint.bin"]
+        assert run(command + bad + ["--out", out]) == 2
         assert not out.parent.exists()
+
+    def test_jobs_are_capped_at_the_seed_count(self, workdir, monkeypatch):
+        # A stand-in pool that records its worker count and runs the seeds
+        # in this process, so no worker is ever started.
+        workers = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("o2olab.cli.ProcessPoolExecutor", InlinePool)
+        run(["gen-data", "--config", "cfg.json"])
+        data = workdir / "runs/gen-data/dataset-s0.jsonl"
+        over = ["--override", "offline_alg=sac", "--override", "offline_steps=2"]
+        seeds = ["--override", "seeds=[0,1]"]
+        pretrain = ["pretrain", "--config", "cfg.json", *over, *seeds, "--data", data]
+        assert run(pretrain + ["--jobs", "64", "--out", "pre"]) == 0
+        assert workers == [2]
+        assert sorted(p.name for p in (workdir / "pre").iterdir()) == [
+            "manifest.json", "seed-0", "seed-1"
+        ]
 
     def test_finetune_env_mismatch_exits_2_without_leftover(self, workdir):
         # A gate1d checkpoint cannot fine-tune on reach2d data; this used to
@@ -340,16 +374,25 @@ class TestErrorPaths:
         assert not out.parent.exists()
 
     # Each case drops or changes one header key (a dotted path) of a file
-    # the command reads first: (file, key, new value or None to drop it,
-    # name in the error).  A missing key or array used to escape as a
-    # KeyError.
+    # the command reads first: (file, key, new value as JSON text or None
+    # to drop it, name in the error).  A missing key or array used to
+    # escape as a KeyError, and a wrongly typed value as a TypeError.
     @pytest.mark.parametrize(
         "target, key, value, named",
         [
             ("checkpoint", "n_critics", None, "n_critics"),
-            ("checkpoint", "n_critics", 3, "critic2"),
+            ("checkpoint", "n_critics", "3", "critic2"),
             ("checkpoint", "opt_states.critic1", None, "critic1"),
             ("score_model", "k_embed_dim", None, "k_embed_dim"),
+            ("checkpoint", "n_critics", '"2"', "n_critics"),
+            ("checkpoint", "policy_spec", "null", "policy_spec"),
+            ("checkpoint", "policy_spec.layer_widths", "5", "layer_widths"),
+            ("checkpoint", "critic_spec.output_transform", '"exp"', "output_transform"),
+            ("checkpoint", "opt_states.policy.learning_rate", '"x"', "learning_rate"),
+            ("checkpoint", "opt_states.policy", "5", "policy"),
+            ("checkpoint", "policy_squash", "1", "policy_squash"),
+            ("score_model", "k_embed_dim", '"8"', "k_embed_dim"),
+            ("score_model", "layer_widths", "null", "layer_widths"),
         ],
     )
     def test_incomplete_blob_header_exits_2_without_leftover(
@@ -373,7 +416,7 @@ class TestErrorPaths:
         if value is None:
             del node[last]
         else:
-            node[last] = value
+            node[last] = json.loads(value)
         head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
         path.write_bytes(raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + head_len :])
         out = workdir / "fresh" / "out"

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from o2olab.errors import NumericError, ShapeError
+from o2olab.errors import FormatError, NumericError, ShapeError
 from o2olab.numkit import (
-    EXP_CLAMP_HI,
-    EXP_CLAMP_LO,
     ForwardCache,
     MlpSpec,
     ParamStack,
@@ -19,6 +17,8 @@ from o2olab.numkit import (
     mlp_grad,
     mlp_grad_batch,
     mlp_second_grad,
+    spec_from_header,
+    spec_header,
     unflatten,
 )
 
@@ -29,17 +29,10 @@ def reference_forward(params: ParamVector, x: np.ndarray) -> np.ndarray:
     spec = params.spec
     h = np.array(x, dtype=np.float64)
     for idx, (w, b) in enumerate(layers):
-        z = np.array([float(row @ h) + bv for row, bv in zip(w, b)])
-        last = idx == len(layers) - 1
-        kind = spec.output_transform if last else spec.activation
-        if kind == "relu":
-            h = np.maximum(z, 0.0)
-        elif kind in ("tanh", "tanh_squash"):
-            h = np.tanh(z)
-        elif kind == "identity":
-            h = z
-        elif kind == "exp":
-            h = np.exp(np.clip(z, EXP_CLAMP_LO, EXP_CLAMP_HI))
+        h = np.array([float(row @ h) + bv for row, bv in zip(w, b)])
+        if idx == len(layers) - 1:
+            break
+        h = np.maximum(h, 0.0) if spec.activation == "relu" else np.tanh(h)
     return h
 
 
@@ -56,8 +49,38 @@ class TestSpecAndFlattening:
             MlpSpec((4, 0, 2))
         with pytest.raises(ValueError):
             MlpSpec((4, 2), activation="sigmoid")
-        with pytest.raises(ValueError):
-            MlpSpec((4, 2), output_transform="softmax")
+
+    def test_spec_header_round_trip(self):
+        spec = MlpSpec((4, 8, 2), activation="relu")
+        header = spec_header(spec)
+        assert header == {
+            "layer_widths": [4, 8, 2], "activation": "relu", "output_transform": "identity"
+        }
+        assert spec_from_header(header, "spec") == spec
+
+    # (field, bad value); with no field the whole spec is the bad value.
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (None, None),
+            ("layer_widths", 5),
+            ("layer_widths", None),
+            ("layer_widths", [4, "8", 2]),
+            ("layer_widths", [4, True, 2]),
+            ("activation", 3),
+            ("activation", "sigmoid"),
+            ("output_transform", "exp"),
+            ("output_transform", "tanh_squash"),
+        ],
+    )
+    def test_spec_from_header_refuses_a_bad_field(self, key, value):
+        header = spec_header(MlpSpec((4, 8, 2)))
+        if key is None:
+            header = value
+        else:
+            header[key] = value
+        with pytest.raises(FormatError, match="'policy_spec'" + (f".*'{key}'" if key else "")):
+            spec_from_header(header, "entry 'policy_spec'")
 
     def test_param_count(self):
         spec = MlpSpec((4, 8, 2))
@@ -102,13 +125,12 @@ class TestForward:
     def test_matches_independent_forward(self):
         rng = np.random.default_rng(2)
         for activation in ("relu", "tanh"):
-            for transform in ("identity", "tanh_squash", "exp"):
-                spec = MlpSpec((4, 8, 2), activation=activation, output_transform=transform)
-                params = init_params(spec, rng)
-                x = rng.standard_normal(4)
-                got = mlp_forward(params, x)
-                want = reference_forward(params, x)
-                assert np.max(np.abs(got - want)) <= 1e-12
+            spec = MlpSpec((4, 8, 2), activation=activation)
+            params = init_params(spec, rng)
+            x = rng.standard_normal(4)
+            got = mlp_forward(params, x)
+            want = reference_forward(params, x)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_pure_function_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -122,12 +144,6 @@ class TestForward:
         params = ParamVector(spec, np.zeros(spec.param_count))
         with pytest.raises(ShapeError):
             mlp_forward(params, np.zeros(4))
-
-    def test_exp_transform_clamps(self):
-        spec = MlpSpec((1, 1), output_transform="exp")
-        params = ParamVector(spec, np.array([1.0, 0.0]))
-        assert mlp_forward(params, np.array([100.0]))[0] == np.exp(EXP_CLAMP_HI)
-        assert mlp_forward(params, np.array([-100.0]))[0] == np.exp(EXP_CLAMP_LO)
 
     def test_non_finite_intermediate_names_layer(self):
         spec = MlpSpec((1, 1))
