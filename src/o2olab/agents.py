@@ -18,6 +18,11 @@ Q and that member's action gradient, ascended by the SAC, TD3 and TD3+BC
 actors), `_min_over` (the min-member Q of a stack, for TD targets and
 IQL), and `td3_critic_loss` (the critic of both TD3 and TD3+BC).
 
+A pass computes only what its loss reads: the actors' critic pass and
+the first critic pass of the score-matching regularizer need input
+gradients alone, so they run `numkit.mlp_input_grad` and form no
+critic parameter gradient.
+
 The score-matching regularizer penalizes the distance between a
 critic's action gradient and a state-scaled noise estimate from the
 diffusion model; its critic gradient therefore needs second-order
@@ -32,7 +37,13 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 from .networks import CriticEnsemble, GaussianPolicy, ScaleNet, critic_input
-from .numkit import ForwardCache, mlp_forward_batch, mlp_grad_batch, mlp_second_grad
+from .numkit import (
+    ForwardCache,
+    mlp_forward_batch,
+    mlp_grad_batch,
+    mlp_input_grad,
+    mlp_second_grad,
+)
 from .seeding import as_generator
 
 # Advantage weights are clipped here to keep exponentials from overflowing.
@@ -104,11 +115,11 @@ def _min_member_action_grad(stack, x, state_dim):
     The action block of each input row starts at column `state_dim`.
     This is what the SAC, TD3 and TD3+BC actors ascend; the gradient is
     taken w.r.t. the input only, never the critic parameters.  One
-    gradient pass yields every member's Q (from its forward) and input
-    gradient.
+    input-gradient pass yields every member's Q (from its forward) and
+    input gradient.
     """
     cache = ForwardCache()
-    _, gin = mlp_grad_batch(stack, x, np.ones((len(stack), x.shape[0], 1)), cache)
+    gin = mlp_input_grad(stack, x, np.ones((len(stack), x.shape[0], 1)), cache)
     qs = cache.out[..., 0]
     idx = np.argmin(qs, axis=0)
     rows = np.arange(x.shape[0])
@@ -238,8 +249,7 @@ def score_match_loss(
     n, b = len(stack), s.shape[0]
     ones = np.ones((n, b, 1))
     cache = ForwardCache()
-    _, gin = mlp_grad_batch(stack, x, ones, cache)
-    g = gin[..., state_dim:]
+    g = mlp_input_grad(stack, x, ones, cache)[..., state_dim:]
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite critic action gradient")
     resid = g - alpha[:, None] * eps

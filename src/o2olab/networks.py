@@ -11,6 +11,8 @@ derivatives of (log-density, action) w.r.t. the two heads; loss code
 supplies per-sample upstreams and receives flat parameter gradients.
 Sampling and log-density internals carry the `ForwardCache` of the
 heads, so the gradient call that follows reuses that forward pass.
+Acting needs none of that: `GaussianPolicy.act` draws the same actions
+as `sample` and computes neither log-density nor clamp mask.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ ATANH_CLIP = 1.0 - 1e-10
 def _log1m_tanh2(u: np.ndarray) -> np.ndarray:
     """log(1 - tanh(u)^2), stable for large |u|."""
     return 2.0 * (np.log(2.0) - u - np.logaddexp(0.0, -2.0 * u))
+
+
+def _std(rho: np.ndarray) -> np.ndarray:
+    """Standard deviations from the pre-std head, clamped in log space."""
+    return np.exp(np.clip(rho, EXP_CLAMP_LO, EXP_CLAMP_HI))
 
 
 @dataclass
@@ -88,8 +95,7 @@ class GaussianPolicy:
         d = self.action_dim
         mu, rho = out[..., :d], out[..., d:]
         mask = ((rho > EXP_CLAMP_LO) & (rho < EXP_CLAMP_HI)).astype(np.float64)
-        std = np.exp(np.clip(rho, EXP_CLAMP_LO, EXP_CLAMP_HI))
-        return mu, rho, std, mask
+        return mu, rho, _std(rho), mask
 
     def sample(self, s: np.ndarray, rng: np.random.Generator):
         """Reparameterized batch sample; returns (actions, logp, internals)."""
@@ -109,6 +115,15 @@ class GaussianPolicy:
             logp = np.sum(base, axis=1)
         internals = {"xi": xi, "u": u, "std": std, "mask": mask, "tanh_u": t, "cache": cache}
         return a, logp, internals
+
+    def act(self, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """The actions of `sample`, from the same draws of `rng`, without
+        their log-density or gradient internals."""
+        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
+        out = mlp_forward_batch(self.params, s)
+        mu, rho = out[..., : self.action_dim], out[..., self.action_dim :]
+        u = mu + _std(rho) * rng.standard_normal(mu.shape)
+        return self.center + self.half * np.tanh(u) if self.squash else u
 
     def sample_grads(self, s, internals, d_logp, d_action) -> np.ndarray:
         """Flat parameter gradient of sum_i d_logp_i * logp_i + <d_action_i, a_i>

@@ -11,7 +11,8 @@ Three levels of differentiation are provided:
 
 * `mlp_forward` / `mlp_forward_batch` -- plain evaluation,
 * `mlp_grad` / `mlp_grad_batch` -- reverse-mode gradients of
-  <upstream, output> w.r.t. parameters and inputs,
+  <upstream, output> w.r.t. parameters and inputs; `mlp_input_grad` is
+  the same pass for a caller that reads only the input gradient,
 * `mlp_second_grad` -- the forward-over-reverse pass needed when a loss
   depends on an input gradient of the network (gradients of gradients).
 
@@ -23,6 +24,15 @@ over the same parameters and rows lets them share one forward.  A
 forward keeps only each layer's output: the gradient passes take the
 activation's derivatives from those outputs (relu `h > 0`, tanh
 `1 - h*h`), so a plain evaluation computes none.
+
+The passes do their elementwise arithmetic in place, in arrays they
+allocated themselves: a layer adds its bias and applies its activation in
+the output of its matrix product, a backward step multiplies by the
+activation's derivative in place, and each layer's parameter gradient is
+written into its slice of one flat array.  Every operation and its
+operand order are those of the plain expressions, so results are the
+same bit for bit; no pass writes into an array its caller passed in or
+into a cache's arrays.
 
 `spec_header` and `spec_from_header` are the one codec of a spec in the
 JSON header of a checkpoint or score-model file.
@@ -201,13 +211,18 @@ def unflatten(params) -> list[tuple[np.ndarray, np.ndarray]]:
     For a `ParamStack` of n networks each weight is `(n, out, in)` and
     each bias `(n, out)`.
     """
-    lead = params.values.shape[:-1]
+    return _layer_views(params.spec, params.values)
+
+
+def _layer_views(spec: MlpSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weight, bias) views of a flat `(..., P)` array of `spec`."""
+    lead = values.shape[:-1]
     layers = []
     pos = 0
-    for (out_w, in_w), _ in params.spec.layer_shapes():
-        w = params.values[..., pos : pos + out_w * in_w].reshape(*lead, out_w, in_w)
+    for (out_w, in_w), _ in spec.layer_shapes():
+        w = values[..., pos : pos + out_w * in_w].reshape(*lead, out_w, in_w)
         pos += out_w * in_w
-        b = params.values[..., pos : pos + out_w]
+        b = values[..., pos : pos + out_w]
         pos += out_w
         layers.append((w, b))
     return layers
@@ -223,13 +238,22 @@ def flatten(spec: MlpSpec, layers) -> ParamVector:
 
 
 def _act_deriv(kind: str, h: np.ndarray) -> np.ndarray:
-    """First derivative of a hidden activation, from its output h."""
-    return (h > 0).astype(np.float64) if kind == "relu" else 1.0 - h * h
+    """First derivative of a hidden activation, from its output h: relu's
+    as a boolean mask, tanh's `1 - h*h` built in one buffer."""
+    if kind == "relu":
+        return h > 0
+    df = h * h
+    np.subtract(1.0, df, out=df)
+    return df
 
 
 def _act_second(kind: str, f: np.ndarray, df: np.ndarray) -> np.ndarray:
     """Second derivative of a hidden activation from its value and first derivative."""
-    return -2.0 * f * df if kind == "tanh" else np.zeros_like(f)
+    if kind == "relu":
+        return np.zeros_like(f)
+    ddf = -2.0 * f
+    ddf *= df
+    return ddf
 
 
 def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
@@ -262,25 +286,24 @@ def _forward_cached(params, x: np.ndarray, cache: ForwardCache | None):
             + (f" or {(*lead, 'batch', params.spec.in_dim)}" if lead else "")
         )
     layers = unflatten(params)
+    relu = params.spec.activation == "relu"
     hs = [x]
     h = x
     for idx, (w, b) in enumerate(layers):
-        h = h @ w.mT + b[..., None, :]
+        h = h @ w.mT
+        h += b[..., None, :]
         if not np.isfinite(h).all():
             raise NumericError(f"non-finite pre-activation at layer {idx}")
         if idx < len(layers) - 1:
-            h = np.maximum(h, 0.0) if params.spec.activation == "relu" else np.tanh(h)
+            if relu:
+                np.maximum(h, 0.0, out=h)
+            else:
+                np.tanh(h, out=h)
         hs.append(h)
     if cache is not None:
         cache.params, cache.x = params, x
         cache.layers, cache.hs = layers, hs
     return layers, hs
-
-
-def _flat_grad(chunks, lead) -> np.ndarray:
-    return np.concatenate(
-        [np.concatenate([gw.reshape(*lead, -1), gb], axis=-1) for gw, gb in chunks], axis=-1
-    )
 
 
 def mlp_forward_batch(params, x: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
@@ -298,6 +321,29 @@ def mlp_forward(params: ParamVector, x: np.ndarray) -> np.ndarray:
     return mlp_forward_batch(params, x[None, :])[0]
 
 
+def _reverse(params, x, upstream, cache, param_grads: bool):
+    """Reverse pass of sum_b <upstream_b, output_b>: (flat parameter
+    gradient, or None unless `param_grads`; per-sample input gradients).
+    Each layer's gradient is written into its slice of one flat array."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    layers, hs = _forward_cached(params, x, cache)
+    if upstream.shape != hs[-1].shape:
+        raise ShapeError(f"upstream shape {upstream.shape} != output shape {hs[-1].shape}")
+    kind = params.spec.activation
+    flat = np.empty(params.values.shape) if param_grads else None
+    grads = _layer_views(params.spec, flat) if param_grads else None
+    delta = upstream  # the output layer is affine
+    for idx in range(len(layers) - 1, -1, -1):
+        if param_grads:
+            gw, gb = grads[idx]
+            np.matmul(delta.mT, hs[idx], out=gw)
+            np.sum(delta, axis=-2, out=gb)
+        delta = delta @ layers[idx][0]
+        if idx > 0:
+            delta *= _act_deriv(kind, hs[idx])
+    return flat, delta
+
+
 def mlp_grad_batch(params, x: np.ndarray, upstream: np.ndarray, cache: ForwardCache | None = None):
     """Gradients of sum_b <upstream_b, output_b>.
 
@@ -305,21 +351,13 @@ def mlp_grad_batch(params, x: np.ndarray, upstream: np.ndarray, cache: ForwardCa
     input gradients).  For a `ParamStack` both carry a leading member
     axis, and each member's gradient is that of its own output block.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    layers, hs = _forward_cached(params, x, cache)
-    if upstream.shape != hs[-1].shape:
-        raise ShapeError(f"upstream shape {upstream.shape} != output shape {hs[-1].shape}")
-    grad_chunks = [None] * len(layers)
-    delta = upstream  # the output layer is affine
-    for idx in range(len(layers) - 1, -1, -1):
-        w, _ = layers[idx]
-        gw = delta.mT @ hs[idx]
-        gb = delta.sum(axis=-2)
-        grad_chunks[idx] = (gw, gb)
-        delta = delta @ w
-        if idx > 0:
-            delta = delta * _act_deriv(params.spec.activation, hs[idx])
-    return _flat_grad(grad_chunks, params.values.shape[:-1]), delta
+    return _reverse(params, x, upstream, cache, param_grads=True)
+
+
+def mlp_input_grad(params, x: np.ndarray, upstream: np.ndarray, cache: ForwardCache | None = None):
+    """The per-sample input gradients of `mlp_grad_batch`, bit for bit,
+    without its parameter gradient."""
+    return _reverse(params, x, upstream, cache, param_grads=False)[1]
 
 
 def mlp_grad(params: ParamVector, x: np.ndarray, upstream: np.ndarray):
@@ -376,20 +414,28 @@ def mlp_second_grad(
         hd = df * zd
         hds.append(hd)
 
-    # Reverse pass: adjoint of the tangent output w.r.t. every node.
-    grad_chunks = [None] * n
+    # Reverse pass: adjoint of the tangent output w.r.t. every node.  Only
+    # the parameter gradient is returned, so the adjoints of the input
+    # itself are never formed.
+    flat = np.empty(params.values.shape)
+    grads = _layer_views(params.spec, flat)
     a = u  # d phi / d hdot_L
     hbar = np.zeros_like(u)  # d phi / d h_L
     for idx in range(n - 1, -1, -1):
-        w, _ = layers[idx]
+        gw, gb = grads[idx]
         p = a * dfs[idx]
-        qz = a * ddfs[idx] * zds[idx] + hbar * dfs[idx]
-        gw = qz.mT @ hs[idx] + p.mT @ hds[idx]
-        gb = qz.sum(axis=-2)
-        grad_chunks[idx] = (gw, gb)
-        a = p @ w
-        hbar = qz @ w
-    return hds[-1], _flat_grad(grad_chunks, params.values.shape[:-1])
+        qz = a * ddfs[idx]
+        qz *= zds[idx]
+        hbar *= dfs[idx]
+        qz += hbar
+        np.matmul(qz.mT, hs[idx], out=gw)
+        gw += p.mT @ hds[idx]
+        np.sum(qz, axis=-2, out=gb)
+        if idx > 0:
+            w = layers[idx][0]
+            a = p @ w
+            hbar = qz @ w
+    return hds[-1], flat
 
 
 def finite_diff_check(f, at: ParamVector, step: float, rng=None, max_coords: int = 128) -> float:

@@ -75,12 +75,23 @@ def adam_step(state: OptState, params, grad):
     _check_grad(params, grad)
     g = grad.values
     t = state.step_count + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_values = params.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    return replace(params, values=new_values), replace(state, step_count=t, m=m, v=v)
+    # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and the update
+    # lr*m_hat / (sqrt(v_hat) + eps), each operation as written there, in
+    # two scratch buffers besides the new m, v and parameters.
+    m = state.beta1 * state.m
+    step = np.multiply(1.0 - state.beta1, g)
+    m += step
+    v = state.beta2 * state.v
+    denom = np.multiply(1.0 - state.beta2, g)
+    denom *= g
+    v += denom
+    np.divide(v, 1.0 - state.beta2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, 1.0 - state.beta1**t, out=step)
+    step *= state.learning_rate
+    step /= denom
+    return replace(params, values=params.values - step), replace(state, step_count=t, m=m, v=v)
 
 
 def newton_schulz_orthogonalize(g: np.ndarray, iterations: int = NS_DEFAULT_ITERATIONS) -> np.ndarray:

@@ -422,14 +422,43 @@ def save_checkpoint(checkpoint: AgentCheckpoint, path):
     blobio.write_blob(path, AGENT_MAGIC, header, arrays)
 
 
+def _checked_rng_states(states) -> dict:
+    """A checkpoint's `rng_states`, which must hold a `seeding.capture_state`
+    snapshot of each offline stream and nothing else."""
+    if not isinstance(states, dict) or sorted(states) != sorted(_OFFLINE_STREAMS):
+        keys = sorted(states) if isinstance(states, dict) else states
+        raise FormatError(
+            f"checkpoint entry 'rng_states' is not an object keyed by {_OFFLINE_STREAMS}: {keys!r}"
+        )
+    for name, snapshot in states.items():
+        try:
+            restored = seeding.capture_state(seeding.restore_state(snapshot))
+        except (AttributeError, FormatError, KeyError, OverflowError, TypeError, ValueError):
+            restored = None
+        if restored != snapshot:
+            raise FormatError(
+                f"checkpoint entry 'rng_states' holds no generator snapshot for {name!r}"
+            )
+    return states
+
+
 def load_checkpoint(path) -> AgentCheckpoint:
     """Read a checkpoint written by `save_checkpoint`.  Every array must be
     finite: a NaN or inf parameter or optimizer buffer raises
-    `FormatError` naming the array."""
+    `FormatError` naming the array.  So does a header entry out of range:
+    a negative `step`, fewer than 2 critics, or `rng_states` that are not
+    snapshots of the offline streams."""
     header, arrays = blobio.read_blob(path, AGENT_MAGIC)
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"checkpoint array {name!r} holds a non-finite value")
+    step = header.typed("step", int)
+    if step < 0:
+        raise FormatError(f"checkpoint entry 'step' is negative: {step}")
+    n_critics = header.typed("n_critics", int)
+    if n_critics < 2:
+        raise FormatError(f"checkpoint entry 'n_critics' is below 2: {n_critics}")
+    rng_states = _checked_rng_states(header["rng_states"])
 
     def spec_of(key):
         return spec_from_header(header[key], f"checkpoint entry {key!r}")
@@ -444,7 +473,6 @@ def load_checkpoint(path) -> AgentCheckpoint:
         squash=header.typed("policy_squash", bool),
     )
     cspec = spec_of("critic_spec")
-    n_critics = header.typed("n_critics", int)
     members = [ParamVector(cspec, arrays[f"critic{i}"]) for i in range(n_critics)]
     targets = [ParamVector(cspec, arrays[f"target{i}"]) for i in range(n_critics)]
     critics = CriticEnsemble(members=members, targets=targets)
@@ -458,7 +486,7 @@ def load_checkpoint(path) -> AgentCheckpoint:
             v=arrays[f"opt_{name}_v"] if oh.typed("has_v", bool) else None,
         )
     return AgentCheckpoint(
-        step=header.typed("step", int),
+        step=step,
         offline_alg=header.typed("offline_alg", str),
         env_name=header.typed("env_name", str),
         policy=policy,
@@ -468,7 +496,7 @@ def load_checkpoint(path) -> AgentCheckpoint:
         log_entropy_coef=header.typed("log_entropy_coef", float),
         target_entropy=header.typed("target_entropy", float),
         opt_states=_stack_critic_state(opt_states, n_critics),
-        rng_states=header["rng_states"],
+        rng_states=rng_states,
     )
 
 
@@ -810,7 +838,7 @@ def _explore_action(policy, env, state, online_alg, rng):
         half = 0.5 * (env.action_high - env.action_low)
         noisy = mean + TD3_EXPLORE_STD * half * rng.standard_normal(env.action_dim)
         return np.clip(noisy, env.action_low, env.action_high)
-    action, _, _ = policy.sample(state[None, :], rng)
+    action = policy.act(state[None, :], rng)
     return np.clip(action[0], env.action_low, env.action_high)
 
 

@@ -38,19 +38,36 @@ from the fixture, leaves the fixture as it is, and exits 1 when any run
 deviates by more than RTOL (0 otherwise):
 
     PYTHONPATH=src python tests/golden_runs.py --diff
+
+With `--cli OUT` it runs a fixed chain of `o2olab` commands into the new
+directory OUT and prints the sha256 of every file the chain wrote, one
+`<sha256>  <path under OUT>` line each.  Per environment, with seeds 1
+and 7: gen-data, train-diffusion, pretrain with every offline algorithm,
+finetune from the smac checkpoints with every online algorithm (sac
+once more with `--jobs 2`), landscape-line and landscape-plane.  Run it
+in two checkouts and `diff` the listings to show that a change keeps
+every artifact's bytes:
+
+    PYTHONPATH=src python tests/golden_runs.py --cli /tmp/chain > hashes.txt
+
+This check is no test: checkpoint bytes depend on the BLAS build, so
+only listings made on one host compare.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from o2olab import cli
 from o2olab.analysis import interpolate_eval, plane_basis, plane_grid_eval
 from o2olab.diffusion import cosine_schedule, init_score_model, train_score_model
 from o2olab.envs import (
@@ -248,6 +265,72 @@ def golden_runs() -> dict:
     return runs
 
 
+CLI_SEEDS = (1, 7)
+
+
+def _cli_config(env: str) -> dict:
+    """Default networks and batches, few steps: one chain takes about a minute."""
+    return {
+        "env": env,
+        "seeds": list(CLI_SEEDS),
+        "offline_steps": 20,
+        "online_steps": 20,
+        "warm_start_count": 300,
+        "eval_every": 10,
+        "eval_episodes": 3,
+        "loss": {"score_match_weight": 4.0},
+        "diffusion": {"steps": 40, "batch": 64, "n_steps": 8, "hidden": [32, 32]},
+        "data": {"n_trajectories": 20},
+    }
+
+
+def cli_chain(out: Path):
+    """Run the `--cli` command chain into the new directory `out`; the
+    commands' own output goes to stderr."""
+    for env in ENVS:
+        root = out / env
+        root.mkdir(parents=True)
+        config = root / "config.json"
+        config.write_text(json.dumps(_cli_config(env), sort_keys=True, indent=2) + "\n")
+
+        def run(command, *argv, dest):
+            argv = [command, "--config", str(config), *map(str, argv), "--out", str(root / dest)]
+            with contextlib.redirect_stdout(sys.stderr):
+                code = cli.main(argv)
+            if code != 0:
+                raise SystemExit(f"{env}: `o2olab {' '.join(argv)}` exited {code}")
+
+        first = f"seed-{CLI_SEEDS[0]}"
+        data = root / "data" / f"dataset-s{CLI_SEEDS[0]}.jsonl"
+        run("gen-data", dest="data")
+        run("train-diffusion", "--data", data, dest="diffusion")
+        model = root / "diffusion" / first / "score_model.bin"
+        for alg in OFFLINE_ALGS:
+            extra = ["--diffusion", model] if alg == "smac" else []
+            over = ["--override", f"offline_alg={alg}"]
+            run("pretrain", "--data", data, *over, *extra, dest=f"pretrain-{alg}")
+        smac = root / "pretrain-smac"
+        for alg in ONLINE_ALGS:
+            over = ["--override", f"online_alg={alg}"]
+            run("finetune", "--data", data, "--checkpoint", smac, *over, dest=f"finetune-{alg}")
+        run("finetune", "--data", data, "--checkpoint", smac, "--jobs", 2, dest="finetune-sac-jobs2")
+        run(
+            "landscape-line",
+            "--checkpoint-a", smac / first / "checkpoint.bin",
+            "--checkpoint-b", root / "finetune-sac" / first / "final_checkpoint.bin",
+            "--points", 7,
+            dest="line",
+        )
+        run(
+            "landscape-plane",
+            "--checkpoint-a", root / "pretrain-sac" / first / "checkpoint.bin",
+            "--checkpoint-b", root / "pretrain-td3bc" / first / "checkpoint.bin",
+            "--checkpoint-c", root / "finetune-td3" / first / "final_checkpoint.bin",
+            "--resolution", 5,
+            dest="plane",
+        )
+
+
 def flatten(runs: dict) -> dict:
     return {f"{run}/{name}": arr for run, arrays in runs.items() for name, arr in arrays.items()}
 
@@ -288,7 +371,20 @@ def main(argv=None) -> int:
         action="store_true",
         help="print each run's max relative deviation from the fixture; do not rewrite it",
     )
+    parser.add_argument(
+        "--cli",
+        metavar="OUT",
+        type=Path,
+        help="run the fixed CLI chain into the new directory OUT and print each file's sha256",
+    )
     args = parser.parse_args(argv)
+    if args.cli is not None:
+        cli_chain(args.cli)
+        files = sorted(p for p in args.cli.rglob("*") if p.is_file())
+        for path in files:
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(args.cli)}")
+        print(f"{len(files)} files")
+        return 0
     flat = flatten(golden_runs())
     if args.diff:
         worst = run_deviations(flat, load_fixture())

@@ -103,6 +103,18 @@ class TestPolicy:
 
     @pytest.mark.parametrize("squash", [True, False])
     @pytest.mark.parametrize("batch", [1, 7])
+    def test_act_is_sample_without_log_density(self, squash, batch):
+        policy = make_policy(2, [-1.0, -0.5], [1.0, 2.0], (16, 16), stream(5, "policy"), squash=squash)
+        s = stream(6, "states").standard_normal((batch, 2))
+        by_sample, by_act = stream(7, "explore"), stream(7, "explore")
+        want, _, _ = policy.sample(s, by_sample)
+        got = policy.act(s, by_act)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert by_act.bit_generator.state == by_sample.bit_generator.state
+
+    @pytest.mark.parametrize("squash", [True, False])
+    @pytest.mark.parametrize("batch", [1, 7])
     def test_stacked_mean_action_matches_each_member(self, squash, batch):
         rng = stream(4, "policy")
         members = [
@@ -117,6 +129,23 @@ class TestPolicy:
         for i, member in enumerate(members):
             assert np.array_equal(stacked_shared[i], member.mean_action(shared))
             assert np.array_equal(stacked_own[i], member.mean_action(per_member[i]))
+
+
+class TestMinMemberActionGrad:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_equals_full_gradient_pass(self, activation):
+        # The actors' critic pass forms no parameter gradient; its Q and
+        # action gradient are those of a full gradient pass, bit for bit.
+        rng = stream(8, "critics")
+        ens = make_critic_ensemble(3, 2, (64, 64), 3, rng, activation=activation)
+        x = rng.standard_normal((256, 5))
+        stack = ens.member_stack
+        qmin, ga = agents._min_member_action_grad(stack, x, 3)
+        _, gin = mlp_grad_batch(stack, x, np.ones((3, 256, 1)))
+        qs = mlp_forward_batch(stack, x)[..., 0]
+        idx, rows = np.argmin(qs, axis=0), np.arange(256)
+        assert qmin.tobytes() == qs[idx, rows].tobytes()
+        assert ga.tobytes() == gin[idx, rows, 3:].tobytes()
 
 
 class TestSacCritic:

@@ -393,6 +393,13 @@ class TestErrorPaths:
             ("checkpoint", "policy_squash", "1", "policy_squash"),
             ("score_model", "k_embed_dim", '"8"', "k_embed_dim"),
             ("score_model", "layer_widths", "null", "layer_widths"),
+            # Values of the right type but out of range; the first two
+            # used to load and the third to fail naming no entry.
+            ("checkpoint", "step", "-5", "step"),
+            ("checkpoint", "rng_states", "5", "rng_states"),
+            ("checkpoint", "n_critics", "1", "n_critics"),
+            ("checkpoint", "rng_states.cql", None, "rng_states"),
+            ("checkpoint", "rng_states.batch.state", "7", "rng_states"),
         ],
     )
     def test_incomplete_blob_header_exits_2_without_leftover(

@@ -16,6 +16,7 @@ from o2olab.numkit import (
     mlp_forward_batch,
     mlp_grad,
     mlp_grad_batch,
+    mlp_input_grad,
     mlp_second_grad,
     spec_from_header,
     spec_header,
@@ -355,6 +356,73 @@ class TestForwardCache:
             mlp_grad_batch(params, x.copy(), np.ones((6, 2)), cache)
         with pytest.raises(ValueError):
             mlp_grad_batch(params.copy(), x, np.ones((6, 2)), cache)
+
+
+def _pass_case(stacked, activation, per_member, seed=12):
+    """Parameters (a `ParamStack` of 3 or a `ParamVector`), input rows,
+    upstreams and directions of one pass case."""
+    stack, x, xs, up, v = _stack_case(3, 32, activation, seed)
+    if not stacked:
+        return stack.vectors()[1].copy(), x, up[1], v[1]
+    return stack, xs if per_member else x, up, v
+
+
+PASS_CASES = pytest.mark.parametrize(
+    "stacked,per_member,activation",
+    [(False, False, act) for act in ("tanh", "relu")]
+    + [(True, rows, act) for rows in (False, True) for act in ("tanh", "relu")],
+)
+
+
+class TestInputGrad:
+    """`mlp_input_grad` is the input gradient of `mlp_grad_batch`, bit for bit."""
+
+    @PASS_CASES
+    @pytest.mark.parametrize("cache", ["none", "empty", "filled"])
+    def test_equals_grad_batch_input_gradient(self, stacked, per_member, activation, cache):
+        params, x, up, _ = _pass_case(stacked, activation, per_member)
+        _, want = mlp_grad_batch(params, x, up)
+        fc = None if cache == "none" else ForwardCache()
+        if cache == "filled":
+            mlp_forward_batch(params, x, fc)
+        got = mlp_input_grad(params, x, up, fc)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if fc is not None:
+            assert np.array_equal(fc.out, mlp_forward_batch(params, x))
+
+    def test_upstream_shape_checked(self):
+        params, x, up, _ = _pass_case(False, "tanh", False)
+        with pytest.raises(ShapeError):
+            mlp_input_grad(params, x, up[:-1])
+
+
+class TestPassesLeaveInputsUnchanged:
+    """No pass writes into an array its caller handed it: rows, upstreams,
+    directions, parameters or the arrays of a filled cache."""
+
+    @PASS_CASES
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda p, x, up, v, c: mlp_forward_batch(p, x, c),
+            lambda p, x, up, v, c: mlp_grad_batch(p, x, up, c),
+            lambda p, x, up, v, c: mlp_input_grad(p, x, up, c),
+            lambda p, x, up, v, c: mlp_second_grad(p, x, up, v, c),
+        ],
+        ids=["forward", "grad", "input_grad", "second_grad"],
+    )
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_inputs_unchanged(self, stacked, per_member, activation, run, filled):
+        params, x, up, v = _pass_case(stacked, activation, per_member)
+        cache = ForwardCache()
+        if filled:
+            mlp_forward_batch(params, x, cache)
+        handed = [x, up, v, params.values] + (cache.hs if filled else [])
+        before = [a.copy() for a in handed]
+        run(params, x, up, v, cache)
+        for old, new in zip(before, handed):
+            assert old.tobytes() == new.tobytes()
 
 
 class TestFiniteDiffCheck:

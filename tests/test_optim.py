@@ -1,5 +1,7 @@
 """Optimizers: Adam, Newton-Schulz orthogonalization, Muon, Polyak."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,31 @@ class TestAdam:
             v = 0.999 * v + 0.001 * g * g
             x = x - 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
             assert np.array_equal(params.values, x)
+
+    def test_leaves_its_inputs_untouched(self):
+        # The step is pure, and on a stack it equals the written recurrence
+        # bit for bit, with each operation in the written order.
+        rng = np.random.default_rng(1)
+        spec = MlpSpec((3, 16, 2))
+        params = ParamStack(spec, rng.standard_normal((3, spec.param_count)))
+        grad = ParamStack(spec, rng.standard_normal((3, spec.param_count)))
+        state = replace(
+            init_opt_state("adam", params.values.shape, 0.01),
+            step_count=4,
+            m=rng.standard_normal(params.values.shape),
+            v=rng.random(params.values.shape),
+        )
+        handed = [params.values, grad.values, state.m, state.v]
+        before = [a.copy() for a in handed]
+        new, st = adam_step(state, params, grad)
+        for old, now in zip(before, handed):
+            assert old.tobytes() == now.tobytes()
+        g, m0, v0 = before[1], before[2], before[3]
+        m = 0.9 * m0 + (1.0 - 0.9) * g
+        v = 0.999 * v0 + (1.0 - 0.999) * g * g
+        want = before[0] - 0.01 * (m / (1.0 - 0.9**5)) / (np.sqrt(v / (1.0 - 0.999**5)) + 1e-8)
+        assert st.m.tobytes() == m.tobytes() and st.v.tobytes() == v.tobytes()
+        assert new.values.tobytes() == want.tobytes()
 
     def test_non_finite_gradient_rejected(self):
         state = init_opt_state("adam", 2, 0.1)

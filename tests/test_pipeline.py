@@ -258,6 +258,38 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(path), tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
+    # Each case edits one header entry to a value out of range; it used to
+    # load (step, rng_states) or fail without naming the entry (n_critics).
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("step", lambda h: h.update(step=-5)),
+            ("n_critics", lambda h: h.update(n_critics=1)),
+            ("n_critics", lambda h: h.update(n_critics=-1)),
+            ("rng_states", lambda h: h.update(rng_states=5)),
+            ("rng_states", lambda h: h["rng_states"].pop("cql")),
+            ("rng_states", lambda h: h["rng_states"].update(extra=h["rng_states"]["cql"])),
+            ("rng_states", lambda h: h["rng_states"]["batch"].update(state=7)),
+            ("rng_states", lambda h: h["rng_states"]["batch"].update(bit_generator="MT19937")),
+            ("rng_states", lambda h: h["rng_states"]["smooth"]["state"].update(inc=-1)),
+        ],
+        ids=[
+            "negative-step", "one-critic", "negative-critics", "states-not-object",
+            "stream-missing", "stream-extra", "snapshot-state", "snapshot-generator",
+            "snapshot-out-of-range",
+        ],
+    )
+    def test_out_of_range_header_entry_rejected(self, tmp_path, key, edit):
+        cfg = small_config(offline_alg="sac", offline_steps=2)
+        agent, _ = offline_pretrain(cfg, tiny_dataset(), None, seed=11)
+        path = tmp_path / "agent.bin"
+        save_checkpoint(agent, path)
+        header, arrays = blobio.read_blob(path, AGENT_MAGIC)
+        edit(header)
+        blobio.write_blob(path, AGENT_MAGIC, header, arrays)
+        with pytest.raises(FormatError, match=f"entry '{key}'"):
+            load_checkpoint(path)
+
     def test_corrupted_magic_rejected(self, tmp_path):
         cfg = small_config(offline_alg="sac", offline_steps=5)
         agent, _ = offline_pretrain(cfg, tiny_dataset(), None, seed=11)
@@ -531,7 +563,7 @@ def numkit_passes(monkeypatch):
     binds them in the package (modules import them with `from`)."""
     calls = []
     modules = [m for name, m in sys.modules.items() if name.startswith("o2olab")]
-    for name in ("mlp_forward_batch", "mlp_grad_batch", "mlp_second_grad"):
+    for name in ("mlp_forward_batch", "mlp_grad_batch", "mlp_input_grad", "mlp_second_grad"):
         original = getattr(numkit, name)
 
         def counted(*args, _fn=original, _name=name, **kwargs):
@@ -544,16 +576,15 @@ def numkit_passes(monkeypatch):
     return calls
 
 
-class TestPassCount:
-    """numkit passes per training step at the default network sizes.
+# Short names of numkit's passes in the expected sequences below.
+FWD, GRAD = "mlp_forward_batch", "mlp_grad_batch"
+IN_GRAD, SECOND = "mlp_input_grad", "mlp_second_grad"
 
-    A smac step runs, in its critic loss, the policy sample at s2, the
-    stacked target forward, the stacked member forward and gradient for
-    TD, the mixture's policy sample, the score forward, the scale forward,
-    the stacked member gradient and second-order pass for score matching
-    and the scale gradient; its actor runs the policy sample, one stacked
-    member gradient and the policy gradient: 13 in all (21 before the
-    ensemble was stacked).  A sac online step runs 8 (14 before).
+
+class TestPassCount:
+    """numkit passes per training step at the default network sizes, in
+    order.  A pass whose parameter gradient nobody reads must be an
+    input-gradient pass (`mlp_input_grad`), never a full `mlp_grad_batch`.
     """
 
     def _setup(self, **over):
@@ -572,7 +603,18 @@ class TestPassCount:
         streams = {name: stream(4, name) for name in pipeline._OFFLINE_STREAMS}
         batch = ds.sample_batch(cfg.offline_batch, streams["batch"])
         pipeline._offline_update(cfg, ds.env, agent, batch, streams, model)
-        assert len(numkit_passes) <= 13, numkit_passes
+        # 13 in all (21 before the critic ensemble was stacked).
+        assert numkit_passes == [
+            # critic loss, TD part: policy sample at s2, stacked target
+            # forward, stacked member forward and its gradient
+            FWD, FWD, FWD, GRAD,
+            # score-match part: mixture policy sample, score model, scale
+            # net, member action gradients, second-order member pass,
+            # scale gradient
+            FWD, FWD, FWD, IN_GRAD, SECOND, GRAD,
+            # actor: policy sample, min-member action gradient, policy gradient
+            FWD, IN_GRAD, GRAD,
+        ]
 
     def test_sac_online_step(self, numkit_passes):
         cfg, ds, agent = self._setup(online_alg="sac", optimizer="adam")
@@ -585,4 +627,13 @@ class TestPassCount:
         pipeline._explore_action(agent.policy, ds.env, state, "sac", streams["explore"])
         batch = ds.sample_batch(cfg.online_batch, streams["batch"])
         pipeline._online_update(cfg, ds.env, agent, batch, streams)
-        assert len(numkit_passes) <= 8, numkit_passes
+        # 8 in all (14 before the critic ensemble was stacked).
+        assert numkit_passes == [
+            # exploring action
+            FWD,
+            # critic loss: policy sample at s2, stacked target forward,
+            # stacked member forward and its gradient
+            FWD, FWD, FWD, GRAD,
+            # actor: policy sample, min-member action gradient, policy gradient
+            FWD, IN_GRAD, GRAD,
+        ]
