@@ -18,10 +18,9 @@ Q and that member's action gradient, ascended by the SAC, TD3 and TD3+BC
 actors), `_min_over` (the min-member Q of a stack, for TD targets and
 IQL), and `td3_critic_loss` (the critic of both TD3 and TD3+BC).
 
-A pass computes only what its loss reads: the actors' critic pass and
-the first critic pass of the score-matching regularizer need input
-gradients alone, so they run `numkit.mlp_input_grad` and form no
-critic parameter gradient.
+The actors' critic pass and the first critic pass of the score-matching
+regularizer read input gradients alone, so they run
+`numkit.mlp_input_grad` and form no critic parameter gradient.
 
 The score-matching regularizer penalizes the distance between a
 critic's action gradient and a state-scaled noise estimate from the
