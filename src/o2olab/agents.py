@@ -18,14 +18,20 @@ Q and that member's action gradient, ascended by the SAC, TD3 and TD3+BC
 actors), `_min_over` (the min-member Q of a stack, for TD targets and
 IQL), and `td3_critic_loss` (the critic of both TD3 and TD3+BC).
 
-The actors' critic pass and the first critic pass of the score-matching
+Each numkit pass returns one array, and a loss reads all of it: the
+actors' critic pass and the first critic pass of the score-matching
 regularizer read input gradients alone, so they run
-`numkit.mlp_input_grad` and form no critic parameter gradient.
+`numkit.mlp_input_grad`; every other gradient pass yields a parameter
+gradient.
 
 The score-matching regularizer penalizes the distance between a
 critic's action gradient and a state-scaled noise estimate from the
 diffusion model; its critic gradient therefore needs second-order
 differentiation, provided by `numkit.mlp_second_grad`.
+
+Out-of-distribution actions (`sample_action_mixture`, used by the
+regularizer and the conservative penalties) are drawn inside the
+policy's own action box, `policy.action_low` to `policy.action_high`.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ NORMALIZER_FLOOR = 1e-12
 # the action box, clipped at +-TD3_SMOOTHING_CLIP half-ranges.
 TD3_SMOOTHING_STD = 0.2
 TD3_SMOOTHING_CLIP = 0.5
+# Largest log entropy coefficient whose exp is a finite float64.
+LOG_ENTROPY_COEF_MAX = float(np.log(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,8 @@ class LossParams:
             raise ValueError("bc weight must be non-negative")
         if self.awr_temperature <= 0.0:
             raise ValueError("awr temperature must be positive")
+        if not self.entropy_coef > 0.0:
+            raise ValueError("entropy coefficient must be positive")
 
 
 def _q_forward(stack, x, cache=None) -> np.ndarray:
@@ -133,15 +143,8 @@ def _td_regression(stack, x, y):
     cache = ForwardCache()
     resid = _q_forward(stack, x, cache) - y
     loss = _in_member_order(np.vecdot(resid, resid))
-    grads, _ = mlp_grad_batch(stack, x, (2.0 / (n * b)) * resid[..., None], cache)
+    grads = mlp_grad_batch(stack, x, (2.0 / (n * b)) * resid[..., None], cache)
     return loss / (n * b), grads
-
-
-def policy_sample_logprob(policy: GaussianPolicy, s: np.ndarray, seed):
-    """Sample one action for one state; returns (action, log-density)."""
-    rng = as_generator(seed)
-    a, logp, _ = policy.sample(np.atleast_2d(s), rng)
-    return a[0], float(logp[0])
 
 
 def sac_critic_loss(
@@ -196,14 +199,10 @@ def sac_policy_loss(
 
 
 def sample_action_mixture(
-    policy: GaussianPolicy,
-    action_low,
-    action_high,
-    s: np.ndarray,
-    batch_size: int,
-    seed,
+    policy: GaussianPolicy, s: np.ndarray, batch_size: int, seed
 ) -> np.ndarray:
-    """Half reparameterized policy samples, half uniform over the box.
+    """Half reparameterized policy samples, half uniform over the policy's
+    action box.
 
     Row i of the result goes with state row i; the first half of the
     states receives policy samples, the second half uniform draws.
@@ -216,9 +215,8 @@ def sample_action_mixture(
     rng = as_generator(seed)
     nh = batch_size // 2
     a_pol, _, _ = policy.sample(s[:nh], rng)
-    low = np.asarray(action_low, dtype=np.float64)
-    high = np.asarray(action_high, dtype=np.float64)
-    a_uni = rng.uniform(low, high, size=(batch_size - nh, low.size))
+    size = (batch_size - nh, policy.action_dim)
+    a_uni = rng.uniform(policy.action_low, policy.action_high, size=size)
     return np.concatenate([a_pol, a_uni], axis=0)
 
 
@@ -255,7 +253,7 @@ def score_match_loss(
     loss = _in_member_order(np.sum((resid * resid).reshape(n, -1), axis=1))
     direction = np.zeros((n, *x.shape))
     direction[..., state_dim:] = (2.0 / (n * b)) * resid
-    _, member_grads = mlp_second_grad(stack, x, ones, direction, cache)
+    member_grads = mlp_second_grad(stack, x, ones, direction, cache)
     d_alpha = np.zeros(b)
     for term in (-2.0 / (n * b)) * np.sum(resid * eps, axis=2):  # in member order, as above
         d_alpha += term
@@ -284,8 +282,6 @@ def smac_critic_loss(
     discount: float,
     target_rng: np.random.Generator,
     action_rng: np.random.Generator,
-    action_low,
-    action_high,
 ) -> SmacCriticOut:
     """Weighted sum of the score-match regularizer and the soft TD loss.
 
@@ -309,9 +305,7 @@ def smac_critic_loss(
             member_grads=td_grads,
             scale_grad=None if scale_net is None else np.zeros_like(scale_net.params.values),
         )
-    sm_actions = sample_action_mixture(
-        policy, action_low, action_high, batch.s, batch.size, action_rng
-    )
+    sm_actions = sample_action_mixture(policy, batch.s, batch.size, action_rng)
     sm_loss, sm_grads, scale_grad = score_match_loss(
         ensemble, scale_net, score_model, batch.s, sm_actions, 1.0
     )
@@ -325,35 +319,21 @@ def smac_critic_loss(
     )
 
 
-def cql_penalty(
-    ensemble: CriticEnsemble,
-    policy: GaussianPolicy,
-    batch,
-    seed,
-    action_low,
-    action_high,
-):
+def cql_penalty(ensemble: CriticEnsemble, policy: GaussianPolicy, batch, seed):
     """mean Q on mixture-sampled actions minus mean Q on dataset actions."""
     rng = as_generator(seed)
-    a_ood = sample_action_mixture(policy, action_low, action_high, batch.s, batch.size, rng)
+    a_ood = sample_action_mixture(policy, batch.s, batch.size, rng)
     return _conservative_penalty(ensemble, batch, a_ood, cap=None)
 
 
-def calql_penalty(
-    ensemble: CriticEnsemble,
-    policy: GaussianPolicy,
-    batch,
-    seed,
-    action_low,
-    action_high,
-):
+def calql_penalty(ensemble: CriticEnsemble, policy: GaussianPolicy, batch, seed):
     """Conservative penalty with the sampled-action term capped at the
     Monte-Carlo return of the state.  Rejects batches without
     Monte-Carlo returns (callers fall back to `cql_penalty`)."""
     if np.any(np.isnan(batch.mc)):
         raise ValueError("batch lacks Monte-Carlo returns; use cql_penalty instead")
     rng = as_generator(seed)
-    a_ood = sample_action_mixture(policy, action_low, action_high, batch.s, batch.size, rng)
+    a_ood = sample_action_mixture(policy, batch.s, batch.size, rng)
     return _conservative_penalty(ensemble, batch, a_ood, cap=batch.mc)
 
 
@@ -364,7 +344,7 @@ def _conservative_penalty(ensemble, batch, a_ood, cap):
     n, b = len(stack), batch.size
     ood_cache, data_cache = ForwardCache(), ForwardCache()
     q_ood = _q_forward(stack, x_ood, ood_cache)
-    g_data, _ = mlp_grad_batch(stack, x_data, np.full((n, b, 1), -1.0 / (n * b)), data_cache)
+    g_data = mlp_grad_batch(stack, x_data, np.full((n, b, 1), -1.0 / (n * b)), data_cache)
     q_data = data_cache.out[..., 0]
     if cap is None:
         ood_term = q_ood
@@ -373,7 +353,7 @@ def _conservative_penalty(ensemble, batch, a_ood, cap):
         ood_term = np.minimum(cap, q_ood)
         up_ood = (q_ood <= cap).astype(np.float64)
     penalty = _in_member_order(np.mean(ood_term, axis=1) - np.mean(q_data, axis=1))
-    g_ood, _ = mlp_grad_batch(stack, x_ood, (up_ood / (n * b))[..., None], ood_cache)
+    g_ood = mlp_grad_batch(stack, x_ood, (up_ood / (n * b))[..., None], ood_cache)
     return penalty / n, g_ood + g_data
 
 
@@ -557,10 +537,17 @@ def awr_policy_loss(
 
 def entropy_coef_update(log_coef: float, mean_logp: float, target_entropy: float, lr: float) -> float:
     """One gradient step on the log entropy coefficient toward the target
-    entropy: coefficient grows while policy entropy is below target."""
+    entropy: coefficient grows while policy entropy is below target.
+
+    Raises `NumericError` when the stepped log coefficient is not finite
+    or the coefficient itself would overflow, before anything takes its exp.
+    """
     coef = float(np.exp(log_coef))
     grad = -coef * (mean_logp + target_entropy)
-    return float(log_coef - lr * grad)
+    new = float(log_coef - lr * grad)
+    if not -np.inf < new <= LOG_ENTROPY_COEF_MAX:
+        raise NumericError(f"entropy coefficient overflows: log coefficient {new}")
+    return new
 
 
 def verify_maxent_identity(q_fn, alpha: float, grid: np.ndarray) -> float:

@@ -8,6 +8,11 @@ two spanning directions are numerically orthogonal.
 Regret aggregation min-max normalizes mean regrets per environment over
 every (offline, online) combination present, then averages the
 normalized cells over environments per combination.
+
+`load_checkpoint_matrix` has no caller in the package.  It stays next to
+`export_checkpoint_matrix` as the reader of the CSV that
+`o2olab export-checkpoints` writes, so that the file format has both
+halves in one place and a round trip can be checked against it.
 """
 
 from __future__ import annotations
@@ -157,6 +162,7 @@ def export_checkpoint_matrix(checkpoints, path=None) -> np.ndarray:
 
 
 def load_checkpoint_matrix(path) -> np.ndarray:
+    """The matrix an `export_checkpoint_matrix` CSV holds, bit for bit."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [
             [float(x) for x in line.strip().split(",")] for line in fh if line.strip()

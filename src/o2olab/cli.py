@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import sys
@@ -87,14 +88,29 @@ class _OutputDir:
         os.replace(self.tmp, self.out)
 
 
+# Thread counts of the BLAS and OpenMP runtimes a worker process loads.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _map_seeds(jobs: int, fn, *per_seed):
     """Call fn once per seed, with the i-th item of each `per_seed` list
     as its arguments; in up to `jobs` worker processes, never more than
     there are seeds, when jobs > 1 and there is more than one seed, else
-    in order in this process."""
+    in order in this process.  Workers are spawned, not forked with this
+    process's BLAS thread pool, and each gets one BLAS thread unless the
+    user set a thread variable, so that they do not oversubscribe the cores."""
     if jobs > 1 and len(per_seed[0]) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(per_seed[0]))) as pool:
-            list(pool.map(fn, *per_seed))
+        pinned = [name for name in _THREAD_VARS if name not in os.environ]
+        os.environ.update(dict.fromkeys(pinned, "1"))
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(per_seed[0])),
+                mp_context=multiprocessing.get_context("spawn"),
+            ) as pool:
+                list(pool.map(fn, *per_seed))
+        finally:
+            for name in pinned:
+                os.environ.pop(name, None)
     else:
         for args in zip(*per_seed):
             fn(*args)

@@ -13,7 +13,8 @@ by a Gaussian of variance 1 - abar_1, not of the clean data density.
 k=1 is the only level the critic ever queries, so training sends half of
 every batch there and draws the other half uniformly from 1..K; every
 level stays trained, which the K-step reverse chain of `ddpm_sample`
-needs.
+needs.  `noise_action` is the one closed-form noising of clean actions,
+and `diffusion_loss` noises each training batch through it.
 """
 
 from __future__ import annotations
@@ -82,9 +83,12 @@ def cosine_schedule(n_steps: int) -> NoiseSchedule:
     return NoiseSchedule(alpha_bar=alpha_bar)
 
 
-def noise_action(a0: np.ndarray, k: int, schedule: NoiseSchedule, eps: np.ndarray) -> np.ndarray:
-    """Closed-form noising of a clean action to step k."""
+def noise_action(a0: np.ndarray, k, schedule: NoiseSchedule, eps: np.ndarray) -> np.ndarray:
+    """Closed-form noising of clean actions to step k: one int step for
+    every row, or a `(batch,)` array of steps, one per row of `a0`."""
     ab = schedule.at(k)
+    if np.ndim(ab):
+        ab = ab[:, None]
     return np.sqrt(ab) * np.asarray(a0, dtype=np.float64) + np.sqrt(1.0 - ab) * np.asarray(eps)
 
 
@@ -181,23 +185,6 @@ def _draw_noising(schedule: NoiseSchedule, action_dim: int, n: int, rng: np.rand
     return k, eps
 
 
-def eps_prediction_loss(predict_fn, schedule: NoiseSchedule, action_dim: int, s, a, w, seed):
-    """Mean noise-prediction error of an arbitrary predictor.
-
-    Draws (k, eps) through the same helper as `diffusion_loss`, so for a
-    model's own `.predict` this returns the same value the training loss
-    sees.  Useful for probing closed-form predictors.
-    """
-    s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    rng = as_generator(seed)
-    k, eps = _draw_noising(schedule, action_dim, s.shape[0], rng)
-    ab = schedule.at(k)[:, None]
-    noised = np.sqrt(ab) * a + np.sqrt(1.0 - ab) * eps
-    resid = predict_fn(s, noised, w, k) - eps
-    return float(np.mean(np.sum(resid * resid, axis=1)))
-
-
 def diffusion_loss(model: ScoreModel, s, a, w, seed):
     """Mean squared noise-prediction error and its parameter gradient.
 
@@ -213,17 +200,14 @@ def diffusion_loss(model: ScoreModel, s, a, w, seed):
         raise ValueError("empty batch")
     rng = as_generator(seed)
     k, eps = _draw_noising(model.schedule, model.action_dim, s.shape[0], rng)
-    ab = model.schedule.at(k)[:, None]
-    noised = np.sqrt(ab) * a + np.sqrt(1.0 - ab) * eps
-    x = model.net_input(s, noised, w, k)
+    x = model.net_input(s, noise_action(a, k, model.schedule, eps), w, k)
     cache = ForwardCache()
     pred = mlp_forward_batch(model.params, x, cache)
     resid = pred - eps
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
     if not np.isfinite(loss):
         raise NumericError("non-finite diffusion loss")
-    grad, _ = mlp_grad_batch(model.params, x, 2.0 * resid / s.shape[0], cache)
-    return loss, grad
+    return loss, mlp_grad_batch(model.params, x, 2.0 * resid / s.shape[0], cache)
 
 
 def train_score_model(

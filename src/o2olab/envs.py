@@ -223,16 +223,6 @@ class ScriptedPolicy:
         return np.clip(ctrl, self.spec.action_low, self.spec.action_high)
 
 
-class UniformPolicy:
-    """Uniform-random actions over the action box."""
-
-    def __init__(self, spec: EnvSpec):
-        self.spec = spec
-
-    def act(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.spec.action_low, self.spec.action_high)
-
-
 def rollout_episode(spec: EnvSpec, act_fn, rng: np.random.Generator) -> Batch:
     """Run one episode; ends at a terminal step or at the horizon.  The
     batch holds its transitions in step order, with `w` and `mc` NaN."""

@@ -141,8 +141,7 @@ class GaussianPolicy:
             d_mu = d_action.copy()
             d_rho = (-d_logp[:, None] + d_action * xi * std) * mask
         upstream = np.concatenate([d_mu, d_rho], axis=1)
-        flat, _ = mlp_grad_batch(self.params, s, upstream, internals["cache"])
-        return flat
+        return mlp_grad_batch(self.params, s, upstream, internals["cache"])
 
     def logprob_given(self, s: np.ndarray, a: np.ndarray):
         """Log-density of given actions; returns (logp, internals)."""
@@ -167,8 +166,7 @@ class GaussianPolicy:
         d_mu = d_logp[:, None] * xi / std
         d_rho = d_logp[:, None] * (xi * xi - 1.0) * mask
         upstream = np.concatenate([d_mu, d_rho], axis=1)
-        flat, _ = mlp_grad_batch(self.params, s, upstream, internals["cache"])
-        return flat
+        return mlp_grad_batch(self.params, s, upstream, internals["cache"])
 
     def mean_action(self, s: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
         s = np.atleast_2d(np.asarray(s, dtype=np.float64))
@@ -192,8 +190,7 @@ class GaussianPolicy:
         else:
             d_mu = d_action
         upstream = np.concatenate([d_mu, np.zeros_like(d_mu)], axis=1)
-        flat, _ = mlp_grad_batch(self.params, s, upstream, cache)
-        return flat
+        return mlp_grad_batch(self.params, s, upstream, cache)
 
 
 def make_policy(
@@ -277,8 +274,7 @@ class ScaleNet:
     def grads(self, s, d_out, cache: ForwardCache | None = None) -> np.ndarray:
         """Flat parameter gradient of sum_i d_out_i * value_i; pass the
         `cache` given to `values` at the same states."""
-        flat, _ = mlp_grad_batch(self.params, np.atleast_2d(s), d_out[:, None], cache)
-        return flat
+        return mlp_grad_batch(self.params, np.atleast_2d(s), d_out[:, None], cache)
 
     def with_params(self, params: ParamVector) -> "ScaleNet":
         return ScaleNet(params=params)

@@ -9,12 +9,16 @@ package.
 
 Three levels of differentiation are provided:
 
-* `mlp_forward` / `mlp_forward_batch` -- plain evaluation,
-* `mlp_grad` / `mlp_grad_batch` -- reverse-mode gradients of
-  <upstream, output> w.r.t. parameters and inputs; `mlp_input_grad` is
-  the same pass for a caller that reads only the input gradient,
+* `mlp_forward_batch` -- plain evaluation,
+* `mlp_grad_batch` / `mlp_input_grad` -- one reverse-mode pass of
+  <upstream, output>, which returns either the gradient w.r.t. the
+  parameters or the one w.r.t. the inputs, never both: no caller reads
+  both, and the parameter pass stops before the input layer's adjoint,
 * `mlp_second_grad` -- the forward-over-reverse pass needed when a loss
-  depends on an input gradient of the network (gradients of gradients).
+  depends on an input gradient of the network (gradients of gradients);
+  it returns the parameter gradient only.
+
+Each pass takes a batch of input rows; a single input is a batch of one.
 
 Every pass also takes a `ParamStack`, the parameters of several networks
 of one spec, and then evaluates all of them with one `np.matmul` per
@@ -38,6 +42,9 @@ into a cache's arrays.
 JSON header of a checkpoint or score-model file.
 
 `finite_diff_check` is the house oracle used throughout the test suite.
+It stays in the package, not in the tests, so that any code built on
+these passes can check its own gradients against central differences
+the same way.
 """
 
 from __future__ import annotations
@@ -228,15 +235,6 @@ def _layer_views(spec: MlpSpec, values: np.ndarray) -> list[tuple[np.ndarray, np
     return layers
 
 
-def flatten(spec: MlpSpec, layers) -> ParamVector:
-    """Inverse of `unflatten`; round trips exactly."""
-    chunks = []
-    for w, b in layers:
-        chunks.append(np.asarray(w, dtype=np.float64).reshape(-1))
-        chunks.append(np.asarray(b, dtype=np.float64).reshape(-1))
-    return ParamVector(spec, np.concatenate(chunks))
-
-
 def _act_deriv(kind: str, h: np.ndarray) -> np.ndarray:
     """First derivative of a hidden activation, from its output h: relu's
     as a boolean mask, tanh's `1 - h*h` built in one buffer."""
@@ -313,61 +311,45 @@ def mlp_forward_batch(params, x: np.ndarray, cache: ForwardCache | None = None) 
     return hs[-1]
 
 
-def mlp_forward(params: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-D input, got shape {x.shape}")
-    return mlp_forward_batch(params, x[None, :])[0]
-
-
 def _reverse(params, x, upstream, cache, param_grads: bool):
-    """Reverse pass of sum_b <upstream_b, output_b>: (flat parameter
-    gradient, or None unless `param_grads`; per-sample input gradients).
-    Each layer's gradient is written into its slice of one flat array."""
+    """Reverse pass of sum_b <upstream_b, output_b>: the flat parameter
+    gradient if `param_grads`, else the per-sample input gradients.  The
+    parameter gradient is written layer by layer into its slices of one
+    flat array, and that pass ends at the input layer's weight gradient,
+    before the adjoint of the inputs."""
     upstream = np.asarray(upstream, dtype=np.float64)
     layers, hs = _forward_cached(params, x, cache)
     if upstream.shape != hs[-1].shape:
         raise ShapeError(f"upstream shape {upstream.shape} != output shape {hs[-1].shape}")
     kind = params.spec.activation
-    flat = np.empty(params.values.shape) if param_grads else None
-    grads = _layer_views(params.spec, flat) if param_grads else None
+    if param_grads:
+        flat = np.empty(params.values.shape)
+        grads = _layer_views(params.spec, flat)
     delta = upstream  # the output layer is affine
     for idx in range(len(layers) - 1, -1, -1):
         if param_grads:
             gw, gb = grads[idx]
             np.matmul(delta.mT, hs[idx], out=gw)
             np.sum(delta, axis=-2, out=gb)
+            if idx == 0:
+                return flat
         delta = delta @ layers[idx][0]
         if idx > 0:
             delta *= _act_deriv(kind, hs[idx])
-    return flat, delta
+    return delta
 
 
 def mlp_grad_batch(params, x: np.ndarray, upstream: np.ndarray, cache: ForwardCache | None = None):
-    """Gradients of sum_b <upstream_b, output_b>.
-
-    Returns (flat parameter gradient summed over the batch, per-sample
-    input gradients).  For a `ParamStack` both carry a leading member
-    axis, and each member's gradient is that of its own output block.
-    """
+    """Flat parameter gradient of sum_b <upstream_b, output_b>, summed
+    over the batch.  For a `ParamStack` it carries a leading member axis,
+    and each member's gradient is that of its own output block."""
     return _reverse(params, x, upstream, cache, param_grads=True)
 
 
 def mlp_input_grad(params, x: np.ndarray, upstream: np.ndarray, cache: ForwardCache | None = None):
-    """The per-sample input gradients of `mlp_grad_batch`, bit for bit,
-    without its parameter gradient."""
-    return _reverse(params, x, upstream, cache, param_grads=False)[1]
-
-
-def mlp_grad(params: ParamVector, x: np.ndarray, upstream: np.ndarray):
-    """Reverse-mode gradients of <upstream, output> for one input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if x.ndim != 1 or upstream.ndim != 1:
-        raise ShapeError("mlp_grad expects 1-D input and upstream vectors")
-    flat, gin = mlp_grad_batch(params, x[None, :], upstream[None, :])
-    return ParamVector(params.spec, flat), gin[0]
+    """Per-sample input gradients of sum_b <upstream_b, output_b>, shaped
+    like the input rows (with the member axis for a `ParamStack`)."""
+    return _reverse(params, x, upstream, cache, param_grads=False)
 
 
 def mlp_second_grad(
@@ -381,14 +363,15 @@ def mlp_second_grad(
 
     For phi = sum_b <u_b, J_b v_b>, with J_b the Jacobian of the output
     w.r.t. the input at sample b, u = `out_upstream` and v =
-    `in_direction`, returns (per-sample J_b v_b, flat d phi / d params).
-    For a `ParamStack`, u and v carry the member axis like the output.
+    `in_direction`, returns the flat d phi / d params.  For a
+    `ParamStack`, u and v carry the member axis like the output.
 
     This is forward-over-reverse differentiation.  The forward tangent
-    pass computes jvp_b = J_b v_b; the reverse pass then differentiates
-    phi through both the primal activations and the tangent path, which
-    is where the second derivative of the activation enters.  It is the
-    workhorse behind losses that penalize input gradients of a network.
+    pass carries J v through the layers; the reverse pass then
+    differentiates phi through both the primal activations and the
+    tangent path, which is where the second derivative of the activation
+    enters.  It is the workhorse behind losses that penalize input
+    gradients of a network.
     """
     u = np.asarray(out_upstream, dtype=np.float64)
     v = np.asarray(in_direction, dtype=np.float64)
@@ -404,15 +387,14 @@ def mlp_second_grad(
     ddfs = [_act_second(kind, h, df) for h, df in zip(hs[1:n], dfs)] + [0.0]
     dfs.append(1.0)
 
-    # Forward tangent pass, keeping zdot per layer for the reverse sweep.
+    # Forward tangent pass, keeping each layer's input hdot and its zdot
+    # for the reverse sweep; the tangent of the output itself is unread.
     hds = [v]
     zds = []
-    hd = v
-    for (w, _), df in zip(layers, dfs):
-        zd = hd @ w.mT
-        zds.append(zd)
-        hd = df * zd
-        hds.append(hd)
+    for idx, (w, _) in enumerate(layers):
+        zds.append(hds[idx] @ w.mT)
+        if idx < n - 1:
+            hds.append(dfs[idx] * zds[idx])
 
     # Reverse pass: adjoint of the tangent output w.r.t. every node.  Only
     # the parameter gradient is returned, so the adjoints of the input
@@ -435,7 +417,7 @@ def mlp_second_grad(
             w = layers[idx][0]
             a = p @ w
             hbar = qz @ w
-    return hds[-1], flat
+    return flat
 
 
 def finite_diff_check(f, at: ParamVector, step: float, rng=None, max_coords: int = 128) -> float:

@@ -17,8 +17,8 @@ the regularizer entirely, so the two produce bit-identical parameter
 trajectories given the same seed.
 
 A config is checked as it loads, so a bad value fails before any file
-is written: value types (list entries too), section ranges, hidden
-widths and activation names.
+is written: value types (list entries too), finite floats, section
+ranges, hidden widths and activation names.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 
 from . import blobio, seeding
 from .agents import (
+    LOG_ENTROPY_COEF_MAX,
     LossParams,
     awr_policy_loss,
     calql_penalty,
@@ -258,6 +259,8 @@ def _build_section(cls, data: dict, path: str):
             elif kind == "tuple":
                 kind = f"list of {type(fields[key].default[0]).__name__}"
             raise ConfigError(f"{path}.{key} must be of type {kind}, got {val!r}")
+        if isinstance(val, float) and not np.isfinite(val):
+            raise ConfigError(f"{path}.{key} must be finite, got {val!r}")
         if isinstance(val, list):
             val = tuple(val)
         kwargs[key] = val
@@ -446,8 +449,10 @@ def load_checkpoint(path) -> AgentCheckpoint:
     """Read a checkpoint written by `save_checkpoint`.  Every array must be
     finite: a NaN or inf parameter or optimizer buffer raises
     `FormatError` naming the array.  So does a header entry out of range:
-    a negative `step`, fewer than 2 critics, or `rng_states` that are not
-    snapshots of the offline streams."""
+    a negative `step`, fewer than 2 critics, a non-finite
+    `target_entropy`, a `log_entropy_coef` that is not finite or whose
+    exp overflows, or `rng_states` that are not snapshots of the offline
+    streams."""
     header, arrays = blobio.read_blob(path, AGENT_MAGIC)
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
@@ -459,6 +464,12 @@ def load_checkpoint(path) -> AgentCheckpoint:
     if n_critics < 2:
         raise FormatError(f"checkpoint entry 'n_critics' is below 2: {n_critics}")
     rng_states = _checked_rng_states(header["rng_states"])
+
+    def at_most(key, top):
+        value = header.typed(key, float)
+        if not -np.inf < value <= top:
+            raise FormatError(f"checkpoint entry {key!r} is not finite or exceeds {top}: {value}")
+        return value
 
     def spec_of(key):
         return spec_from_header(header[key], f"checkpoint entry {key!r}")
@@ -493,8 +504,8 @@ def load_checkpoint(path) -> AgentCheckpoint:
         critics=critics,
         scale_net=net_of("scale_spec", "scale"),
         value_net=net_of("value_spec", "value"),
-        log_entropy_coef=header.typed("log_entropy_coef", float),
-        target_entropy=header.typed("target_entropy", float),
+        log_entropy_coef=at_most("log_entropy_coef", LOG_ENTROPY_COEF_MAX),
+        target_entropy=at_most("target_entropy", np.finfo(np.float64).max),
         opt_states=_stack_critic_state(opt_states, n_critics),
         rng_states=rng_states,
     )
@@ -703,7 +714,7 @@ def _run_phase(config, agent, env, seed, run_id, phase, steps: range, batches, u
     return rows
 
 
-def _offline_update(config, env, agent, batch, streams, score_model):
+def _offline_update(config, agent, batch, streams, score_model):
     """One gradient step of the configured offline algorithm; returns a
     metrics dict.  The critic targets are left to the phase runner."""
     loss_cfg = config.loss
@@ -724,8 +735,6 @@ def _offline_update(config, env, agent, batch, streams, score_model):
             discount=loss_cfg.discount,
             target_rng=streams["policy"],
             action_rng=streams["bsample"],
-            action_low=env.action_low,
-            action_high=env.action_high,
         )
         _step_critics(agent, out.member_grads)
         if agent.scale_net is not None:
@@ -737,9 +746,7 @@ def _offline_update(config, env, agent, batch, streams, score_model):
             agent.critics, agent.policy, batch, coef, loss_cfg.discount, streams["policy"]
         )
         penalty_fn = calql_penalty if alg == "calql" else cql_penalty
-        penalty, pen_grads = penalty_fn(
-            agent.critics, agent.policy, batch, streams["cql"], env.action_low, env.action_high
-        )
+        penalty, pen_grads = penalty_fn(agent.critics, agent.policy, batch, streams["cql"])
         _step_critics(agent, td_grads + loss_cfg.cql_alpha * pen_grads)
         metrics.update(
             critic_loss=td_loss + loss_cfg.cql_alpha * penalty, td_loss=td_loss, penalty=penalty
@@ -797,7 +804,7 @@ def offline_pretrain(
     rows = _run_phase(
         config, agent, env, seed, run_id, "offline", range(agent.step, config.offline_steps),
         iter(lambda: dataset.sample_batch(config.offline_batch, streams["batch"]), None),
-        lambda batch: _offline_update(config, env, agent, batch, streams, score_model),
+        lambda batch: _offline_update(config, agent, batch, streams, score_model),
     )
     agent.step = max(agent.step, config.offline_steps)
     agent.rng_states = {name: seeding.capture_state(rng) for name, rng in streams.items()}
@@ -860,7 +867,7 @@ def _online_batches(agent, config, dataset, env, buffer, streams):
         yield mixed_batch(dataset, buffer, config.online_batch, config.mix, streams["batch"])
 
 
-def _online_update(config, env, agent, batch, streams):
+def _online_update(config, agent, batch, streams):
     """One gradient step of the configured online algorithm; returns a
     metrics dict.  The critic targets are left to the phase runner."""
     loss_cfg = config.loss
@@ -930,7 +937,7 @@ def online_finetune(
     rows = _run_phase(
         config, agent, env, seed, run_id, "online", range(config.online_steps),
         _online_batches(agent, config, dataset, env, buffer, streams),
-        lambda batch: _online_update(config, env, agent, batch, streams),
+        lambda batch: _online_update(config, agent, batch, streams),
     )
     evals = [(step, value) for _, _, step, metric, value in rows if metric == "eval_return"]
     if len(evals) > 1:

@@ -88,8 +88,7 @@ def _random_setup(rng):
     )
     sched = cosine_schedule(6)
     score = init_score_model(sd, ad, sched, rng, hidden=(width,), activation="tanh")
-    lo, hi = -np.ones(ad), np.ones(ad)
-    return policy, ens, scale, value, batch, score, lo, hi
+    return policy, ens, scale, value, batch, score
 
 
 def _swap_member(ens, pv):
@@ -97,9 +96,9 @@ def _swap_member(ens, pv):
 
 
 def _loss_cases(setup, case_seed):
-    policy, ens, scale, value, batch, score, lo, hi = setup
+    policy, ens, scale, value, batch, score = setup
     sd = batch.s.shape[1]
-    acts = agents.sample_action_mixture(policy, lo, hi, batch.s, batch.size, case_seed)
+    acts = agents.sample_action_mixture(policy, batch.s, batch.size, case_seed)
 
     def td3bc_frozen_norm():
         qmin, _ = agents._min_over(ens.member_stack, critic_input(batch.s, policy.mean_action(batch.s)))
@@ -139,7 +138,6 @@ def _loss_cases(setup, case_seed):
                 score_match_weight=3.0, entropy_coef=0.2, discount=0.97,
                 target_rng=np.random.default_rng(case_seed),
                 action_rng=np.random.default_rng(case_seed + 1),
-                action_low=lo, action_high=hi,
             ),
             ens.members[0],
             "smac",
@@ -150,18 +148,17 @@ def _loss_cases(setup, case_seed):
                 score_match_weight=3.0, entropy_coef=0.2, discount=0.97,
                 target_rng=np.random.default_rng(case_seed),
                 action_rng=np.random.default_rng(case_seed + 1),
-                action_low=lo, action_high=hi,
             ),
             scale.params,
             "smac-scale",
         ),
         "conservative penalty": (
-            lambda pv: agents.cql_penalty(_swap_member(ens, pv), policy, batch, case_seed, lo, hi),
+            lambda pv: agents.cql_penalty(_swap_member(ens, pv), policy, batch, case_seed),
             ens.members[0],
             lambda out: out[0],
         ),
         "capped penalty": (
-            lambda pv: agents.calql_penalty(_swap_member(ens, pv), policy, batch, case_seed, lo, hi),
+            lambda pv: agents.calql_penalty(_swap_member(ens, pv), policy, batch, case_seed),
             ens.members[0],
             lambda out: out[0],
         ),
@@ -400,8 +397,8 @@ def test_criterion_6_penalty_ordering():
             w=np.ones(b),
             mc=rng.standard_normal(b),
         )
-        plain, _ = agents.cql_penalty(ens, policy, batch, case, -np.ones(ad), np.ones(ad))
-        capped, _ = agents.calql_penalty(ens, policy, batch, case, -np.ones(ad), np.ones(ad))
+        plain, _ = agents.cql_penalty(ens, policy, batch, case)
+        capped, _ = agents.calql_penalty(ens, policy, batch, case)
         if capped > plain:
             violations += 1
     report(6, violations == 0, f"capped <= plain penalty on 1000 random batches, {violations} violations")

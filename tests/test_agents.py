@@ -5,6 +5,7 @@ import pytest
 
 from o2olab import agents
 from o2olab.envs import Batch
+from o2olab.errors import NumericError
 from o2olab.networks import (
     CriticEnsemble,
     GaussianPolicy,
@@ -21,6 +22,7 @@ from o2olab.numkit import (
     init_params,
     mlp_forward_batch,
     mlp_grad_batch,
+    mlp_input_grad,
 )
 from o2olab.optim import adam_step, init_opt_state
 from o2olab.seeding import stream
@@ -90,10 +92,10 @@ class TestPolicy:
     def test_sampling_deterministic_per_seed(self):
         rng = stream(2, "policy")
         policy = make_policy(2, [-1.0, -1.0], [1.0, 1.0], (8,), rng)
-        s = np.zeros(2)
-        a1, l1 = agents.policy_sample_logprob(policy, s, 7)
-        a2, l2 = agents.policy_sample_logprob(policy, s, 7)
-        assert np.array_equal(a1, a2) and l1 == l2
+        s = np.zeros((1, 2))
+        a1, l1, _ = policy.sample(s, np.random.default_rng(7))
+        a2, l2, _ = policy.sample(s, np.random.default_rng(7))
+        assert np.array_equal(a1, a2) and np.array_equal(l1, l2)
 
     def test_samples_respect_bounds(self):
         rng = stream(3, "policy")
@@ -133,15 +135,15 @@ class TestPolicy:
 
 class TestMinMemberActionGrad:
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_equals_full_gradient_pass(self, activation):
-        # The actors' critic pass forms no parameter gradient; its Q and
-        # action gradient are those of a full gradient pass, bit for bit.
+    def test_equals_input_gradient_pass(self, activation):
+        # The min-member Q and action gradient are those of one stacked
+        # forward and one stacked input-gradient pass, bit for bit.
         rng = stream(8, "critics")
         ens = make_critic_ensemble(3, 2, (64, 64), 3, rng, activation=activation)
         x = rng.standard_normal((256, 5))
         stack = ens.member_stack
         qmin, ga = agents._min_member_action_grad(stack, x, 3)
-        _, gin = mlp_grad_batch(stack, x, np.ones((3, 256, 1)))
+        gin = mlp_input_grad(stack, x, np.ones((3, 256, 1)))
         qs = mlp_forward_batch(stack, x)[..., 0]
         idx, rows = np.argmin(qs, axis=0), np.arange(256)
         assert qmin.tobytes() == qs[idx, rows].tobytes()
@@ -219,7 +221,7 @@ class TestSacPolicy:
             a = drng.uniform(-1, 1, (256, 1))
             x = np.concatenate([s, a], axis=1)
             resid = mlp_forward_batch(critic, x)[:, 0] - (-coef_q * (a[:, 0] - center) ** 2)
-            grad, _ = mlp_grad_batch(critic, x, (2.0 / 256) * resid[:, None])
+            grad = mlp_grad_batch(critic, x, (2.0 / 256) * resid[:, None])
             critic, opt = adam_step(opt, critic, ParamVector(cspec, grad))
         ens = CriticEnsemble(members=[critic, critic.copy()], targets=[critic.copy(), critic.copy()])
         policy = make_policy(1, [-1.0], [1.0], (32, 32), rng, activation="tanh")
@@ -249,7 +251,7 @@ class TestActionMixture:
         rng = stream(12, "x")
         policy = make_policy(2, [-1.0], [1.0], (8,), rng)
         s = np.zeros((10, 2))
-        a = agents.sample_action_mixture(policy, [-1.0], [1.0], s, 10, 13)
+        a = agents.sample_action_mixture(policy, s, 10, 13)
         assert a.shape == (10, 1)
 
     def test_uniform_half_passes_ks_test(self):
@@ -257,7 +259,7 @@ class TestActionMixture:
         policy = make_policy(1, [-1.0], [1.0], (4,), rng)
         n = 100_000
         s = np.zeros((n, 1))
-        a = agents.sample_action_mixture(policy, [-1.0], [1.0], s, n, 14)
+        a = agents.sample_action_mixture(policy, s, n, 14)
         uniform_half = np.sort(a[n // 2 :, 0])
         cdf = (uniform_half + 1.0) / 2.0
         ecdf = np.arange(1, uniform_half.size + 1) / uniform_half.size
@@ -267,14 +269,14 @@ class TestActionMixture:
     def test_all_samples_within_bounds(self):
         rng = stream(14, "x")
         policy = make_policy(1, [-0.3], [0.8], (4,), rng)
-        a = agents.sample_action_mixture(policy, [-0.3], [0.8], np.zeros((200, 1)), 200, 15)
+        a = agents.sample_action_mixture(policy, np.zeros((200, 1)), 200, 15)
         assert np.all(a >= -0.3) and np.all(a <= 0.8)
 
     def test_odd_batch_rejected(self):
         rng = stream(15, "x")
         policy = make_policy(1, [-1.0], [1.0], (4,), rng)
         with pytest.raises(ValueError):
-            agents.sample_action_mixture(policy, [-1.0], [1.0], np.zeros((3, 1)), 3, 0)
+            agents.sample_action_mixture(policy, np.zeros((3, 1)), 3, 0)
 
 
 class LinearScoreStub:
@@ -338,7 +340,6 @@ class TestSmacCritic:
             ens, policy, scale, stub, batch,
             score_match_weight=0.0, entropy_coef=0.2, discount=0.99,
             target_rng=np.random.default_rng(1), action_rng=np.random.default_rng(2),
-            action_low=[-1, -1], action_high=[1, 1],
         )
         assert out.total == td_loss and out.sm_loss == 0.0
         assert all(np.array_equal(a, b) for a, b in zip(out.member_grads, td_grads))
@@ -350,13 +351,12 @@ class TestSmacCritic:
             ens, policy, scale, stub, batch,
             score_match_weight=kappa, entropy_coef=0.2, discount=0.99,
             target_rng=np.random.default_rng(1), action_rng=np.random.default_rng(2),
-            action_low=[-1, -1], action_high=[1, 1],
         )
         assert out.total == out.td_loss + kappa * out.sm_loss
         td_loss, _ = agents.sac_critic_loss(ens, policy, batch, 0.2, 0.99, np.random.default_rng(1))
         assert out.td_loss == td_loss
         sm_actions = agents.sample_action_mixture(
-            policy, [-1, -1], [1, 1], batch.s, batch.size, np.random.default_rng(2)
+            policy, batch.s, batch.size, np.random.default_rng(2)
         )
         sm_loss, _, _ = agents.score_match_loss(ens, scale, stub, batch.s, sm_actions, 1.0)
         assert out.sm_loss == sm_loss
@@ -367,7 +367,6 @@ class TestSmacCritic:
             ens, policy, scale, stub, batch,
             score_match_weight=40.0, entropy_coef=0.2, discount=0.99,
             target_rng=np.random.default_rng(1), action_rng=np.random.default_rng(2),
-            action_low=[-1, -1], action_high=[1, 1],
         )
         assert np.any(out.scale_grad != 0.0)
 
@@ -378,7 +377,7 @@ class TestConservativePenalties:
         policy = make_policy(3, [-1, -1], [1, 1], (4,), rng)
         ens = const_ensemble(3, 2, 5.0)
         batch = random_batch(rng)
-        penalty, grads = agents.cql_penalty(ens, policy, batch, 0, [-1, -1], [1, 1])
+        penalty, grads = agents.cql_penalty(ens, policy, batch, 0)
         assert penalty == 0.0
 
     def test_higher_data_q_gives_negative_penalty(self):
@@ -392,7 +391,7 @@ class TestConservativePenalties:
             s=np.zeros((6, 1)), a=np.full((6, 1), 1.0), r=np.zeros(6),
             s2=np.zeros((6, 1)), done=np.zeros(6), w=np.ones(6), mc=np.zeros(6),
         )
-        penalty, _ = agents.cql_penalty(ens, policy, batch, 21, [-1.0], [1.0])
+        penalty, _ = agents.cql_penalty(ens, policy, batch, 21)
         assert penalty < 0.0
 
     def test_hand_case_matches_manual_arithmetic(self):
@@ -411,16 +410,16 @@ class TestConservativePenalties:
         )
         # Odd batches cannot split between policy and uniform samples.
         with pytest.raises(ValueError):
-            agents.cql_penalty(ens, policy, batch, 22, [-1.0], [1.0])
+            agents.cql_penalty(ens, policy, batch, 22)
         batch4 = Batch(
             s=np.vstack([batch.s, [[0.7, 0.7]]]),
             a=np.vstack([batch.a, [[-0.2]]]),
             r=np.zeros(4), s2=np.zeros((4, 2)), done=np.zeros(4),
             w=np.ones(4), mc=np.zeros(4),
         )
-        penalty, _ = agents.cql_penalty(ens, policy, batch4, 22, [-1.0], [1.0])
+        penalty, _ = agents.cql_penalty(ens, policy, batch4, 22)
         sampled = agents.sample_action_mixture(
-            policy, [-1.0], [1.0], batch4.s, 4, np.random.default_rng(22)
+            policy, batch4.s, 4, np.random.default_rng(22)
         )
         q = lambda s, a: s @ w_s + a @ w_a + b
         manual = np.mean(q(batch4.s, sampled)) - np.mean(q(batch4.s, batch4.a))
@@ -431,8 +430,8 @@ class TestConservativePenalties:
         policy, ens = random_nets(rng)
         batch = random_batch(rng, size=6)
         batch.mc = np.full(6, np.inf)
-        a, _ = agents.cql_penalty(ens, policy, batch, 24, [-1, -1], [1, 1])
-        b, _ = agents.calql_penalty(ens, policy, batch, 24, [-1, -1], [1, 1])
+        a, _ = agents.cql_penalty(ens, policy, batch, 24)
+        b, _ = agents.calql_penalty(ens, policy, batch, 24)
         assert a == b
 
     def test_capped_never_exceeds_plain(self):
@@ -440,8 +439,8 @@ class TestConservativePenalties:
         for case in range(100):
             policy, ens = random_nets(rng)
             batch = random_batch(rng, size=6)
-            plain, _ = agents.cql_penalty(ens, policy, batch, case, [-1, -1], [1, 1])
-            capped, _ = agents.calql_penalty(ens, policy, batch, case, [-1, -1], [1, 1])
+            plain, _ = agents.cql_penalty(ens, policy, batch, case)
+            capped, _ = agents.calql_penalty(ens, policy, batch, case)
             assert capped <= plain + 1e-15
 
     def test_missing_mc_rejected(self):
@@ -449,7 +448,7 @@ class TestConservativePenalties:
         policy, ens = random_nets(rng)
         batch = random_batch(rng, size=6, with_mc=False)
         with pytest.raises(ValueError, match="Monte-Carlo"):
-            agents.calql_penalty(ens, policy, batch, 0, [-1, -1], [1, 1])
+            agents.calql_penalty(ens, policy, batch, 0)
 
     def test_two_element_capped_hand_case(self):
         rng = stream(27, "x")
@@ -461,9 +460,9 @@ class TestConservativePenalties:
             s=np.zeros((2, 1)), a=np.array([[0.5], [-0.5]]), r=np.zeros(2),
             s2=np.zeros((2, 1)), done=np.zeros(2), w=np.ones(2), mc=np.array([0.3, -2.0]),
         )
-        penalty, _ = agents.calql_penalty(ens, policy, batch, 28, [-1.0], [1.0])
+        penalty, _ = agents.calql_penalty(ens, policy, batch, 28)
         sampled = agents.sample_action_mixture(
-            policy, [-1.0], [1.0], batch.s, 2, np.random.default_rng(28)
+            policy, batch.s, 2, np.random.default_rng(28)
         )
         q_ood = sampled[:, 0] * 2.0
         manual = np.mean(np.minimum(batch.mc, q_ood)) - np.mean(batch.a[:, 0] * 2.0)
@@ -697,3 +696,27 @@ class TestEntropyCoef:
         assert up > 0.0
         down = agents.entropy_coef_update(0.0, mean_logp=-5.0, target_entropy=2.0, lr=0.1)
         assert down < 0.0
+
+    @pytest.mark.parametrize(
+        "log_coef, mean_logp, lr",
+        [
+            # One step past the largest coefficient a float64 holds.
+            (agents.LOG_ENTROPY_COEF_MAX - 0.5, 0.0, 1.0),
+            # A gradient that overflows to inf.
+            (700.0, 1e300, 1.0),
+            # A step of inf * 0.
+            (0.0, -1.0, np.inf),
+        ],
+        ids=["past-max", "gradient-overflow", "nan-step"],
+    )
+    def test_overflow_names_the_coefficient(self, log_coef, mean_logp, lr):
+        # It used to return a log coefficient whose exp overflows (a
+        # RuntimeWarning at the next exp), and the run then aborted a step
+        # later on a non-finite TD target.
+        with pytest.raises(NumericError, match="entropy coefficient"):
+            agents.entropy_coef_update(log_coef, mean_logp, target_entropy=1.0, lr=lr)
+
+    def test_largest_finite_coefficient_accepted(self):
+        top = agents.LOG_ENTROPY_COEF_MAX
+        assert agents.entropy_coef_update(top, mean_logp=-1.0, target_entropy=1.0, lr=1.0) == top
+        assert np.isfinite(np.exp(top))

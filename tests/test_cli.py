@@ -1,6 +1,7 @@
 """Command-line workflow: exit codes, manifests, byte-determinism."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -265,6 +266,18 @@ class TestErrorPaths:
             "networks.policy_hidden=[2.5]",
             "seeds=[1.5]",
             'loss.target_entropy="abc"',
+            # Non-finite floats, and an entropy coefficient that is not
+            # positive: 0 used to train and write a log coefficient of
+            # -Infinity, -1 to exit 3 at step 0.
+            "loss.score_match_weight=NaN",
+            "loss.bc_weight=Infinity",
+            "loss.cql_alpha=NaN",
+            "loss.awr_temperature=Infinity",
+            "loss.entropy_coef=NaN",
+            "loss.target_entropy=-Infinity",
+            "data.behavior_gain=NaN",
+            "loss.entropy_coef=0",
+            "loss.entropy_coef=-1",
             "--seed=-1",
             "--jobs=0",
             "--jobs=-3",
@@ -294,13 +307,20 @@ class TestErrorPaths:
         assert not out.parent.exists()
 
     def test_jobs_are_capped_at_the_seed_count(self, workdir, monkeypatch):
-        # A stand-in pool that records its worker count and runs the seeds
-        # in this process, so no worker is ever started.
-        workers = []
+        # A stand-in pool that records its worker count, start method and
+        # the thread variables its workers would start with, and runs the
+        # seeds in this process, so no worker is ever started.
+        workers, methods, environs = [], [], []
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in names[:2]:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")  # set by the user: kept
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 workers.append(max_workers)
+                methods.append(mp_context.get_start_method())
+                environs.append({name: os.environ.get(name) for name in names})
 
             def __enter__(self):
                 return self
@@ -319,6 +339,13 @@ class TestErrorPaths:
         pretrain = ["pretrain", "--config", "cfg.json", *over, *seeds, "--data", data]
         assert run(pretrain + ["--jobs", "64", "--out", "pre"]) == 0
         assert workers == [2]
+        assert methods == ["spawn"]
+        assert environs == [
+            {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "3"}
+        ]
+        assert {name: os.environ.get(name) for name in names} == {
+            "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "3"
+        }
         assert sorted(p.name for p in (workdir / "pre").iterdir()) == [
             "manifest.json", "seed-0", "seed-1"
         ]
@@ -400,6 +427,9 @@ class TestErrorPaths:
             ("checkpoint", "n_critics", "1", "n_critics"),
             ("checkpoint", "rng_states.cql", None, "rng_states"),
             ("checkpoint", "rng_states.batch.state", "7", "rng_states"),
+            # Non-finite floats, which used to load and fine-tune.
+            ("checkpoint", "log_entropy_coef", "-Infinity", "log_entropy_coef"),
+            ("checkpoint", "target_entropy", "NaN", "target_entropy"),
         ],
     )
     def test_incomplete_blob_header_exits_2_without_leftover(

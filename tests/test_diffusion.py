@@ -11,8 +11,8 @@ from o2olab.diffusion import (
     calibrated_score_at_k1,
     cosine_schedule,
     ddpm_sample,
+    _draw_noising,
     diffusion_loss,
-    eps_prediction_loss,
     init_score_model,
     load_score_model,
     noise_action,
@@ -22,7 +22,7 @@ from o2olab.diffusion import (
 )
 from o2olab.errors import FormatError
 from o2olab.numkit import ParamVector
-from o2olab.seeding import stream
+from o2olab.seeding import as_generator, stream
 
 
 class ArrayDataset:
@@ -33,6 +33,20 @@ class ArrayDataset:
         self.a = np.asarray(a, dtype=np.float64)
         self.w_labels = np.asarray(w, dtype=np.float64)
         self.size = len(self.s)
+
+
+def eps_prediction_loss(predict_fn, schedule, action_dim, s, a, w, seed):
+    """Mean noise-prediction error of an arbitrary predictor.
+
+    Draws (k, eps) and noises the actions as `diffusion_loss` does, so for
+    a model's own `.predict` this returns the value the training loss
+    sees.  Useful for probing closed-form predictors.
+    """
+    s = np.atleast_2d(np.asarray(s, dtype=np.float64))
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    k, eps = _draw_noising(schedule, action_dim, s.shape[0], as_generator(seed))
+    resid = predict_fn(s, noise_action(a, k, schedule, eps), w, k) - eps
+    return float(np.mean(np.sum(resid * resid, axis=1)))
 
 
 def gaussian_dataset(mu=0.0, sigma=0.2, n=4096, seed=0):
@@ -99,6 +113,15 @@ class TestNoiseAction:
         sched = cosine_schedule(8)
         with pytest.raises(ValueError):
             noise_action(np.zeros(1), 9, sched, np.zeros(1))
+
+    def test_one_step_per_row_equals_each_row_alone(self):
+        sched = cosine_schedule(8)
+        rng = np.random.default_rng(2)
+        a0, eps = rng.standard_normal((2, 5, 3))
+        k = np.array([1, 8, 3, 3, 6])
+        out = noise_action(a0, k, sched, eps)
+        for i in range(5):
+            assert out[i].tobytes() == noise_action(a0[i], int(k[i]), sched, eps[i]).tobytes()
 
 
 class TestDiffusionLoss:

@@ -9,7 +9,6 @@ import pytest
 from o2olab.envs import (
     ReplayBuffer,
     ScriptedPolicy,
-    UniformPolicy,
     clip_warning_count,
     env_reset,
     env_step,
@@ -22,6 +21,16 @@ from o2olab.envs import (
     stack_batch,
 )
 from o2olab.errors import FormatError, NumericError, ShapeError
+
+
+class UniformPolicy:
+    """Uniform-random actions over the action box."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def act(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(self.spec.action_low, self.spec.action_high)
 
 
 def trajectory_bounds(ds):

@@ -1,4 +1,4 @@
-"""Numeric core: forward passes, reverse-mode gradients, flattening."""
+"""Numeric core: forward passes, reverse-mode gradients, parameter layout."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,8 @@ from o2olab.numkit import (
     ParamStack,
     ParamVector,
     finite_diff_check,
-    flatten,
     init_params,
-    mlp_forward,
     mlp_forward_batch,
-    mlp_grad,
     mlp_grad_batch,
     mlp_input_grad,
     mlp_second_grad,
@@ -35,6 +32,32 @@ def reference_forward(params: ParamVector, x: np.ndarray) -> np.ndarray:
             break
         h = np.maximum(h, 0.0) if spec.activation == "relu" else np.tanh(h)
     return h
+
+
+def reference_input_grad(params: ParamVector, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Independent oracle for d<upstream, f(x)>/dx at one input vector:
+    the forward-mode chain rule, carrying the Jacobian dh/dx through the
+    layers and contracting it with the upstream at the end."""
+    layers = unflatten(params)
+    h = np.array(x, dtype=np.float64)
+    jac = np.eye(h.size)
+    for idx, (w, b) in enumerate(layers):
+        z = w @ h + b
+        jac = w @ jac
+        if idx == len(layers) - 1:
+            break
+        if params.spec.activation == "relu":
+            h, slope = np.maximum(z, 0.0), (z > 0.0).astype(np.float64)
+        else:
+            h = np.tanh(z)
+            slope = 1.0 - h * h
+        jac = slope[:, None] * jac
+    return np.asarray(upstream, dtype=np.float64) @ jac
+
+
+def forward_one(params, x):
+    """The network output at one input vector, as a batch of one row."""
+    return mlp_forward_batch(params, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def linear_1_1(weight, bias):
@@ -87,16 +110,6 @@ class TestSpecAndFlattening:
         spec = MlpSpec((4, 8, 2))
         assert spec.param_count == 4 * 8 + 8 + 8 * 2 + 2
 
-    def test_flatten_round_trip_exact(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            depth = rng.integers(2, 5)
-            widths = tuple(int(w) for w in rng.integers(1, 7, size=depth))
-            spec = MlpSpec(widths)
-            params = init_params(spec, rng)
-            rebuilt = flatten(spec, unflatten(params))
-            assert np.array_equal(rebuilt.values, params.values)
-
     def test_wrong_length_rejected(self):
         spec = MlpSpec((2, 2))
         with pytest.raises(ShapeError):
@@ -116,11 +129,11 @@ class TestForward:
     def test_zero_network_gives_zero(self):
         spec = MlpSpec((3, 4, 2), activation="relu")
         params = ParamVector(spec, np.zeros(spec.param_count))
-        out = mlp_forward(params, np.array([1.0, -2.0, 3.0]))
+        out = forward_one(params, np.array([1.0, -2.0, 3.0]))
         assert np.array_equal(out, np.zeros(2))
 
     def test_affine_1_1(self):
-        out = mlp_forward(linear_1_1(2.0, 1.0), np.array([3.0]))
+        out = forward_one(linear_1_1(2.0, 1.0), np.array([3.0]))
         assert out[0] == 7.0
 
     def test_matches_independent_forward(self):
@@ -129,7 +142,7 @@ class TestForward:
             spec = MlpSpec((4, 8, 2), activation=activation)
             params = init_params(spec, rng)
             x = rng.standard_normal(4)
-            got = mlp_forward(params, x)
+            got = forward_one(params, x)
             want = reference_forward(params, x)
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -138,27 +151,32 @@ class TestForward:
         spec = MlpSpec((5, 7, 3), activation="tanh")
         params = init_params(spec, rng)
         x = rng.standard_normal(5)
-        assert np.array_equal(mlp_forward(params, x), mlp_forward(params, x))
+        assert np.array_equal(forward_one(params, x), forward_one(params, x))
 
     def test_dimension_mismatch_rejected(self):
         spec = MlpSpec((3, 2))
         params = ParamVector(spec, np.zeros(spec.param_count))
         with pytest.raises(ShapeError):
-            mlp_forward(params, np.zeros(4))
+            mlp_forward_batch(params, np.zeros((1, 4)))
+        with pytest.raises(ShapeError):
+            mlp_forward_batch(params, np.zeros(3))
 
+    # The product 1e308 * 10 overflows on purpose.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_non_finite_intermediate_names_layer(self):
         spec = MlpSpec((1, 1))
         params = ParamVector(spec, np.array([1e308, 1e308]))
         with pytest.raises(NumericError, match="layer 0"):
-            mlp_forward(params, np.array([10.0]))
+            mlp_forward_batch(params, np.array([[10.0]]))
 
 
 class TestGradients:
     def test_affine_1_1_grads(self):
-        grads, gin = mlp_grad(linear_1_1(2.0, 1.0), np.array([3.0]), np.array([1.0]))
-        assert gin[0] == 2.0
-        assert grads.values[0] == 3.0  # d/dw
-        assert grads.values[1] == 1.0  # d/db
+        params, x, up = linear_1_1(2.0, 1.0), np.array([[3.0]]), np.array([[1.0]])
+        grads = mlp_grad_batch(params, x, up)
+        assert mlp_input_grad(params, x, up)[0, 0] == 2.0
+        assert grads[0] == 3.0  # d/dw
+        assert grads[1] == 1.0  # d/db
 
     def test_tanh_net_input_grad_at_zero(self):
         # tanh'(0) = 1, so the input gradient is the product of the
@@ -168,7 +186,7 @@ class TestGradients:
         params = init_params(spec, rng)
         layers = unflatten(params)
         upstream = rng.standard_normal(2)
-        _, gin = mlp_grad(params, np.zeros(3), upstream)
+        gin = mlp_input_grad(params, np.zeros((1, 3)), upstream[None, :])[0]
         want = upstream @ layers[1][0] @ layers[0][0]
         assert np.max(np.abs(gin - want)) <= 1e-12
 
@@ -179,12 +197,11 @@ class TestGradients:
             widths = tuple(int(w) for w in rng.integers(2, 6, size=depth))
             spec = MlpSpec(widths, activation="tanh")
             params = init_params(spec, rng)
-            x = rng.standard_normal(widths[0])
-            u = rng.standard_normal(widths[-1])
+            x = rng.standard_normal((1, widths[0]))
+            u = rng.standard_normal((1, widths[-1]))
 
             def f(pv):
-                g, _ = mlp_grad(pv, x, u)
-                return float(u @ mlp_forward(pv, x)), g.values
+                return float(np.sum(u * mlp_forward_batch(pv, x))), mlp_grad_batch(pv, x, u)
 
             assert finite_diff_check(f, params, 1e-5, rng=rng, max_coords=64) <= 1e-5
 
@@ -194,12 +211,12 @@ class TestGradients:
         params = init_params(spec, rng)
         xs = rng.standard_normal((4, 3))
         us = rng.standard_normal((4, 2))
-        flat, gins = mlp_grad_batch(params, xs, us)
-        single = sum(mlp_grad(params, x, u)[0].values for x, u in zip(xs, us))
+        flat = mlp_grad_batch(params, xs, us)
+        single = sum(mlp_grad_batch(params, x[None, :], u[None, :]) for x, u in zip(xs, us))
         assert np.max(np.abs(flat - single)) <= 1e-12
+        gins = mlp_input_grad(params, xs, us)
         for i in range(4):
-            _, gi = mlp_grad(params, xs[i], us[i])
-            assert np.max(np.abs(gins[i] - gi)) <= 1e-12
+            assert np.max(np.abs(gins[i] - reference_input_grad(params, xs[i], us[i]))) <= 1e-12
 
 
 class TestSecondGrad:
@@ -213,30 +230,27 @@ class TestSecondGrad:
         v = rng.standard_normal((3, 4))
 
         def f(pv):
-            _, gins = mlp_grad_batch(pv, x, u)
-            val = float(np.sum(gins * v))
-            _, flat = mlp_second_grad(pv, x, u, v)
-            return val, flat
+            val = float(np.sum(mlp_input_grad(pv, x, u) * v))
+            return val, mlp_second_grad(pv, x, u, v)
 
         assert finite_diff_check(f, params, 1e-5, rng=rng) <= 1e-5
 
-    def test_jvp_value_matches_vjp(self):
+    def test_linear_in_direction(self):
+        # phi = sum_b <u_b, J_b v_b> is linear in v, and so is its gradient.
         rng = np.random.default_rng(8)
         spec = MlpSpec((4, 5, 2), activation="tanh")
         params = init_params(spec, rng)
         x = rng.standard_normal((2, 4))
         u = rng.standard_normal((2, 2))
-        v = rng.standard_normal((2, 4))
-        ydot, _ = mlp_second_grad(params, x, u, v)
-        _, gins = mlp_grad_batch(params, x, u)
-        assert abs(float(np.sum(u * ydot)) - float(np.sum(gins * v))) <= 1e-10
+        v1, v2 = rng.standard_normal((2, 2, 4))
+        both = mlp_second_grad(params, x, u, v1 - 3.0 * v2)
+        apart = mlp_second_grad(params, x, u, v1) - 3.0 * mlp_second_grad(params, x, u, v2)
+        assert np.max(np.abs(both - apart)) <= 1e-12 * max(1.0, np.max(np.abs(both)))
 
     def test_linear_net_param_grad(self):
         # For f(x) = w x + b, d/dw <1, J v> = v and d/db = 0.
         params = linear_1_1(2.0, 1.0)
-        _, flat = mlp_second_grad(
-            params, np.array([[3.0]]), np.array([[1.0]]), np.array([[0.7]])
-        )
+        flat = mlp_second_grad(params, np.array([[3.0]]), np.array([[1.0]]), np.array([[0.7]]))
         assert np.allclose(flat, [0.7, 0.0], atol=1e-15)
 
 
@@ -279,21 +293,20 @@ class TestParamStack:
         stack, x, xs, up, _ = _stack_case(n, batch, activation)
         members = stack.vectors()
         for rows in (x, xs):
-            flat, gin = mlp_grad_batch(stack, rows, up)
-            loop = [
-                mlp_grad_batch(m, rows if rows.ndim == 2 else rows[i], up[i])
-                for i, m in enumerate(members)
-            ]
-            assert np.array_equal(flat, np.stack([f for f, _ in loop]))
-            assert np.array_equal(gin, np.stack([g for _, g in loop]))
+            own = [rows if rows.ndim == 2 else rows[i] for i in range(n)]
+            flat = mlp_grad_batch(stack, rows, up)
+            gin = mlp_input_grad(stack, rows, up)
+            loop = [mlp_grad_batch(m, r, u) for m, r, u in zip(members, own, up)]
+            assert np.array_equal(flat, np.stack(loop))
+            loop = [mlp_input_grad(m, r, u) for m, r, u in zip(members, own, up)]
+            assert np.array_equal(gin, np.stack(loop))
 
     @cases
     def test_second_grad_equals_member_loop(self, n, batch, activation):
         stack, x, _, up, v = _stack_case(n, batch, activation)
-        jvp, flat = mlp_second_grad(stack, x, up, v)
+        flat = mlp_second_grad(stack, x, up, v)
         loop = [mlp_second_grad(m, x, up[i], v[i]) for i, m in enumerate(stack.vectors())]
-        assert np.array_equal(jvp, np.stack([j for j, _ in loop]))
-        assert np.array_equal(flat, np.stack([f for _, f in loop]))
+        assert np.array_equal(flat, np.stack(loop))
 
     def test_rows_are_views(self):
         stack, _, _, _, _ = _stack_case(2, 8, "tanh")
@@ -319,12 +332,11 @@ class TestForwardCache:
         cache = ForwardCache()
         out = mlp_forward_batch(stack, x, cache)
         assert np.array_equal(cache.out, out)
-        cached = mlp_grad_batch(stack, x, up, cache)
-        plain = mlp_grad_batch(stack, x, up)
-        assert all(np.array_equal(a, b) for a, b in zip(cached, plain))
-        cached = mlp_second_grad(stack, x, up, v, cache)
-        plain = mlp_second_grad(stack, x, up, v)
-        assert all(np.array_equal(a, b) for a, b in zip(cached, plain))
+        assert np.array_equal(mlp_grad_batch(stack, x, up, cache), mlp_grad_batch(stack, x, up))
+        assert np.array_equal(mlp_input_grad(stack, x, up, cache), mlp_input_grad(stack, x, up))
+        assert np.array_equal(
+            mlp_second_grad(stack, x, up, v, cache), mlp_second_grad(stack, x, up, v)
+        )
 
     def test_grad_fills_an_empty_cache(self):
         rng = np.random.default_rng(2)
@@ -343,8 +355,7 @@ class TestForwardCache:
         cache = ForwardCache()
         mlp_forward_batch(params, x, cache)
         cached = mlp_grad_batch(params, x.view(), np.ones((6, 2)), cache)
-        plain = mlp_grad_batch(params, x, np.ones((6, 2)))
-        assert all(np.array_equal(a, b) for a, b in zip(cached, plain))
+        assert np.array_equal(cached, mlp_grad_batch(params, x, np.ones((6, 2))))
 
     def test_cache_of_other_rows_rejected(self):
         rng = np.random.default_rng(3)
@@ -375,21 +386,32 @@ PASS_CASES = pytest.mark.parametrize(
 
 
 class TestInputGrad:
-    """`mlp_input_grad` is the input gradient of `mlp_grad_batch`, bit for bit."""
+    """`mlp_input_grad` against the forward-mode chain rule of
+    `reference_input_grad`, row by row and member by member."""
 
     @PASS_CASES
-    @pytest.mark.parametrize("cache", ["none", "empty", "filled"])
-    def test_equals_grad_batch_input_gradient(self, stacked, per_member, activation, cache):
+    def test_matches_reference_chain_rule(self, stacked, per_member, activation):
         params, x, up, _ = _pass_case(stacked, activation, per_member)
-        _, want = mlp_grad_batch(params, x, up)
-        fc = None if cache == "none" else ForwardCache()
+        got = mlp_input_grad(params, x, up)
+        assert got.shape == (x.shape if per_member or not stacked else (3, *x.shape))
+        members = params.vectors() if stacked else [params]
+        got = got if stacked else got[None]
+        for i, member in enumerate(members):
+            rows = x[i] if per_member else x
+            ups = up[i] if stacked else up
+            want = np.stack([reference_input_grad(member, r, u) for r, u in zip(rows, ups)])
+            assert np.max(np.abs(got[i] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @PASS_CASES
+    @pytest.mark.parametrize("cache", ["empty", "filled"])
+    def test_cache_gives_the_same_bits(self, stacked, per_member, activation, cache):
+        params, x, up, _ = _pass_case(stacked, activation, per_member)
+        fc = ForwardCache()
         if cache == "filled":
             mlp_forward_batch(params, x, fc)
         got = mlp_input_grad(params, x, up, fc)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        if fc is not None:
-            assert np.array_equal(fc.out, mlp_forward_batch(params, x))
+        assert got.tobytes() == mlp_input_grad(params, x, up).tobytes()
+        assert np.array_equal(fc.out, mlp_forward_batch(params, x))
 
     def test_upstream_shape_checked(self):
         params, x, up, _ = _pass_case(False, "tanh", False)

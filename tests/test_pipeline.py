@@ -109,6 +109,17 @@ class TestConfig:
             {"networks": {"n_critics": 1}},
             {"warm_start_count": 10, "replay_capacity": 9},
             {"replay_capacity": 0},
+            # Non-finite floats, which a check such as `x < 0` lets through,
+            # and an entropy coefficient that is not positive; these loaded.
+            {"loss": {"score_match_weight": float("nan")}},
+            {"loss": {"bc_weight": float("inf")}},
+            {"loss": {"cql_alpha": float("nan")}},
+            {"loss": {"awr_temperature": float("inf")}},
+            {"loss": {"entropy_coef": float("nan")}},
+            {"loss": {"target_entropy": float("-inf")}},
+            {"data": {"behavior_gain": float("nan")}},
+            {"loss": {"entropy_coef": 0.0}},
+            {"loss": {"entropy_coef": -1.0}},
         ],
     )
     def test_out_of_range_value_rejected(self, data):
@@ -259,7 +270,8 @@ class TestCheckpoint:
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     # Each case edits one header entry to a value out of range; it used to
-    # load (step, rng_states) or fail without naming the entry (n_critics).
+    # load (step, rng_states, log_entropy_coef, target_entropy) or fail
+    # without naming the entry (n_critics).
     @pytest.mark.parametrize(
         "key, edit",
         [
@@ -272,11 +284,16 @@ class TestCheckpoint:
             ("rng_states", lambda h: h["rng_states"]["batch"].update(state=7)),
             ("rng_states", lambda h: h["rng_states"]["batch"].update(bit_generator="MT19937")),
             ("rng_states", lambda h: h["rng_states"]["smooth"]["state"].update(inc=-1)),
+            ("log_entropy_coef", lambda h: h.update(log_entropy_coef=float("-inf"))),
+            ("log_entropy_coef", lambda h: h.update(log_entropy_coef=float("nan"))),
+            ("target_entropy", lambda h: h.update(target_entropy=float("inf"))),
+            ("log_entropy_coef", lambda h: h.update(log_entropy_coef=800.0)),
         ],
         ids=[
             "negative-step", "one-critic", "negative-critics", "states-not-object",
             "stream-missing", "stream-extra", "snapshot-state", "snapshot-generator",
-            "snapshot-out-of-range",
+            "snapshot-out-of-range", "coef-minus-inf", "coef-nan", "target-entropy-inf",
+            "coef-exp-overflows",
         ],
     )
     def test_out_of_range_header_entry_rejected(self, tmp_path, key, edit):
@@ -602,7 +619,7 @@ class TestPassCount:
         )
         streams = {name: stream(4, name) for name in pipeline._OFFLINE_STREAMS}
         batch = ds.sample_batch(cfg.offline_batch, streams["batch"])
-        pipeline._offline_update(cfg, ds.env, agent, batch, streams, model)
+        pipeline._offline_update(cfg, agent, batch, streams, model)
         # 13 in all (21 before the critic ensemble was stacked).
         assert numkit_passes == [
             # critic loss, TD part: policy sample at s2, stacked target
@@ -626,7 +643,7 @@ class TestPassCount:
         state = ds.s[0]
         pipeline._explore_action(agent.policy, ds.env, state, "sac", streams["explore"])
         batch = ds.sample_batch(cfg.online_batch, streams["batch"])
-        pipeline._online_update(cfg, ds.env, agent, batch, streams)
+        pipeline._online_update(cfg, agent, batch, streams)
         # 8 in all (14 before the critic ensemble was stacked).
         assert numkit_passes == [
             # exploring action
