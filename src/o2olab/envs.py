@@ -11,11 +11,18 @@ Datasets carry per-trajectory Monte-Carlo returns and a per-transition
 outcome label in [0, 1]: the min-max normalized trajectory outcome
 (discounted return for dense tasks, success flag for sparse ones), so
 that label 1 always marks the best outcome present in the data.
+
+Datasets live on disk as JSON lines (`save_dataset`, `load_dataset`).
+Both stream the file through flat columns, so neither holds a Python
+object per record, and loading refuses any record field that is not of
+its JSON type instead of coercing it.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
@@ -387,16 +394,24 @@ def mixed_batch(
 # ----------------------------------------------------------------------
 # On-disk format: one JSON header line, then one JSON object per
 # transition with keys s, a, r, s2, done, traj, t.  Floats use 17
-# significant digits so that save -> load is value-identical.
+# significant digits so that save -> load is value-identical.  Both
+# directions stream, holding no Python object per record: save formats
+# `_CHUNK_RECORDS` records at a time, and load appends each record to
+# flat typed columns.
 # ----------------------------------------------------------------------
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _fmt_vec(v: np.ndarray) -> str:
-    return "[" + ", ".join(_fmt(x) for x in v) + "]"
+_CHUNK_RECORDS = 256
+_NUMBER_TYPES = frozenset((int, float))
+_HEADER_TYPES = {
+    "env": ({str}, "string"),
+    "state_dim": ({int}, "integer"),
+    "action_dim": ({int}, "integer"),
+    "gamma": (_NUMBER_TYPES, "number"),
+    "count": ({int}, "integer"),
+}
+_RECORD_KEYS = frozenset(("s", "a", "r", "s2", "done", "traj", "t"))
+# Save writes -0.0 as `-0`; reading that as the integer 0 would drop the sign.
+_JSON = json.JSONDecoder(parse_int=lambda text: -0.0 if text == "-0" else int(text))
 
 
 def _step_index(traj: np.ndarray) -> np.ndarray:
@@ -406,148 +421,135 @@ def _step_index(traj: np.ndarray) -> np.ndarray:
 
 
 def save_dataset(dataset: Dataset, path):
-    header = (
-        '{"env": %s, "state_dim": %d, "action_dim": %d, "gamma": %s, "count": %d}'
-        % (
-            json.dumps(dataset.env.name),
-            dataset.env.state_dim,
-            dataset.env.action_dim,
-            _fmt(dataset.env.discount),
-            dataset.size,
-        )
-    )
-    lines = [header]
-    steps = _step_index(dataset.traj)
-    cols = (dataset.s, dataset.a, dataset.r, dataset.s2, dataset.done, dataset.traj, steps)
-    for s, a, r, s2, done, traj, t in zip(*(c.tolist() for c in cols)):
-        flag = "true" if done else "false"
-        lines.append(
-            '{"s": %s, "a": %s, "r": %s, "s2": %s, "done": %s, "traj": %d, "t": %d}'
-            % (_fmt_vec(s), _fmt_vec(a), _fmt(r), _fmt_vec(s2), flag, traj, t)
-        )
+    env = dataset.env
+    sv, av = ("[" + ", ".join(["%.17g"] * d) + "]" for d in (env.state_dim, env.action_dim))
+    record = f'{{"s": {sv}, "a": {av}, "r": %.17g, "s2": {sv}, "done": %s, "traj": %d, "t": %d}}\n'
+    columns = (dataset.done, dataset.traj, _step_index(dataset.traj))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            '{"env": %s, "state_dim": %d, "action_dim": %d, "gamma": %.17g, "count": %d}\n'
+            % (json.dumps(env.name), env.state_dim, env.action_dim, env.discount, dataset.size)
+        )
+        for lo in range(0, dataset.size, _CHUNK_RECORDS):
+            at = slice(lo, lo + _CHUNK_RECORDS)
+            numbers = np.column_stack((dataset.s[at], dataset.a[at], dataset.r[at], dataset.s2[at]))
+            rows = zip(numbers.tolist(), *(c[at].tolist() for c in columns))
+            text = [record % (*x, "true" if d else "false", i, k) for x, d, i, k in rows]
+            fh.write("".join(text))
 
 
-_RECORD_KEYS = ("s", "a", "r", "s2", "done", "traj", "t")
-_JSON = json.JSONDecoder()
+def _header_spec(header, lineno: int, offset: int) -> tuple[EnvSpec, int]:
+    """The environment and the record count that a dataset header declares."""
+    if type(header) is not dict:
+        raise FormatError("the header is not a JSON object", line=lineno, offset=offset)
+    for key, (kinds, kind) in _HEADER_TYPES.items():
+        if key not in header:
+            raise FormatError(f"header missing key {key!r}", line=lineno, offset=offset)
+        if type(header[key]) not in kinds:
+            message = f"header {key} {header[key]!r} is not a JSON {kind}"
+            raise FormatError(message, line=lineno, offset=offset)
+    spec = make_env_spec(header["env"])
+    if header["gamma"] != spec.discount:
+        message = f"header gamma {header['gamma']!r} != environment {spec.name!r} discount"
+        raise FormatError(f"{message} {spec.discount!r}", line=lineno, offset=offset)
+    if spec.state_dim != header["state_dim"] or spec.action_dim != header["action_dim"]:
+        raise ShapeError(
+            f"header dims ({header['state_dim']}, {header['action_dim']}) do not match "
+            f"environment {spec.name!r} ({spec.state_dim}, {spec.action_dim})"
+        )
+    return spec, header["count"]
 
 
-def _check_record(spec: EnvSpec, lineno: int, offset: int, rec):
-    """Raise the error of one dataset record, naming its line, if it has
-    a missing key, a value of the wrong type or a vector of the wrong
-    length."""
-    try:
-        s, a, s2 = (np.asarray(rec[key], dtype=np.float64) for key in ("s", "a", "s2"))
-        float(rec["r"]), int(rec["traj"]), int(rec["t"]), rec["done"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed record: {exc}", line=lineno, offset=offset) from None
-    if (s.shape, a.shape, s2.shape) != ((spec.state_dim,), (spec.action_dim,), (spec.state_dim,)):
-        raise ShapeError(f"transition dims do not match header (line {lineno})")
-
-
-def _record_columns(spec: EnvSpec, body):
-    """(s, a, r, s2, done, traj, t) columns of the parsed records, built
-    with one array per column.  When a record is malformed, the records
-    are checked one by one so that the error names the first bad line."""
-    n = len(body)
-    problem = "vector of the wrong length"
-    try:
-        recs = [rec for _, _, rec in body]
-        s, a, r, s2, done, traj, t = ([rec[key] for rec in recs] for key in _RECORD_KEYS)
-        widths = (spec.state_dim, spec.action_dim, spec.state_dim)
-        if all(len(v) == d for col, d in zip((s, a, s2), widths) for v in col):
-            s, a, s2 = (np.array(col, dtype=np.float64) for col in (s, a, s2))
-            if (s.shape, a.shape, s2.shape) == tuple((n, d) for d in widths):
-                return (
-                    s,
-                    a,
-                    np.fromiter(map(float, r), np.float64, n),
-                    s2,
-                    np.fromiter(map(bool, done), np.float64, n),
-                    np.fromiter(map(int, traj), np.int64, n),
-                    np.fromiter(map(int, t), np.int64, n),
-                )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        problem = str(exc)
-    for lineno, offset, rec in body:
-        _check_record(spec, lineno, offset, rec)
-    # Every record converts on its own, but not into a column (an integer
-    # beyond int64, say).
-    raise FormatError(f"malformed records: {problem}")
+def _record_numbers(rec, spec: EnvSpec) -> list:
+    """One record's s, a, r and s2 as one list of finite numbers, once
+    each field has its JSON type: lists of numbers of the header's widths
+    for s, a and s2, a number for r, a bool for done and integers for
+    traj and t."""
+    if type(rec) is not dict or not rec.keys() >= _RECORD_KEYS:
+        raise ValueError(f"not an object with keys {sorted(_RECORD_KEYS)}")
+    for key, width in (("s", spec.state_dim), ("a", spec.action_dim), ("s2", spec.state_dim)):
+        if type(rec[key]) is not list:
+            raise ValueError(f"{key} {rec[key]!r} is not a JSON list")
+        if len(rec[key]) != width:
+            raise ShapeError(f"{key} has {len(rec[key])} entries, the header gives {width}")
+    if type(rec["done"]) is not bool:
+        raise ValueError(f"done {rec['done']!r} is not a JSON bool")
+    for key in ("traj", "t"):
+        if type(rec[key]) is not int:
+            raise ValueError(f"{key} {rec[key]!r} is not a JSON integer")
+    numbers = [*rec["s"], *rec["a"], rec["r"], *rec["s2"]]
+    if not _NUMBER_TYPES.issuperset(map(type, numbers)):
+        raise ValueError("s, a, r and s2 must hold JSON numbers")
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError("non-finite number")
+    return numbers
 
 
 def load_dataset(path) -> Dataset:
     """Parse a dataset file; Monte-Carlo returns and outcome labels are
     recomputed from rewards, so the file never stores them.
 
-    The header's `gamma` must equal the environment's discount.  Records
-    may come in any order; they are grouped by trajectory (in order of
-    first appearance) and sorted by step.  A record with a
-    missing key, a non-finite number or a vector of the wrong length is
-    rejected, and so is a trajectory whose steps are not 0..n-1; each
-    error names the line.
+    The file is read a line at a time, and each record's fields go
+    straight into flat typed columns.  Header entries must have their
+    JSON types, and `gamma` must equal the environment's discount.  A
+    record with a missing key, a value of the wrong JSON type, a
+    non-finite number or a vector of the wrong length ends the read at
+    its line, so the first faulty line is the one reported.  After the
+    last record, the record count must match the header's and each
+    trajectory's steps must run 0..n-1; a step fault names the earliest
+    line that breaks it.  Records may come in any order: they are
+    grouped by trajectory (in order of first appearance) and sorted by
+    step.
     """
+    header, offset = None, 0
+    # Per record: its s, a, r and s2 numbers, done, traj, t, line and byte offset.
+    values, done, traj, t, lines, offsets = (array(code) for code in "ddqqqq")
     with open(path, "rb") as fh:
-        raw = fh.read()
-    offset = 0
-    records = []
-    for lineno, line in enumerate(raw.split(b"\n"), start=1):
-        stripped = line.strip()
-        if stripped:
+        for lineno, raw in enumerate(fh, start=1):
+            here, offset = offset, offset + len(raw)
+            text = raw.strip()
+            if not text:
+                continue
             try:
-                text = stripped.decode("utf-8")
-                value, end = _JSON.raw_decode(text)
+                text = text.decode("utf-8")
+                rec, end = _JSON.raw_decode(text)
                 if end != len(text):
                     raise ValueError(f"extra data after the record at column {end + 1}")
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise FormatError(f"malformed record: {exc}", line=lineno, offset=offset) from None
-            records.append((lineno, offset, value))
-        offset += len(line) + 1
-    if not records:
+            except ValueError as exc:
+                raise FormatError(f"malformed record: {exc}", line=lineno, offset=here) from None
+            if header is None:
+                header = lineno, here
+                spec, count = _header_spec(rec, lineno, here)
+                continue
+            try:
+                values.extend(_record_numbers(rec, spec))
+                traj.append(rec["traj"])
+                t.append(rec["t"])
+            except ShapeError as exc:
+                raise ShapeError(f"{exc} (line {lineno})") from None
+            except (ValueError, OverflowError) as exc:
+                raise FormatError(f"malformed record: {exc}", line=lineno, offset=here) from None
+            done.append(rec["done"])
+            lines.append(lineno)
+            offsets.append(here)
+    if header is None:
         raise FormatError("empty dataset file", line=1, offset=0)
+    if len(done) != count:
+        message = f"expected {count} transitions, found {len(done)}; file truncated?"
+        raise FormatError(message, offset=offset)
+    if not done:
+        raise FormatError("dataset has no transitions", line=header[0], offset=header[1])
 
-    _, _, header = records[0]
-    for key in ("env", "state_dim", "action_dim", "gamma", "count"):
-        if key not in header:
-            raise FormatError(f"header missing key {key!r}", line=1, offset=0)
-    spec = make_env_spec(header["env"])
-    gamma = header["gamma"]
-    if type(gamma) not in (int, float) or gamma != spec.discount:
-        raise FormatError(
-            f"header gamma {gamma!r} != environment {spec.name!r} discount {spec.discount!r}",
-            line=1,
-            offset=0,
-        )
-    if spec.state_dim != header["state_dim"] or spec.action_dim != header["action_dim"]:
-        raise ShapeError(
-            f"header dims ({header['state_dim']}, {header['action_dim']}) do not match "
-            f"environment {spec.name!r} ({spec.state_dim}, {spec.action_dim})"
-        )
-    body = records[1:]
-    if len(body) != int(header["count"]):
-        raise FormatError(
-            f"expected {header['count']} transitions, found {len(body)}; file truncated?",
-            offset=len(raw),
-        )
-
-    if not body:
-        raise FormatError("dataset has no transitions", line=1, offset=0)
-
-    s, a, r, s2, done, traj, t = _record_columns(spec, body)
-    finite = np.isfinite(s).all(1) & np.isfinite(a).all(1) & np.isfinite(r) & np.isfinite(s2).all(1)
-    if not finite.all():
-        lineno, off, _ = body[np.argmin(finite)]
-        raise FormatError("non-finite number in record", line=lineno, offset=off)
-    first_seen = {}
-    rank = [first_seen.setdefault(tid, len(first_seen)) for tid in traj.tolist()]
-    order = np.lexsort((t, rank))  # stable: trajectories by first appearance
-    bad = np.flatnonzero(t[order] != _step_index(traj[order]))
+    traj, t = np.frombuffer(traj, np.int64), np.frombuffer(t, np.int64)
+    _, first, inverse = np.unique(traj, return_index=True, return_inverse=True)
+    order = np.lexsort((t, first[inverse]))  # stable: trajectories by first appearance
+    bad = order[t[order] != _step_index(traj[order])]
     if bad.size:
-        lineno, off, rec = body[order[bad[0]]]
-        raise FormatError(
-            f"trajectory {rec['traj']} has step {rec['t']}; steps must run 0..n-1",
-            line=lineno,
-            offset=off,
-        )
-    return Dataset(spec, s[order], a[order], r[order], s2[order], done[order], traj[order])
+        i = bad[np.argmin(np.frombuffer(lines, np.int64)[bad])]
+        message = f"trajectory {traj[i]} has step {t[i]}; steps must run 0..n-1"
+        raise FormatError(message, line=lines[i], offset=offsets[i])
+    sd, ad = spec.state_dim, spec.action_dim
+    rows = np.frombuffer(values).reshape(len(done), -1)
+    cuts = (slice(sd), slice(sd, sd + ad), sd + ad, slice(sd + ad + 1, None))
+    s, a, r, s2 = (rows[order, cut] for cut in cuts)
+    return Dataset(spec, s, a, r, s2, np.frombuffer(done)[order], traj[order])

@@ -373,6 +373,30 @@ class TestErrorPaths:
         assert code == 2
         assert not out.parent.exists()
 
+    # A list for `env` used to end in a TypeError traceback and exit 1; the
+    # other entries used to load.
+    @pytest.mark.parametrize(
+        "key, value",
+        [("env", ["reach2d"]), ("count", "500"), ("count", 500.9), ("state_dim", 2.0)],
+    )
+    def test_wrongly_typed_dataset_header_exits_2_without_leftover(
+        self, workdir, capsys, key, value
+    ):
+        run(["gen-data", "--config", "cfg.json"])
+        lines = (workdir / "runs/gen-data/dataset-s0.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["count"] == 500 == len(lines) - 1
+        header[key] = value
+        data = workdir / "edited.jsonl"
+        data.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        out = workdir / "fresh" / "out"
+        sac = ["--override", "offline_alg=sac"]
+        assert run(["pretrain", "--config", "cfg.json", *sac, "--data", data, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"header {key}" in err and "(line 1)" in err and "Traceback" not in err
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("array", ["critic0", "opt_policy_v"])
     def test_non_finite_checkpoint_exits_2_without_leftover(self, workdir, capsys, array):
         # A NaN in a checkpoint used to load and fail at the first forward

@@ -2,11 +2,15 @@
 
 import json
 import pickle
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from o2olab.envs import (
+    _CHUNK_RECORDS,
+    Dataset,
     ReplayBuffer,
     ScriptedPolicy,
     clip_warning_count,
@@ -404,6 +408,178 @@ class TestDatasetRecordChecks:
         back = load_dataset(write_lines(tmp_path, lines[:2] + shuffled))
         for name in ("s", "a", "r", "s2", "done", "traj", "mc", "w_labels"):
             assert np.array_equal(getattr(back, name), getattr(ds, name)), name
+
+    # Each value used to be coerced: "false", 0.5 and null loaded as done =
+    # 1.0, a traj of 0.7 as trajectory 0, and strings or bools as numbers.
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("done", "false"),
+            ("done", 0.5),
+            ("done", None),
+            ("done", 0),
+            ("traj", 0.7),
+            ("traj", 1.0),
+            ("traj", "0"),
+            ("traj", True),
+            ("t", 2.0),
+            ("t", None),
+            ("r", "0.25"),
+            ("r", True),
+            ("r", None),
+            ("r", [0.25]),
+            ("s", ["0.5", "0.25"]),
+            ("s", [True, False]),
+            ("a", [None, 0.0]),
+            ("s2", [0.5, {"x": 1}]),
+            ("s", 0.5),
+            ("a", "ab"),
+        ],
+    )
+    def test_wrongly_typed_field_rejected(self, tmp_path, key, value):
+        _, lines = saved_lines(tmp_path)
+        lines[3] = edit_record(lines[3], **{key: value})
+        with pytest.raises(FormatError) as err:
+            load_dataset(write_lines(tmp_path, lines))
+        assert err.value.line == 4 and key in str(err.value)
+
+    def test_integer_numbers_accepted(self, tmp_path):
+        ds, lines = saved_lines(tmp_path)
+        lines[3] = edit_record(lines[3], r=-1, s=[0, 1])
+        back = load_dataset(write_lines(tmp_path, lines))
+        assert back.r[2] == -1.0 and back.s[2].tolist() == [0.0, 1.0]
+        assert np.array_equal(back.a, ds.a)
+
+    @pytest.mark.parametrize("record", ['{"s": [0.0, 0.0]}', "[1, 2]", "7"])
+    def test_record_without_its_keys_rejected(self, tmp_path, record):
+        _, lines = saved_lines(tmp_path)
+        lines[3] = record
+        with pytest.raises(FormatError, match="keys") as err:
+            load_dataset(write_lines(tmp_path, lines))
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("later", [{"r": "0.5"}, {"s2": [0.0]}, {"done": 1}])
+    def test_first_faulty_line_is_reported(self, tmp_path, later):
+        # A NaN on line 4 comes before the fault on line 6, whatever its kind.
+        _, lines = saved_lines(tmp_path)
+        lines[3] = edit_record(lines[3], r=float("nan"))
+        lines[5] = edit_record(lines[5], **later)
+        with pytest.raises(FormatError) as err:
+            load_dataset(write_lines(tmp_path, lines))
+        assert err.value.line == 4
+
+    def test_earliest_step_fault_is_reported(self, tmp_path):
+        # Trajectory 0's gap comes later in the file than trajectory 1's.
+        _, lines = saved_lines(tmp_path)
+        first_of_1 = next(i for i, line in enumerate(lines) if json.loads(line).get("traj") == 1)
+        lines[first_of_1 + 1] = edit_record(lines[first_of_1 + 1], t=99)
+        lines[first_of_1 - 1] = edit_record(lines[first_of_1 - 1], t=98)
+        moved = lines.pop(first_of_1 - 1)
+        lines.append(moved)
+        with pytest.raises(FormatError, match="step 99") as err:
+            load_dataset(write_lines(tmp_path, lines))
+        assert err.value.line == first_of_1 + 1
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        _, lines = saved_lines(tmp_path)
+        # Save writes -0.0 as `-0`, which json reads as the integer 0.
+        lines[3] = edit_record(lines[3], r="R", s=["S", 0.0])
+        lines[3] = lines[3].replace('"R"', "-0").replace('"S"', "-0")
+        back = load_dataset(write_lines(tmp_path, lines))
+        assert np.signbit(back.r[2]) and np.signbit(back.s[2]).tolist() == [True, False]
+
+
+def oracle_dataset_bytes(ds) -> bytes:
+    """The dataset file as the per-record formatter of the first format
+    version wrote it: `format(x, ".17g")` per float, one joined body."""
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    def vec(v):
+        return "[" + ", ".join(fmt(x) for x in v) + "]"
+
+    env = ds.env
+    lines = [
+        '{"env": %s, "state_dim": %d, "action_dim": %d, "gamma": %s, "count": %d}'
+        % (json.dumps(env.name), env.state_dim, env.action_dim, fmt(env.discount), ds.size)
+    ]
+    starts, ends = trajectory_bounds(ds)
+    steps = np.arange(ds.size) - np.repeat(starts, ends - starts)
+    cols = (ds.s, ds.a, ds.r, ds.s2, ds.done, ds.traj, steps)
+    for s, a, r, s2, done, traj, t in zip(*(c.tolist() for c in cols)):
+        flag = "true" if done else "false"
+        lines.append(
+            '{"s": %s, "a": %s, "r": %s, "s2": %s, "done": %s, "traj": %d, "t": %d}'
+            % (vec(s), vec(a), fmt(r), vec(s2), flag, traj, t)
+        )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def awkward_dataset(name, n_traj):
+    """A generated dataset with -0.0, 1e-300, a subnormal and integral
+    floats planted in every column, and trajectory ids above 2**31."""
+    spec = make_env_spec(name)
+    ds = generate_dataset(spec, ScriptedPolicy(spec, 0.5), n_traj, seed=17)
+    s, a, r, s2 = ds.s.copy(), ds.a.copy(), ds.r.copy(), ds.s2.copy()
+    for col in (s, a, r, s2):
+        flat = col.reshape(-1)
+        n = flat.size
+        flat[[1, 7, n // 3, n // 2, -7, -1]] = [-0.0, 1e-300, -1.0, 5e-324, 3.0, -1e-300]
+    ids = np.arange(n_traj) * (2**40 + 3) + 2**31 + 5
+    ids[[0, -1]] = 7, 2**62
+    traj = ids[ds.traj]
+    return Dataset(spec, s, a, r, s2, ds.done, traj)
+
+
+class TestDatasetFileBytes:
+    @pytest.mark.parametrize("name, n_traj", [("reach2d", 16), ("gate1d", 60)])
+    def test_save_matches_the_per_record_formatter(self, tmp_path, name, n_traj):
+        ds = awkward_dataset(name, n_traj)
+        assert ds.size > 2 * _CHUNK_RECORDS and len(set(ds.traj.tolist())) == n_traj
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        save_dataset(ds, first)
+        raw = first.read_bytes()
+        assert raw == oracle_dataset_bytes(ds)
+        for pattern in (rb"[ \[]-0[,\]]", rb"[ \[]-1[,\]]", rb"[ \[]3[,\]]", rb"e-300", rb"e-324"):
+            assert re.search(pattern, raw), pattern
+        back = load_dataset(first)
+        for field in ("s", "a", "r", "s2", "done", "traj", "mc", "w_labels"):
+            got, want = getattr(back, field), getattr(ds, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        save_dataset(back, second)
+        assert second.read_bytes() == raw
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes, by
+    tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestDatasetFileMemory:
+    def test_save_and_load_hold_no_object_per_record(self, tmp_path):
+        # The parent format code peaked at 8.5x (save) and 16.6x (load).
+        spec = make_env_spec("reach2d")
+        ds = generate_dataset(spec, ScriptedPolicy(spec, 0.5), 150, seed=18)
+        path = tmp_path / "data.jsonl"
+        _, save_peak = traced_peak(save_dataset, ds, path)
+        back, load_peak = traced_peak(load_dataset, path)
+        arrays = (back.s, back.a, back.r, back.s2, back.done, back.traj, back.mc, back.w_labels)
+        nbytes = sum(x.nbytes for x in arrays)
+        assert back.size == 7500
+        assert save_peak <= nbytes, (save_peak, nbytes)
+        assert load_peak <= 3 * nbytes, (load_peak, nbytes)
 
 
 def make_tiny_dataset(n_traj=3, seed=0):
