@@ -443,13 +443,6 @@ class TestDatasetRecordChecks:
             load_dataset(write_lines(tmp_path, lines))
         assert err.value.line == 4 and key in str(err.value)
 
-    def test_integer_numbers_accepted(self, tmp_path):
-        ds, lines = saved_lines(tmp_path)
-        lines[3] = edit_record(lines[3], r=-1, s=[0, 1])
-        back = load_dataset(write_lines(tmp_path, lines))
-        assert back.r[2] == -1.0 and back.s[2].tolist() == [0.0, 1.0]
-        assert np.array_equal(back.a, ds.a)
-
     @pytest.mark.parametrize("record", ['{"s": [0.0, 0.0]}', "[1, 2]", "7"])
     def test_record_without_its_keys_rejected(self, tmp_path, record):
         _, lines = saved_lines(tmp_path)
@@ -569,7 +562,7 @@ def traced_peak(fn, *args):
 
 class TestDatasetFileMemory:
     def test_save_and_load_hold_no_object_per_record(self, tmp_path):
-        # The parent format code peaked at 8.5x (save) and 16.6x (load).
+        # Holding every record as Python objects peaked at 8.4x (save) and 16.3x (load).
         spec = make_env_spec("reach2d")
         ds = generate_dataset(spec, ScriptedPolicy(spec, 0.5), 150, seed=18)
         path = tmp_path / "data.jsonl"
