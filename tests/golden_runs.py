@@ -44,7 +44,10 @@ directory OUT and prints the sha256 of every file the chain wrote, one
 `<sha256>  <path under OUT>` line each.  Per environment, with seeds 1
 and 7: gen-data, train-diffusion, pretrain with every offline algorithm,
 finetune from the smac checkpoints with every online algorithm (sac
-once more with `--jobs 2`), landscape-line and landscape-plane.  Run it
+once more with `--jobs 2`), landscape-line and landscape-plane.  Two
+more gen-data runs cover the other dataset paths: one without behaviour
+noise, and on gate1d one with so low a `behavior_gain` that some
+episodes run to the horizon while others end early.  Run it
 in two checkouts and `diff` the listings to show that a change keeps
 every artifact's bytes:
 
@@ -266,6 +269,9 @@ def golden_runs() -> dict:
 
 
 CLI_SEEDS = (1, 7)
+# A gate1d behaviour gain at which some of the 20 episodes per seed run
+# to the horizon and the others end early.
+LOW_GAIN = 0.3
 
 
 def _cli_config(env: str) -> dict:
@@ -303,6 +309,9 @@ def cli_chain(out: Path):
         first = f"seed-{CLI_SEEDS[0]}"
         data = root / "data" / f"dataset-s{CLI_SEEDS[0]}.jsonl"
         run("gen-data", dest="data")
+        run("gen-data", "--override", "data.behavior_noise=0.0", dest="data-noise0")
+        if env == "gate1d":
+            run("gen-data", "--override", f"data.behavior_gain={LOW_GAIN}", dest="data-low-gain")
         run("train-diffusion", "--data", data, dest="diffusion")
         model = root / "diffusion" / first / "score_model.bin"
         for alg in OFFLINE_ALGS:
