@@ -453,7 +453,12 @@ def _add_common(sub):
     )
     sub.add_argument("--out", help="output directory (default under O2OLAB_OUT or ./runs)")
     sub.add_argument("--seed", type=int, help="run a single seed instead of config.seeds")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
+    sub.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel seed workers (pretrain and finetune; other commands run seeds in order)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

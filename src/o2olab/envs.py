@@ -7,6 +7,17 @@ Two built-in tasks stand in for large robotics benchmarks at desk scale:
 * ``gate1d`` -- a 1-D sparse task: -1 reward per step until the agent
   crosses the goal gate, at which point the episode terminates.
 
+Offline datasets come from `generate_dataset`, which rolls the scripted
+behaviour out in lock step: a window of trajectories steps together as
+rows of one row-wise `env_step`.  It reproduces one-at-a-time rollouts
+on the seed's "dataset" stream byte for byte, because each window draws
+in trajectory order, keeps only the trajectories whose draws match, and
+leaves the stream where those rollouts would (see `generate_dataset`).
+`rollout_episode` still runs one episode a state at a time: warm start
+acts through the policy's 1-row forward, and a 1-row matrix product is
+not byte-identical to the same row of a larger one, so warm start keeps
+its one-row episodes.
+
 Datasets carry per-trajectory Monte-Carlo returns and a per-transition
 outcome label in [0, 1]: the min-max normalized trajectory outcome
 (discounted return for dense tasks, success flag for sparse ones), so
@@ -113,7 +124,7 @@ def _reach2d_reset(rng):
 
 
 def _reach2d_dynamics(state, action):
-    nxt = np.clip(state + STEP_SIZE * action, -1.0, 1.0)
+    nxt = (state + STEP_SIZE * action).clip(-1.0, 1.0)
     d = nxt - REACH2D_GOAL
     # Row-wise vecdot rounds exactly like the 1-D np.linalg.norm; neither
     # (d * d).sum(1) nor norm(axis=1) does.
@@ -125,7 +136,7 @@ def _gate1d_reset(rng):
 
 
 def _gate1d_dynamics(state, action):
-    nxt = np.clip(state + STEP_SIZE * action, -1.0, 1.0)
+    nxt = (state + STEP_SIZE * action).clip(-1.0, 1.0)
     done = nxt[:, 0] >= GATE1D_GOAL
     return nxt, np.where(done, 0.0, -1.0), done
 
@@ -197,13 +208,17 @@ def env_step(spec: EnvSpec, state: np.ndarray, action: np.ndarray):
     expected = (spec.action_dim,) if single else (state.shape[0], spec.action_dim)
     if action.shape != expected:
         raise ShapeError(f"action shape {action.shape}, expected {expected}")
-    finite = np.isfinite(action)
-    if not finite.all():
-        where = "" if single else f" in row {np.argmin(finite.all(axis=1))}"
-        raise NumericError(f"non-finite action{where}")
-    clipped = np.clip(action, spec.action_low, spec.action_high)
+    # The ndarray method is np.clip's ufunc without np.clip's wrapper calls,
+    # which cost more than the clip itself on the few rows of a step.
+    clipped = action.clip(spec.action_low, spec.action_high)
     out_of_bounds = clipped != action
     if out_of_bounds.any():
+        # A NaN or an infinity differs from its clip, so an action that
+        # equals its clip is finite.
+        finite = np.isfinite(action)
+        if not finite.all():
+            where = "" if single else f" in row {np.argmin(finite.all(axis=1))}"
+            raise NumericError(f"non-finite action{where}")
         _clip_warnings += int(np.count_nonzero(out_of_bounds.any(axis=-1)))
     if not single:
         return spec.dynamics(state, clipped)
@@ -216,6 +231,8 @@ class ScriptedPolicy:
 
     With moderate `noise_std` this is the "noisy expert" used to generate
     offline data; with zero gain it degrades to a pure noise policy.
+    `control` is the control law on `(n, d)` rows with their noise given;
+    `act` draws one state's noise and applies it.
     """
 
     def __init__(self, spec: EnvSpec, noise_std: float = 0.0, gain: float = 5.0):
@@ -223,11 +240,22 @@ class ScriptedPolicy:
         self.noise_std = noise_std
         self.gain = gain
 
+    @property
+    def noisy(self) -> bool:
+        """Whether each action draws `action_dim` standard normals."""
+        return self.noise_std > 0.0
+
+    def control(self, states: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+        """The action for each row of `states`, given its standard-normal
+        `noise` (None when the policy is not noisy)."""
+        ctrl = self.gain * (self.spec.setpoint - states)
+        if self.noisy:
+            ctrl = ctrl + self.noise_std * noise
+        return ctrl.clip(self.spec.action_low, self.spec.action_high)
+
     def act(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        ctrl = self.gain * (self.spec.setpoint - state)
-        if self.noise_std > 0.0:
-            ctrl = ctrl + self.noise_std * rng.standard_normal(self.spec.action_dim)
-        return np.clip(ctrl, self.spec.action_low, self.spec.action_high)
+        noise = rng.standard_normal(self.spec.action_dim) if self.noisy else None
+        return self.control(state, noise)
 
 
 def rollout_episode(spec: EnvSpec, act_fn, rng: np.random.Generator) -> Batch:
@@ -277,12 +305,16 @@ class Dataset:
         starts, ends = _trajectory_bounds(self.traj)
         if len(set(self.traj[starts].tolist())) != starts.size:
             raise ValueError("the rows of each trajectory must be contiguous")
+        # Backwards by step, all trajectories at once: the k-th last rows
+        # of the trajectories longer than k take one numpy step.
         self.mc = np.empty(self.r.shape[0])
-        for lo, hi in zip(starts, ends):
-            acc = 0.0
-            for i in range(hi - 1, lo - 1, -1):
-                acc = self.r[i] + self.env.discount * acc
-                self.mc[i] = acc
+        lengths = ends - starts
+        acc = np.zeros(lengths.size)
+        for k in range(lengths.max()):
+            live = lengths > k
+            rows = ends[live] - 1 - k
+            acc[live] = self.r[rows] + self.env.discount * acc[live]
+            self.mc[rows] = acc[live]
         if self.env.reward_kind == "sparse-binary":
             outcomes = self.done[ends - 1]  # success = terminated at the goal
         else:
@@ -312,15 +344,90 @@ class Dataset:
         )
 
 
-def generate_dataset(spec: EnvSpec, behavior, n_trajectories: int, seed: int) -> Dataset:
-    """Roll out `behavior` (an object with .act(state, rng)) n times."""
+def generate_dataset(
+    spec: EnvSpec, behavior: ScriptedPolicy, n_trajectories: int, seed: int
+) -> Dataset:
+    """Roll out the scripted `behavior` n times from the seed's "dataset"
+    stream, in lock step.
+
+    The result equals, field for field and signed zeros included, n
+    `rollout_episode` calls on that stream one after another.  A window
+    of trajectories steps together as the rows of one row-wise
+    `env_step`; each draws its reset and, when the policy is noisy, a
+    full horizon of noise in trajectory order, betting that none ends
+    before its horizon.  The round keeps every trajectory up to and
+    including the first that ends early; when one did, it rewinds the
+    stream to the round's start and redraws only what the kept
+    trajectories used, so the next round starts where one-at-a-time
+    rollouts would.  The window shrinks to the kept count after an early
+    end and doubles after a round that keeps all its rows.
+    """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
+    n, horizon = n_trajectories, spec.horizon
     rng = stream(seed, "dataset")
-    episodes = [rollout_episode(spec, behavior.act, rng) for _ in range(n_trajectories)]
-    rows = stack_batch(episodes)
-    traj = np.repeat(np.arange(n_trajectories), [ep.size for ep in episodes])
-    return Dataset(spec, rows.s, rows.a, rows.r, rows.s2, rows.done, traj)
+    # Trajectory j's state after t steps sits at states[j, t], and its step
+    # t's action, reward and done flag at [j, t]; `a` holds the step's noise
+    # until the step writes the action over it.
+    states = np.empty((n, horizon + 1, spec.state_dim))
+    a = np.empty((n, horizon, spec.action_dim))
+    r, done = np.empty((n, horizon)), np.empty((n, horizon))
+    lengths = np.empty(n, dtype=np.int64)
+    first, width = 0, n
+    while first < n:
+        width = min(width, n - first)
+        window = slice(first, first + width)
+        start = rng.bit_generator.state
+        for j in range(first, first + width):
+            states[j, 0] = spec.reset(rng)
+            if behavior.noisy:
+                rng.standard_normal(out=a[j])
+        kept = _step_window(spec, behavior, *(x[window] for x in (states, a, r, done, lengths)))
+        last = first + kept - 1
+        if lengths[last] < horizon:
+            rng.bit_generator.state = start
+            for j in range(first, last + 1):
+                spec.reset(rng)
+                if behavior.noisy:
+                    rng.standard_normal((lengths[j], spec.action_dim))
+            width = kept
+        else:
+            width *= 2
+        first += kept
+    # Row j * horizon + t of the flattened step arrays is step t of
+    # trajectory j, and its state is row j * (horizon + 1) + t of `states`.
+    steps = np.flatnonzero(np.arange(horizon) < lengths[:, None])
+    at = steps + steps // horizon
+    states = states.reshape(-1, spec.state_dim)
+    a = a.reshape(-1, spec.action_dim)
+    traj = np.repeat(np.arange(n), lengths)
+    s, s2 = states[at], states[at + 1]
+    return Dataset(spec, s, a[steps], r.ravel()[steps], s2, done.ravel()[steps], traj)
+
+
+def _step_window(spec, behavior, states, a, r, done, lengths) -> int:
+    """Step a window of trajectories in lock step from `states[:, 0]`
+    (with their noise in `a`) for up to a horizon, writing each step and
+    each trajectory's length.  A trajectory that ends before its horizon
+    drops every later one; returns how many trajectories are kept."""
+    horizon, noisy = spec.horizon, behavior.noisy
+    lengths[:] = horizon
+    kept = rows = states.shape[0]
+    x = states[:, 0]
+    for t in range(horizon):
+        action = behavior.control(x, a[:rows, t] if noisy else None)
+        a[:rows, t] = action
+        x, r[:rows, t], ended = env_step(spec, x, action)
+        states[:rows, t + 1] = x
+        done[:rows, t] = ended
+        if t + 1 < horizon and ended.any():
+            rows = int(np.argmax(ended))
+            lengths[rows] = t + 1
+            kept = rows + 1
+            if rows == 0:
+                break
+            x = x[:rows]
+    return kept
 
 
 class ReplayBuffer:

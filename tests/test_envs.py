@@ -25,6 +25,7 @@ from o2olab.envs import (
     stack_batch,
 )
 from o2olab.errors import FormatError, NumericError, ShapeError
+from o2olab.seeding import stream
 
 
 class UniformPolicy:
@@ -252,6 +253,84 @@ class TestDataset:
         a = generate_dataset(spec, ScriptedPolicy(spec, 0.4), 5, seed=6)
         b = generate_dataset(spec, ScriptedPolicy(spec, 0.4), 5, seed=6)
         assert np.array_equal(a.s, b.s) and np.array_equal(a.a, b.a)
+
+
+def former_act(behavior):
+    """`ScriptedPolicy.act` as it was before the row-wise control law."""
+    spec = behavior.spec
+
+    def act(state, rng):
+        ctrl = behavior.gain * (spec.setpoint - state)
+        if behavior.noise_std > 0.0:
+            ctrl = ctrl + behavior.noise_std * rng.standard_normal(spec.action_dim)
+        return np.clip(ctrl, spec.action_low, spec.action_high)
+
+    return act
+
+
+def sequential_dataset(spec, behavior, n_traj, seed):
+    """The former generator: one `rollout_episode` after another on the
+    seed's "dataset" stream, each stepping one state at a time."""
+    rng = stream(seed, "dataset")
+    episodes = [rollout_episode(spec, former_act(behavior), rng) for _ in range(n_traj)]
+    rows = stack_batch(episodes)
+    traj = np.repeat(np.arange(n_traj), [ep.size for ep in episodes])
+    return Dataset(spec, rows.s, rows.a, rows.r, rows.s2, rows.done, traj)
+
+
+def returns_by_row(ds):
+    """Monte-Carlo returns by the former loop over every row."""
+    starts, ends = trajectory_bounds(ds)
+    mc = np.empty(ds.size)
+    for lo, hi in zip(starts, ends):
+        acc = 0.0
+        for i in range(hi - 1, lo - 1, -1):
+            acc = ds.r[i] + ds.env.discount * acc
+            mc[i] = acc
+    return mc
+
+
+def assert_same_dataset(got, want, tmp_path):
+    """Every field equal bit for bit (signed zeros included), and the same
+    saved bytes."""
+    for name in ("s", "a", "r", "s2", "done", "traj", "mc", "w_labels"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    save_dataset(got, tmp_path / "got.jsonl")
+    save_dataset(want, tmp_path / "want.jsonl")
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+class TestLockStepGenerator:
+    @pytest.mark.parametrize("n_traj", [1, 20, 150])
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("noise", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("name", ["reach2d", "gate1d"])
+    def test_matches_sequential_rollouts(self, tmp_path, name, noise, seed, n_traj):
+        spec = make_env_spec(name)
+        behavior = ScriptedPolicy(spec, noise)
+        got = generate_dataset(spec, behavior, n_traj, seed)
+        assert_same_dataset(got, sequential_dataset(spec, behavior, n_traj, seed), tmp_path)
+
+    def test_end_on_the_last_step_is_not_early(self, tmp_path):
+        # At gain 0.3 trajectory 2 reaches the gate on its 60th and last
+        # step, having used a full horizon of noise; trajectory 5 ends a
+        # step before the horizon and trajectory 6 well before it.
+        spec = make_env_spec("gate1d")
+        behavior = ScriptedPolicy(spec, 0.5, gain=0.3)
+        got = generate_dataset(spec, behavior, 8, seed=25)
+        starts, ends = trajectory_bounds(got)
+        assert (ends - starts).tolist() == [60, 60, 60, 60, 60, 59, 29, 60]
+        assert got.done[ends - 1].tolist() == [0, 0, 1, 0, 0, 1, 1, 0]
+        assert_same_dataset(got, sequential_dataset(spec, behavior, 8, seed=25), tmp_path)
+
+    def test_returns_match_the_per_row_loop(self):
+        spec = make_env_spec("gate1d")
+        mixed = generate_dataset(spec, ScriptedPolicy(spec, 0.5, gain=0.3), 40, seed=1)
+        assert len(set(np.bincount(mixed.traj).tolist())) > 5
+        for ds in (mixed, awkward_dataset("gate1d", 60), awkward_dataset("reach2d", 16)):
+            assert ds.mc.tobytes() == returns_by_row(ds).tobytes()
 
 
 class TestDatasetFile:
