@@ -13,10 +13,9 @@ rows of one row-wise `env_step`.  It reproduces one-at-a-time rollouts
 on the seed's "dataset" stream byte for byte, because each window draws
 in trajectory order, keeps only the trajectories whose draws match, and
 leaves the stream where those rollouts would (see `generate_dataset`).
-`rollout_episode` still runs one episode a state at a time: warm start
-acts through the policy's 1-row forward, and a 1-row matrix product is
-not byte-identical to the same row of a larger one, so warm start keeps
-its one-row episodes.
+`rollout_episode` still runs one episode a state at a time for warm
+start, which acts through the policy's 1-row forward: a 1-row matrix
+product is not byte-identical to the same row of a larger one.
 
 Datasets carry per-trajectory Monte-Carlo returns and a per-transition
 outcome label in [0, 1]: the min-max normalized trajectory outcome

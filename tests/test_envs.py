@@ -185,9 +185,14 @@ class TestRowStep:
 
     def test_non_finite_row_rejected(self, name):
         spec, states, actions = step_rows(name, n=3)
-        actions[1, 0] = np.inf
-        with pytest.raises(NumericError, match="row 1"):
-            env_step(spec, states, actions)
+        before = clip_warning_count()
+        for value in (np.inf, -np.inf, np.nan):
+            actions[1, 0] = value
+            with pytest.raises(NumericError, match="row 1"):
+                env_step(spec, states, actions)
+            with pytest.raises(NumericError, match="non-finite action$"):
+                env_step(spec, states[1], actions[1])
+        assert clip_warning_count() == before
 
     def test_clip_count_counts_clipped_rows(self, name):
         spec, states, actions = step_rows(name)
