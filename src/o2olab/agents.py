@@ -214,7 +214,7 @@ def sample_action_mixture(
         raise ShapeError(f"{s.shape[0]} states for batch_size {batch_size}")
     rng = as_generator(seed)
     nh = batch_size // 2
-    a_pol, _, _ = policy.sample(s[:nh], rng)
+    a_pol = policy.act(s[:nh], rng)
     size = (batch_size - nh, policy.action_dim)
     a_uni = rng.uniform(policy.action_low, policy.action_high, size=size)
     return np.concatenate([a_pol, a_uni], axis=0)
@@ -506,7 +506,7 @@ def awr_weights(
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    a_pi, _, _ = policy.sample(batch.s, rng)
+    a_pi = policy.act(batch.s, rng)
     q_base = np.mean(_q_forward(ensemble.member_stack, critic_input(batch.s, a_pi)), axis=0)
     q_data = np.mean(_q_forward(ensemble.member_stack, critic_input(batch.s, batch.a)), axis=0)
     return _clipped_exp_weights((q_data - q_base) / temperature)

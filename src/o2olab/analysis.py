@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 from .networks import GaussianPolicy
 from .numkit import ParamStack, ParamVector
 from .pipeline import greedy_returns, mean_stderr
@@ -282,17 +282,31 @@ def write_regret_records(records, path):
 
 
 def read_regret_records(path) -> list[RegretRecord]:
+    """Parse a regret records CSV.  A line without exactly five fields,
+    or whose `mean_regret` or `stderr` is not a finite number, is refused
+    by its line number: one NaN would spread into every normalized cell
+    of its environment."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != REGRET_CSV_HEADER:
             raise ValueError(f"unexpected regret records header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            env, off, on, mean, err = line.split(",")
-            records.append(RegretRecord(env, off, on, float(mean), float(err)))
+            fields = line.split(",")
+            if len(fields) != 5:
+                raise FormatError(f"expected 5 fields, found {len(fields)}", line=lineno)
+            env, off, on = fields[:3]
+            try:
+                mean, err = float(fields[3]), float(fields[4])
+            except ValueError as exc:
+                raise FormatError(f"malformed regret record: {exc}", line=lineno) from None
+            if not (np.isfinite(mean) and np.isfinite(err)):
+                message = f"mean_regret {fields[3]!r} and stderr {fields[4]!r} must be finite"
+                raise FormatError(message, line=lineno)
+            records.append(RegretRecord(env, off, on, mean, err))
     return records
 
 

@@ -12,12 +12,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
 import os
 import shutil
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -39,10 +37,13 @@ from .seeding import stream
 
 
 def _sha256(path: Path) -> str:
+    """Hex sha256 of a file, read through one fixed 64 KiB buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 
@@ -98,8 +99,13 @@ def _map_seeds(jobs: int, fn, *per_seed):
     there are seeds, when jobs > 1 and there is more than one seed, else
     in order in this process.  Workers are spawned, not forked with this
     process's BLAS thread pool, and each gets one BLAS thread unless the
-    user set a thread variable, so that they do not oversubscribe the cores."""
+    user set a thread variable, so that they do not oversubscribe the cores.
+    The pool modules load only on that branch, so a serial command never
+    pays their import time or memory."""
     if jobs > 1 and len(per_seed[0]) > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         pinned = [name for name in _THREAD_VARS if name not in os.environ]
         os.environ.update(dict.fromkeys(pinned, "1"))
         try:

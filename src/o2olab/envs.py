@@ -601,11 +601,11 @@ def load_dataset(path) -> Dataset:
     record with a missing key, a value of the wrong JSON type, a
     non-finite number or a vector of the wrong length ends the read at
     its line, so the first faulty line is the one reported.  After the
-    last record, the record count must match the header's and each
-    trajectory's steps must run 0..n-1; a step fault names the earliest
-    line that breaks it.  Records may come in any order: they are
-    grouped by trajectory (in order of first appearance) and sorted by
-    step.
+    last record, the record count must match the header's, no step may
+    reach the environment's horizon, and each trajectory's steps must run
+    0..n-1; a step fault names the earliest line that breaks it.
+    Records may come in any order: they are grouped by trajectory (in
+    order of first appearance) and sorted by step.
     """
     header, offset = None, 0
     # Per record: its s, a, r and s2 numbers, done, traj, t, line and byte offset.
@@ -647,6 +647,11 @@ def load_dataset(path) -> Dataset:
         raise FormatError("dataset has no transitions", line=header[0], offset=header[1])
 
     traj, t = np.frombuffer(traj, np.int64), np.frombuffer(t, np.int64)
+    late = np.flatnonzero(t >= spec.horizon)
+    if late.size:
+        i = late[0]  # records are in file order
+        message = f"step {t[i]} reaches the {spec.name} horizon of {spec.horizon} steps"
+        raise FormatError(message, line=lines[i], offset=offsets[i])
     _, first, inverse = np.unique(traj, return_index=True, return_inverse=True)
     order = np.lexsort((t, first[inverse]))  # stable: trajectories by first appearance
     bad = order[t[order] != _step_index(traj[order])]

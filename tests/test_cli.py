@@ -1,13 +1,18 @@
 """Command-line workflow: exit codes, manifests, byte-determinism."""
 
+import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from o2olab.cli import main, parse_run_id
+from o2olab.cli import _sha256, main, parse_run_id
 
 
 @pytest.fixture()
@@ -331,7 +336,7 @@ class TestErrorPaths:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("o2olab.cli.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         run(["gen-data", "--config", "cfg.json"])
         data = workdir / "runs/gen-data/dataset-s0.jsonl"
         over = ["--override", "offline_alg=sac", "--override", "offline_steps=2"]
@@ -544,6 +549,29 @@ class TestErrorPaths:
         assert "--points" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize(
+        "record, cause",
+        [
+            ("door,smac,sac", "expected 5 fields, found 3"),
+            ("door,smac,sac,50.3,2.7,9", "expected 5 fields, found 6"),
+            ("door,smac,sac,nan,2.7", "must be finite"),
+            ("door,smac,sac,50.3,inf", "must be finite"),
+        ],
+    )
+    def test_bad_regret_record_exits_2_without_leftover(self, workdir, capsys, record, cause):
+        # A NaN regret used to exit 0 with NaN in every normalized cell of
+        # its environment; a short line failed in tuple unpacking, naming no line.
+        records = workdir / "records.csv"
+        run(["regret-table", "--fixture", "--out", workdir / "t1"])
+        lines = (workdir / "t1/regret_records.csv").read_text().splitlines()
+        lines.insert(3, record)
+        records.write_text("\n".join(lines) + "\n")
+        out = workdir / "fresh" / "table"
+        assert run(["regret-table", "--input", records, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert cause in err and "(line 4)" in err
+        assert not out.parent.exists()
+
     def test_unknown_config_key(self, workdir):
         assert run(["gen-data", "--config", "cfg.json", "--override", "bogus=1"]) == 2
 
@@ -602,6 +630,38 @@ class TestErrorPaths:
         assert "gap" in out
         gap = float(out.strip().split()[-1])
         assert gap <= 1e-6
+
+
+class TestStartupCost:
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # Only `--jobs N` over several seeds starts a pool, so loading the
+        # CLI must not import the pool's modules.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, o2olab.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_sha256_streams_through_a_small_buffer(self, tmp_path):
+        # Several buffers plus a remainder; the digest must match hashlib's,
+        # and hashing must not allocate a chunk the size of a megabyte.
+        data = np.random.default_rng(0).bytes((4 << 20) + 7)
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            digest = _sha256(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert peak < 256 << 10, peak
 
 
 class TestRunId:

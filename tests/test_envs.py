@@ -557,6 +557,19 @@ class TestDatasetRecordChecks:
             load_dataset(write_lines(tmp_path, lines))
         assert err.value.line == first_of_1 + 1
 
+    def test_step_at_the_horizon_rejected(self, tmp_path):
+        # Two 50-step reach2d trajectories relabelled as one 100-step
+        # trajectory: steps 50..99 reach the horizon, and the record of
+        # step 70, moved up to line 2, is the earliest such line.
+        _, lines = saved_lines(tmp_path)
+        lines[1:] = [edit_record(line, traj=0, t=i) for i, line in enumerate(lines[1:])]
+        lines.insert(1, lines.pop(71))
+        path = write_lines(tmp_path, lines)
+        with pytest.raises(FormatError, match="step 70 reaches the reach2d horizon") as err:
+            load_dataset(path)
+        assert err.value.line == 2
+        assert err.value.offset == len(lines[0]) + 1
+
     def test_negative_zero_keeps_its_sign(self, tmp_path):
         _, lines = saved_lines(tmp_path)
         # Save writes -0.0 as `-0`, which json reads as the integer 0.
