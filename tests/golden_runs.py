@@ -44,12 +44,17 @@ directory OUT and prints the sha256 of every file the chain wrote, one
 `<sha256>  <path under OUT>` line each.  Per environment, with seeds 1
 and 7: gen-data, train-diffusion, pretrain with every offline algorithm,
 finetune from the smac checkpoints with every online algorithm (sac
-once more with `--jobs 2`), landscape-line and landscape-plane.  Two
+once more with `--jobs 2`), landscape-line, landscape-plane,
+export-checkpoints of the plane's three checkpoints, regret-table three
+ways (`--input` over the environment's run directories, `--input` over
+the regret records that run wrote, and `--fixture`) and
+verify-identity, so that every CSV writer runs.  Two
 more gen-data runs cover the other dataset paths: one without behaviour
 noise, and on gate1d one with so low a `behavior_gain` that some
 episodes run to the horizon while others end early.  Run it
 in two checkouts and `diff` the listings to show that a change keeps
-every artifact's bytes:
+every artifact's bytes.  Use the same OUT path in both, since manifests
+record input paths:
 
     PYTHONPATH=src python tests/golden_runs.py --cli /tmp/chain > hashes.txt
 
@@ -338,6 +343,18 @@ def cli_chain(out: Path):
             "--resolution", 5,
             dest="plane",
         )
+        run(
+            "export-checkpoints",
+            root / "pretrain-sac" / first / "checkpoint.bin",
+            root / "pretrain-td3bc" / first / "checkpoint.bin",
+            root / "finetune-td3" / first / "final_checkpoint.bin",
+            dest="matrix",
+        )
+        run("regret-table", "--input", root, dest="regret-runs")
+        records = root / "regret-runs" / "regret_records.csv"
+        run("regret-table", "--input", records, dest="regret-records")
+        run("regret-table", "--fixture", dest="regret-fixture")
+        run("verify-identity", dest="identity")
 
 
 def flatten(runs: dict) -> dict:
