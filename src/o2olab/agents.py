@@ -569,7 +569,11 @@ def verify_maxent_identity(q_fn, alpha: float, grid: np.ndarray) -> float:
         q = np.array([float(q_fn(float(a))) for a in grid])
     if not np.all(np.isfinite(q)):
         raise ValueError("normalizer diverges: Q is not finite on the grid")
-    e = np.exp((q - q.max()) / alpha)
+    # Q - max Q <= 0, so a quotient that overflows is -inf and its exp 0.
+    with np.errstate(over="ignore"):
+        e = np.exp((q - q.max()) / alpha)
+    if not np.all(e > 0.0):
+        raise ValueError(f"alpha {alpha} is too small: exp((Q - max Q)/alpha) underflows to 0")
     z = float(np.trapezoid(e, grid))
     if not np.isfinite(z) or z <= 0.0:
         raise ValueError(f"normalizer diverges: Z = {z}")

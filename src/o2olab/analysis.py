@@ -8,23 +8,20 @@ two spanning directions are numerically orthogonal.
 Regret aggregation min-max normalizes mean regrets per environment over
 every (offline, online) combination present, then averages the
 normalized cells over environments per combination.
-
-`load_checkpoint_matrix` has no caller in the package.  It stays next to
-`export_checkpoint_matrix` as the reader of the CSV that
-`o2olab export-checkpoints` writes, so that the file format has both
-halves in one place and a round trip can be checked against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import product
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import ShapeError
 from .networks import GaussianPolicy
 from .numkit import ParamStack, ParamVector
 from .pipeline import greedy_returns, mean_stderr
+from .tables import read_table, write_table
 
 COLLINEAR_TOL = 1e-8
 
@@ -155,19 +152,8 @@ def export_checkpoint_matrix(checkpoints, path=None) -> np.ndarray:
         rows.append(values)
     matrix = np.stack(rows)
     if path is not None:
-        lines = [",".join(format(x, ".17g") for x in row) for row in matrix]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_table(path, None, (float,) * width, matrix)
     return matrix
-
-
-def load_checkpoint_matrix(path) -> np.ndarray:
-    """The matrix an `export_checkpoint_matrix` CSV holds, bit for bit."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [
-            [float(x) for x in line.strip().split(",")] for line in fh if line.strip()
-        ]
-    return np.asarray(rows, dtype=np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -267,63 +253,35 @@ def aggregate_normalized_regret(records) -> RegretTable:
     )
 
 
-REGRET_CSV_HEADER = "env,offline_alg,online_alg,mean_regret,stderr"
+REGRET_RECORDS_TABLE = (
+    ("env", "offline_alg", "online_alg", "mean_regret", "stderr"),
+    (str, str, str, float, float),
+)
+# A regret table row is a record's fields, then its normalized value and
+# the average of that over environments.
+REGRET_TABLE = (
+    REGRET_RECORDS_TABLE[0] + ("normalized", "averaged_over_envs"),
+    REGRET_RECORDS_TABLE[1] + (float, float),
+)
 
 
 def write_regret_records(records, path):
-    lines = [REGRET_CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.env},{r.offline_alg},{r.online_alg},"
-            f"{format(r.mean_regret, '.17g')},{format(r.stderr, '.17g')}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, *REGRET_RECORDS_TABLE, map(astuple, records))
 
 
 def read_regret_records(path) -> list[RegretRecord]:
-    """Parse a regret records CSV.  A line without exactly five fields,
-    or whose `mean_regret` or `stderr` is not a finite number, is refused
-    by its line number: one NaN would spread into every normalized cell
-    of its environment."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != REGRET_CSV_HEADER:
-            raise ValueError(f"unexpected regret records header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise FormatError(f"expected 5 fields, found {len(fields)}", line=lineno)
-            env, off, on = fields[:3]
-            try:
-                mean, err = float(fields[3]), float(fields[4])
-            except ValueError as exc:
-                raise FormatError(f"malformed regret record: {exc}", line=lineno) from None
-            if not (np.isfinite(mean) and np.isfinite(err)):
-                message = f"mean_regret {fields[3]!r} and stderr {fields[4]!r} must be finite"
-                raise FormatError(message, line=lineno)
-            records.append(RegretRecord(env, off, on, mean, err))
-    return records
+    """Parse a regret records CSV.  A non-finite `mean_regret` or
+    `stderr` is refused with the rest of `tables.read_table`'s checks:
+    one NaN would spread into every normalized cell of its environment."""
+    return [RegretRecord(*row) for row in read_table(path, *REGRET_RECORDS_TABLE)]
 
 
 def write_regret_table(table: RegretTable, path):
     """CSV with raw mean regret, stderr, per-env normalized value, and
     the across-environment average repeated per combination."""
-    lines = ["env,offline_alg,online_alg,mean_regret,stderr,normalized,averaged_over_envs"]
     by_key = {(r.env, r.offline_alg, r.online_alg): r for r in table.records}
-    for env in table.envs:
-        for off in table.offline_algs:
-            for on in table.online_algs:
-                r = by_key[(env, off, on)]
-                lines.append(
-                    f"{env},{off},{on},{format(r.mean_regret, '.17g')},"
-                    f"{format(r.stderr, '.17g')},"
-                    f"{format(table.normalized_cells[(env, off, on)], '.17g')},"
-                    f"{format(table.averaged[(off, on)], '.17g')}"
-                )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [
+        (*astuple(by_key[key]), table.normalized_cells[key], table.averaged[key[1:]])
+        for key in product(table.envs, table.offline_algs, table.online_algs)
+    ]
+    write_table(path, *REGRET_TABLE, rows)

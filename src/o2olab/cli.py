@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -34,6 +35,7 @@ from .diffusion import (
 from .envs import ScriptedPolicy, generate_dataset, load_dataset, make_env_spec, save_dataset
 from .errors import ConfigError, FormatError, NumericError
 from .seeding import stream
+from .tables import write_table
 
 
 def _sha256(path: Path) -> str:
@@ -148,9 +150,16 @@ def _run_id(env: str, offline: str, online: str, seed: int) -> str:
     return f"{env}:{offline}:{online}:s{seed}"
 
 
+_RUN_ID = re.compile(r"([^:]+):([^:]+):([^:]+):s([0-9]+)")
+
+
 def parse_run_id(run_id: str):
-    env, offline, online, seed = run_id.split(":")
-    return env, offline, online, int(seed[1:])
+    """(env, offline, online, seed) of a run id that `_run_id` made."""
+    match = _RUN_ID.fullmatch(run_id)
+    if match is None:
+        raise FormatError(f"malformed run id {run_id!r}, expected env:offline:online:s<seed>")
+    env, offline, online, seed = match.groups()
+    return env, offline, online, int(seed)
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +308,10 @@ def _load_config_env_checkpoints(config, *paths):
     return agents
 
 
+LINE_TABLE = (("t", "mean_return", "stderr"), (float, float, float))
+PLANE_TABLE = (("t", "l", "mean_return"), (float, float, float))
+
+
 def _cmd_landscape_line(args) -> int:
     _check_finite(args, "--t-lo", "--t-hi")
     config = _load_config(args)
@@ -311,11 +324,8 @@ def _cmd_landscape_line(args) -> int:
     results = analysis.interpolate_eval(
         a.policy, a.policy.params, b.policy.params, ts, env, config.eval_episodes, seeds[0]
     )
-    lines = ["t,mean_return,stderr"]
-    for t, mean, err in results:
-        lines.append(f"{format(t, '.17g')},{format(mean, '.17g')},{format(err, '.17g')}")
     with _OutputDir(args) as outdir:
-        (outdir.tmp / "line.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_table(outdir.tmp / "line.csv", *LINE_TABLE, results)
         outdir.finalize(pipeline.config_to_dict(config), seeds)
     print(f"wrote interpolation curve to {outdir.out}")
     return 0
@@ -340,14 +350,11 @@ def _cmd_landscape_plane(args) -> int:
         grid_hi=args.grid_hi,
         resolution=args.resolution,
     )
-    lines = ["t,l,mean_return"]
-    for ti, t in enumerate(t_coords):
-        for li, l in enumerate(l_coords):
-            lines.append(
-                f"{format(t, '.17g')},{format(l, '.17g')},{format(returns[ti, li], '.17g')}"
-            )
+    rows = [
+        (t, l, returns[ti, li]) for ti, t in enumerate(t_coords) for li, l in enumerate(l_coords)
+    ]
     with _OutputDir(args) as outdir:
-        (outdir.tmp / "plane.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_table(outdir.tmp / "plane.csv", *PLANE_TABLE, rows)
         outdir.finalize(pipeline.config_to_dict(config), seeds)
     print(f"wrote plane grid to {outdir.out}")
     return 0
@@ -370,10 +377,11 @@ def _records_from_runs(root: Path):
     streams = {}
     for metrics_path in sorted(root.rglob("metrics.csv")):
         for run_id, phase, step, metric, value in pipeline.read_metrics_csv(metrics_path):
-            if phase != "online" or metric != "eval_return":
-                continue
-            env, offline, online, seed = parse_run_id(run_id)
-            if online in ("offline", "none"):
+            try:
+                env, offline, online, seed = parse_run_id(run_id)
+            except FormatError as exc:
+                raise FormatError(f"{metrics_path}: {exc}") from None
+            if phase != "online" or metric != "eval_return" or online in ("offline", "none"):
                 continue
             streams.setdefault((env, offline, online), {}).setdefault(seed, []).append(
                 (step, value)
@@ -398,8 +406,6 @@ def _cmd_regret_table(args) -> int:
     if args.fixture:
         records = bundled_fixture_records()
     else:
-        if not args.input:
-            raise ConfigError("regret-table needs --input or --fixture")
         path = Path(args.input)
         if not path.exists():
             raise ConfigError(f"input {path} does not exist")
@@ -408,7 +414,7 @@ def _cmd_regret_table(args) -> int:
     with _OutputDir(args) as outdir:
         analysis.write_regret_table(table, outdir.tmp / "regret_table.csv")
         analysis.write_regret_records(records, outdir.tmp / "regret_records.csv")
-        outdir.finalize({"input": str(args.input or "fixture")}, [])
+        outdir.finalize({"input": "fixture" if args.fixture else args.input}, [])
     header = "offline_alg " + " ".join(f"{on:>8s}" for on in table.online_algs)
     print(header)
     for off in table.offline_algs:
@@ -419,6 +425,7 @@ def _cmd_regret_table(args) -> int:
 
 
 def _cmd_verify_identity(args) -> int:
+    _check_finite(args, "--alpha", "--center")
     center = args.center
     grid = np.linspace(center - 4.0, center + 4.0, args.grid_points)
     gap = verify_maxent_identity(lambda a: -0.5 * (a - center) ** 2, args.alpha, grid)
@@ -515,8 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regret-table", help="aggregate normalized regret over runs")
     _add_common(p)
-    p.add_argument("--input", help="regret records CSV or a directory of finetune runs")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="regret records CSV or a directory of finetune runs")
+    source.add_argument(
         "--fixture", action="store_true", help="use the bundled published-regret fixture"
     )
     p.set_defaults(func=_cmd_regret_table)

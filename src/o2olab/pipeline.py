@@ -65,6 +65,7 @@ from .networks import (
 )
 from .numkit import ACTIVATIONS, ParamStack, ParamVector, spec_from_header, spec_header
 from .optim import OptState, init_opt_state, optimizer_step, polyak_update
+from .tables import read_table, write_table
 
 AGENT_MAGIC = b"SMACAC01"
 
@@ -949,29 +950,12 @@ def online_finetune(
 # Metrics CSV
 # ----------------------------------------------------------------------
 
-METRICS_HEADER = "run_id,phase,step,metric,value"
+METRICS_TABLE = (("run_id", "phase", "step", "metric", "value"), (str, str, int, str, float))
 
 
 def write_metrics_csv(rows, path):
-    lines = [METRICS_HEADER]
-    for run_id, phase, step, metric, value in rows:
-        lines.append(f"{run_id},{phase},{step},{metric},{format(float(value), '.17g')}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, *METRICS_TABLE, rows)
 
 
 def read_metrics_csv(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != METRICS_HEADER:
-            raise FormatError(f"unexpected metrics header {header!r}", line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise FormatError("metrics row needs 5 columns", line=lineno)
-            rows.append((parts[0], parts[1], int(parts[2]), parts[3], float(parts[4])))
-    return rows
+    return read_table(path, *METRICS_TABLE)

@@ -8,7 +8,6 @@ from o2olab.analysis import (
     aggregate_normalized_regret,
     export_checkpoint_matrix,
     interpolate_eval,
-    load_checkpoint_matrix,
     plane_basis,
     plane_grid_eval,
     read_regret_records,
@@ -23,6 +22,7 @@ from o2olab.networks import make_policy
 from o2olab.numkit import MlpSpec, ParamVector
 from o2olab.pipeline import evaluate_policy
 from o2olab.seeding import stream
+from o2olab.tables import read_table
 
 
 def policy_and_env(seed=0):
@@ -201,7 +201,7 @@ class TestExportMatrix:
         path = tmp_path / "matrix.csv"
         matrix = export_checkpoint_matrix(checkpoints, path)
         assert matrix.shape == (4, self.spec.param_count)
-        assert np.array_equal(load_checkpoint_matrix(path), matrix)
+        assert np.array_equal(read_table(path, None, (float,) * matrix.shape[1]), matrix)
 
     def test_duplicates_kept(self):
         theta = pv(self.spec, np.arange(6.0))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from o2olab.cli import _sha256, main, parse_run_id
+from o2olab.errors import FormatError
 
 
 @pytest.fixture()
@@ -572,6 +573,56 @@ class TestErrorPaths:
         assert cause in err and "(line 4)" in err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize(
+        "row, cause",
+        [
+            ("reach2d:smac:sac:s0,online,20,eval_return,nan", "'nan' must be finite (line 3)"),
+            ("reach2d:smac:sac:s0,online,20,eval_return,inf", "'inf' must be finite (line 3)"),
+            ("reach2d:smac:sac:s0,online,1.5,eval_return,-3.0", "'1.5' (line 3)"),
+            ("reach2d:smac:sac:s0,online,20,eval_return", "expected 5 fields, found 4 (line 3)"),
+            ("reach2d:smac:sac:sX,online,20,eval_return,-3.0", "malformed run id 'reach2d:"),
+        ],
+    )
+    def test_bad_metrics_row_exits_2_without_leftover(self, workdir, capsys, row, cause):
+        # A NaN used to reach both output tables and exit 0; a bad step, a
+        # short row or a bad run id exited 2 naming neither file nor line.
+        metrics = workdir / "fin" / "seed-0" / "metrics.csv"
+        metrics.parent.mkdir(parents=True)
+        rows = [
+            "run_id,phase,step,metric,value",
+            "reach2d:smac:sac:s0,online,10,eval_return,-5.0",
+            row,
+            "reach2d:smac:sac:s0,online,30,eval_return,-2.0",
+        ]
+        metrics.write_text("\n".join(rows) + "\n")
+        out = workdir / "fresh" / "table"
+        assert run(["regret-table", "--input", workdir / "fin", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"{metrics}: " in err and cause in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("sources", [["--fixture", "--input", "records.csv"], []])
+    def test_regret_table_takes_exactly_one_source(self, workdir, capsys, sources):
+        # Both used to build the fixture's table and record the input path
+        # in the manifest.
+        out = workdir / "fresh" / "table"
+        with pytest.raises(SystemExit) as exc:
+            run(["regret-table", *sources, "--out", out])
+        assert exc.value.code == 2
+        assert "usage" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    # `--alpha inf` used to exit 0 with gap 0, a tiny alpha to write a NaN
+    # gap, and `--center inf` to warn before it exited 2.
+    @pytest.mark.parametrize(
+        "flag", ["--alpha=inf", "--alpha=nan", "--alpha=1e-300", "--alpha=1e-310", "--center=inf"]
+    )
+    def test_verify_identity_bad_value_exits_2_without_leftover(self, workdir, capsys, flag):
+        out = workdir / "fresh" / "identity"
+        assert run(["verify-identity", flag, "--out", out]) == 2
+        assert flag.split("=")[0].lstrip("-") in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_unknown_config_key(self, workdir):
         assert run(["gen-data", "--config", "cfg.json", "--override", "bogus=1"]) == 2
 
@@ -667,3 +718,19 @@ class TestStartupCost:
 class TestRunId:
     def test_round_trip(self):
         assert parse_run_id("reach2d:smac:sac:s3") == ("reach2d", "smac", "sac", 3)
+
+    @pytest.mark.parametrize(
+        "run_id",
+        [
+            "reach2d:smac:sac:sX",
+            "reach2d:smac:s3",
+            "reach2d:smac:sac:x:s3",
+            "reach2d:smac:sac:3",
+            "reach2d:smac:sac:s",
+            "reach2d::sac:s3",
+            "reach2d:smac:sac:s-1",
+        ],
+    )
+    def test_malformed_run_id_is_quoted(self, run_id):
+        with pytest.raises(FormatError, match=f"malformed run id '{run_id}'"):
+            parse_run_id(run_id)
