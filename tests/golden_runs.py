@@ -51,10 +51,15 @@ the regret records that run wrote, and `--fixture`) and
 verify-identity, so that every CSV writer runs.  Two
 more gen-data runs cover the other dataset paths: one without behaviour
 noise, and on gate1d one with so low a `behavior_gain` that some
-episodes run to the horizon while others end early.  Run it
-in two checkouts and `diff` the listings to show that a change keeps
-every artifact's bytes.  Use the same OUT path in both, since manifests
-record input paths:
+episodes run to the horizon while others end early.  After the files
+it prints, for every agent checkpoint, the sha256 of each field that
+`load_checkpoint` returns, one `<sha256>  <path under OUT>#<field>` line
+each: so a change to the checkpoint file format shows in the listing
+only as the digests of the `.bin` files and of the manifests that list
+them, while every field line still matches.  Run it in two checkouts
+and `diff` the listings to show that a change keeps every artifact's
+bytes.  Use the same OUT path in both, since manifests record input
+paths:
 
     PYTHONPATH=src python tests/golden_runs.py --cli /tmp/chain > hashes.txt
 
@@ -67,6 +72,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import json
 import sys
@@ -86,12 +92,13 @@ from o2olab.envs import (
     save_dataset,
 )
 from o2olab.networks import make_policy
-from o2olab.numkit import unflatten
+from o2olab.numkit import spec_header, unflatten
 from o2olab.pipeline import (
     OFFLINE_ALGS,
     ONLINE_ALGS,
     config_from_dict,
     evaluate_policy,
+    load_checkpoint,
     offline_pretrain,
     online_finetune,
 )
@@ -357,6 +364,45 @@ def cli_chain(out: Path):
         run("verify-identity", dest="identity")
 
 
+def checkpoint_fields(agent) -> dict:
+    """{field name: value} of every field of a loaded agent checkpoint:
+    each value is an array, or a setting that JSON encodes."""
+    fields = {
+        "step": agent.step,
+        "offline_alg": agent.offline_alg,
+        "env_name": agent.env_name,
+        "log_entropy_coef": agent.log_entropy_coef,
+        "target_entropy": agent.target_entropy,
+        "rng_states": agent.rng_states,
+        "policy.params": agent.policy.params.values,
+        "policy.spec": spec_header(agent.policy.params.spec),
+        "policy.action_low": agent.policy.action_low,
+        "policy.action_high": agent.policy.action_high,
+        "policy.squash": agent.policy.squash,
+        "critics.members": agent.critics.member_stack.values,
+        "critics.targets": agent.critics.target_stack.values,
+        "critics.spec": spec_header(agent.critics.member_stack.spec),
+    }
+    for name in ("scale_net", "value_net"):
+        net = getattr(agent, name)
+        fields[f"{name}.params"] = None if net is None else net.params.values
+        fields[f"{name}.spec"] = None if net is None else spec_header(net.params.spec)
+    for name, state in sorted(agent.opt_states.items()):
+        settings = dataclasses.asdict(dataclasses.replace(state, m=None, v=None))
+        fields[f"opt_states.{name}.settings"] = settings
+        fields[f"opt_states.{name}.m"] = state.m
+        fields[f"opt_states.{name}.v"] = state.v
+    return fields
+
+
+def field_digest(value) -> str:
+    """sha256 of an array's dtype, shape and bytes, or of a setting's JSON."""
+    if isinstance(value, np.ndarray):
+        head = f"{value.dtype.str}{value.shape}".encode()
+        return hashlib.sha256(head + np.ascontiguousarray(value).tobytes()).hexdigest()
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
 def flatten(runs: dict) -> dict:
     return {f"{run}/{name}": arr for run, arrays in runs.items() for name, arr in arrays.items()}
 
@@ -409,7 +455,12 @@ def main(argv=None) -> int:
         files = sorted(p for p in args.cli.rglob("*") if p.is_file())
         for path in files:
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(args.cli)}")
-        print(f"{len(files)} files")
+        count = 0
+        for path in sorted(args.cli.rglob("*checkpoint.bin")):
+            for field, value in checkpoint_fields(load_checkpoint(path)).items():
+                print(f"{field_digest(value)}  {path.relative_to(args.cli)}#{field}")
+                count += 1
+        print(f"{len(files)} files, {count} checkpoint fields")
         return 0
     flat = flatten(golden_runs())
     if args.diff:
