@@ -44,8 +44,8 @@ directory OUT and prints the sha256 of every file the chain wrote, one
 `<sha256>  <path under OUT>` line each.  Per environment, with seeds 1
 and 7: gen-data, train-diffusion, pretrain with every offline algorithm,
 finetune from the smac checkpoints with every online algorithm (sac
-once more with `--jobs 2`), landscape-line, landscape-plane,
-export-checkpoints of the plane's three checkpoints, regret-table three
+once more with `--jobs 2`, into `OUT/jobs2/<env>`), landscape-line,
+landscape-plane, export-checkpoints of the plane's three checkpoints, regret-table three
 ways (`--input` over the environment's run directories, `--input` over
 the regret records that run wrote, and `--fixture`) and
 verify-identity, so that every CSV writer runs.  Two
@@ -312,6 +312,7 @@ def cli_chain(out: Path):
         config.write_text(json.dumps(_cli_config(env), sort_keys=True, indent=2) + "\n")
 
         def run(command, *argv, dest):
+            # Into `root / dest`, which is `dest` itself when it is absolute.
             argv = [command, "--config", str(config), *map(str, argv), "--out", str(root / dest)]
             with contextlib.redirect_stdout(sys.stderr):
                 code = cli.main(argv)
@@ -334,7 +335,10 @@ def cli_chain(out: Path):
         for alg in ONLINE_ALGS:
             over = ["--override", f"online_alg={alg}"]
             run("finetune", "--data", data, "--checkpoint", smac, *over, dest=f"finetune-{alg}")
-        run("finetune", "--data", data, "--checkpoint", smac, "--jobs", 2, dest="finetune-sac-jobs2")
+        # Outside the environment's root: both runs hold the same run ids,
+        # which `regret-table --input <root>` would refuse.
+        jobs = out.absolute() / "jobs2" / env / "finetune-sac"
+        run("finetune", "--data", data, "--checkpoint", smac, "--jobs", 2, dest=jobs)
         run(
             "landscape-line",
             "--checkpoint-a", smac / first / "checkpoint.bin",
