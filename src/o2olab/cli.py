@@ -35,7 +35,7 @@ from .diffusion import (
 from .envs import ScriptedPolicy, generate_dataset, load_dataset, make_env_spec, save_dataset
 from .errors import ConfigError, FormatError, NumericError
 from .seeding import stream
-from .tables import write_table
+from .tables import read_table, write_table
 
 
 def _sha256(path: Path) -> str:
@@ -367,22 +367,30 @@ def bundled_fixture_records():
         return analysis.read_regret_records(path)
 
 
+# The metrics table with each run id parsed, so that a malformed one is
+# refused naming its file and line.
+_RUN_METRICS = (pipeline.METRICS_TABLE[0], (parse_run_id, *pipeline.METRICS_TABLE[1][1:]))
+
+
 def _records_from_runs(root: Path):
     """Collect regret records from finetune run directories.
 
     Scans for metrics.csv files, groups online eval streams by
     (env, offline, online), takes the best reward observed in each
-    environment as its reference, and averages regret over seeds.
+    environment as its reference, and averages regret over seeds.  An
+    online run id found in two files is refused, naming both: its
+    evaluations would otherwise be counted twice.
     """
-    streams = {}
+    streams, found_in = {}, {}
     for metrics_path in sorted(root.rglob("metrics.csv")):
-        for run_id, phase, step, metric, value in pipeline.read_metrics_csv(metrics_path):
-            try:
-                env, offline, online, seed = parse_run_id(run_id)
-            except FormatError as exc:
-                raise FormatError(f"{metrics_path}: {exc}") from None
+        for run, phase, step, metric, value in read_table(metrics_path, *_RUN_METRICS):
+            env, offline, online, seed = run
             if phase != "online" or metric != "eval_return" or online in ("offline", "none"):
                 continue
+            if found_in.setdefault(run, metrics_path) != metrics_path:
+                raise FormatError(
+                    f"run id {_run_id(*run)!r} is in both {found_in[run]} and {metrics_path}"
+                )
             streams.setdefault((env, offline, online), {}).setdefault(seed, []).append(
                 (step, value)
             )

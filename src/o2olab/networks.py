@@ -213,34 +213,22 @@ def make_policy(
 
 
 class CriticEnsemble:
-    """N critics Q(s, a) with matching Polyak-averaged targets.
-
-    Members and targets are held as two `ParamStack`s, so one numkit pass
-    evaluates every member.  `members` and `targets` read them as
-    per-member `ParamVector` views.
+    """N critics Q(s, a) with matching Polyak-averaged targets, held as two
+    `ParamStack`s of one spec, so one numkit pass evaluates every member.
+    Without a `target_stack` the targets start as a copy of the members.
     """
 
-    def __init__(self, members, targets=None):
-        self.member_stack = ParamStack.of(members)
-        self.target_stack = ParamStack.of(members if targets is None else targets)
+    def __init__(self, member_stack: ParamStack, target_stack: ParamStack | None = None):
+        if target_stack is None:
+            target_stack = ParamStack(member_stack.spec, member_stack.values.copy())
+        self.member_stack = member_stack
+        self.target_stack = target_stack
         if len(self.member_stack) < 2:
             raise ShapeError("critic ensemble needs at least 2 members")
         if len(self.target_stack) != len(self.member_stack):
             raise ShapeError("target count != member count")
         if self.target_stack.spec != self.member_stack.spec:
             raise ShapeError("member/target spec mismatch")
-
-    @property
-    def n_members(self) -> int:
-        return len(self.member_stack)
-
-    @property
-    def members(self) -> list[ParamVector]:
-        return self.member_stack.vectors()
-
-    @property
-    def targets(self) -> list[ParamVector]:
-        return self.target_stack.vectors()
 
 
 def critic_input(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -256,8 +244,7 @@ def make_critic_ensemble(
     activation: str = "tanh",
 ) -> CriticEnsemble:
     spec = MlpSpec((state_dim + action_dim, *hidden, 1), activation=activation)
-    members = [init_params(spec, rng) for _ in range(n_members)]
-    return CriticEnsemble(members=members)
+    return CriticEnsemble(ParamStack.of(init_params(spec, rng) for _ in range(n_members)))
 
 
 @dataclass

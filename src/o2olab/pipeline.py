@@ -67,13 +67,12 @@ from .numkit import ACTIVATIONS, ParamStack, ParamVector, spec_from_header, spec
 from .optim import OptState, init_opt_state, optimizer_step, polyak_update
 from .tables import read_table, write_table
 
-AGENT_MAGIC = b"SMACAC01"
+AGENT_MAGIC = b"SMACAC02"
 
 OFFLINE_ALGS = ("smac", "sac", "cql", "calql", "iql", "td3bc")
 ONLINE_ALGS = ("sac", "td3", "td3bc", "awr")
 TD3_EXPLORE_STD = 0.1
-# Name of the stacked critic optimizer state in `AgentCheckpoint.opt_states`;
-# a checkpoint file holds it as one `critic{i}` state per member.
+# Name of the stacked critic optimizer state in `AgentCheckpoint.opt_states`.
 CRITIC_OPT = "critics"
 
 
@@ -357,36 +356,8 @@ def _opt_header(state: OptState) -> dict:
     return {**{key: getattr(state, key) for key in _OPT_SETTINGS}, "has_v": state.v is not None}
 
 
-def _split_critic_state(opt_states: dict) -> dict:
-    """The stacked critic optimizer state as one `critic{i}` state per
-    member, the checkpoint's layout."""
-    out = {name: st for name, st in opt_states.items() if name != CRITIC_OPT}
-    st = opt_states.get(CRITIC_OPT)
-    if st is not None:
-        for i in range(st.m.shape[0]):
-            out[f"critic{i}"] = replace(st, m=st.m[i], v=None if st.v is None else st.v[i])
-    return out
-
-
-def _stack_critic_state(opt_states: dict, n_critics: int) -> dict:
-    """Inverse of `_split_critic_state`: a checkpoint's `critic{i}` states
-    (`blobio.Entries`, so a missing one is a `FormatError`) become one stacked state."""
-    names = [f"critic{i}" for i in range(n_critics)]
-    states = [opt_states[name] for name in names]
-    first = states[0]
-    if any(replace(st, m=None, v=None) != replace(first, m=None, v=None) for st in states):
-        raise FormatError("per-critic optimizer states disagree on their settings")
-    out = {name: st for name, st in opt_states.items() if name not in names}
-    out[CRITIC_OPT] = replace(
-        first,
-        m=np.stack([st.m for st in states]),
-        v=None if first.v is None else np.stack([st.v for st in states]),
-    )
-    return out
-
-
 def save_checkpoint(checkpoint: AgentCheckpoint, path):
-    opt_states = _split_critic_state(checkpoint.opt_states)
+    opt_states = sorted(checkpoint.opt_states.items())
     header = {
         "step": checkpoint.step,
         "offline_alg": checkpoint.offline_alg,
@@ -396,30 +367,27 @@ def save_checkpoint(checkpoint: AgentCheckpoint, path):
         "policy_spec": spec_header(checkpoint.policy.params.spec),
         "policy_squash": checkpoint.policy.squash,
         "critic_spec": spec_header(checkpoint.critics.member_stack.spec),
-        "n_critics": checkpoint.critics.n_members,
         "scale_spec": None
         if checkpoint.scale_net is None
         else spec_header(checkpoint.scale_net.params.spec),
         "value_spec": None
         if checkpoint.value_net is None
         else spec_header(checkpoint.value_net.params.spec),
-        "opt_states": {name: _opt_header(st) for name, st in sorted(opt_states.items())},
+        "opt_states": {name: _opt_header(st) for name, st in opt_states},
         "rng_states": checkpoint.rng_states,
     }
     arrays = {
         "action_low": checkpoint.policy.action_low,
         "action_high": checkpoint.policy.action_high,
         "policy": checkpoint.policy.params.values,
+        "critics": checkpoint.critics.member_stack.values,
+        "targets": checkpoint.critics.target_stack.values,
     }
-    for i, member in enumerate(checkpoint.critics.member_stack.values):
-        arrays[f"critic{i}"] = member
-    for i, target in enumerate(checkpoint.critics.target_stack.values):
-        arrays[f"target{i}"] = target
     if checkpoint.scale_net is not None:
         arrays["scale"] = checkpoint.scale_net.params.values
     if checkpoint.value_net is not None:
         arrays["value"] = checkpoint.value_net.params.values
-    for name, st in sorted(opt_states.items()):
+    for name, st in opt_states:
         arrays[f"opt_{name}_m"] = st.m
         if st.v is not None:
             arrays[f"opt_{name}_v"] = st.v
@@ -449,11 +417,11 @@ def _checked_rng_states(states) -> dict:
 def load_checkpoint(path) -> AgentCheckpoint:
     """Read a checkpoint written by `save_checkpoint`.  Every array must be
     finite: a NaN or inf parameter or optimizer buffer raises
-    `FormatError` naming the array.  So does a header entry out of range:
-    a negative `step`, fewer than 2 critics, a non-finite
-    `target_entropy`, a `log_entropy_coef` that is not finite or whose
-    exp overflows, or `rng_states` that are not snapshots of the offline
-    streams."""
+    `FormatError` naming the array.  So does a `critics` or `targets`
+    array that does not stack 2 or more critics, one per row, and a header
+    entry out of range: a negative `step`, a non-finite `target_entropy`,
+    a `log_entropy_coef` that is not finite or whose exp overflows, or
+    `rng_states` that are not snapshots of the offline streams."""
     header, arrays = blobio.read_blob(path, AGENT_MAGIC)
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
@@ -461,9 +429,6 @@ def load_checkpoint(path) -> AgentCheckpoint:
     step = header.typed("step", int)
     if step < 0:
         raise FormatError(f"checkpoint entry 'step' is negative: {step}")
-    n_critics = header.typed("n_critics", int)
-    if n_critics < 2:
-        raise FormatError(f"checkpoint entry 'n_critics' is below 2: {n_critics}")
     rng_states = _checked_rng_states(header["rng_states"])
 
     def at_most(key, top):
@@ -478,19 +443,23 @@ def load_checkpoint(path) -> AgentCheckpoint:
     def net_of(key, array):
         return None if header[key] is None else ScaleNet(ParamVector(spec_of(key), arrays[array]))
 
+    def critic_stack(array):
+        values = arrays[array]
+        if values.ndim != 2 or len(values) < 2:
+            message = f"checkpoint array {array!r} of shape {values.shape} is not 2 or more critics"
+            raise FormatError(message)
+        return ParamStack(spec_of("critic_spec"), values)
+
     policy = GaussianPolicy(
         params=ParamVector(spec_of("policy_spec"), arrays["policy"]),
         action_low=arrays["action_low"],
         action_high=arrays["action_high"],
         squash=header.typed("policy_squash", bool),
     )
-    cspec = spec_of("critic_spec")
-    members = [ParamVector(cspec, arrays[f"critic{i}"]) for i in range(n_critics)]
-    targets = [ParamVector(cspec, arrays[f"target{i}"]) for i in range(n_critics)]
-    critics = CriticEnsemble(members=members, targets=targets)
     opt_headers = header.typed("opt_states", dict)
-    opt_states = blobio.Entries()
-    for name in opt_headers:
+    opt_states = {}
+    # Every agent has a policy and a critic optimizer state.
+    for name in sorted({"policy", CRITIC_OPT} | set(opt_headers)):
         oh = opt_headers.typed(name, dict)
         opt_states[name] = OptState(
             **{key: oh.typed(key, kind) for key, kind in _OPT_SETTINGS.items()},
@@ -502,12 +471,12 @@ def load_checkpoint(path) -> AgentCheckpoint:
         offline_alg=header.typed("offline_alg", str),
         env_name=header.typed("env_name", str),
         policy=policy,
-        critics=critics,
+        critics=CriticEnsemble(critic_stack("critics"), critic_stack("targets")),
         scale_net=net_of("scale_spec", "scale"),
         value_net=net_of("value_spec", "value"),
         log_entropy_coef=at_most("log_entropy_coef", LOG_ENTROPY_COEF_MAX),
         target_entropy=at_most("target_entropy", np.finfo(np.float64).max),
-        opt_states=_stack_critic_state(opt_states, n_critics),
+        opt_states=opt_states,
         rng_states=rng_states,
     )
 

@@ -140,10 +140,10 @@ def _config(env: str, **over):
 
 def _agent_arrays(agent) -> dict:
     arrays = {"policy": agent.policy.params.values}
-    for i, member in enumerate(agent.critics.members):
-        arrays[f"critic{i}"] = member.values
-    for i, target in enumerate(agent.critics.targets):
-        arrays[f"target{i}"] = target.values
+    for i, member in enumerate(agent.critics.member_stack.values):
+        arrays[f"critic{i}"] = member
+    for i, target in enumerate(agent.critics.target_stack.values):
+        arrays[f"target{i}"] = target
     if agent.scale_net is not None:
         arrays["scale"] = agent.scale_net.params.values
     if agent.value_net is not None:

@@ -25,7 +25,7 @@ from o2olab.networks import (
     make_policy,
     make_scale_net,
 )
-from o2olab.numkit import ParamVector, finite_diff_check
+from o2olab.numkit import ParamStack, ParamVector, finite_diff_check
 from o2olab.optim import newton_schulz_orthogonalize
 from o2olab.pipeline import (
     config_from_dict,
@@ -73,8 +73,7 @@ def _random_setup(rng):
     b = int(rng.integers(2, 4)) * 2
     policy = make_policy(sd, -np.ones(ad), np.ones(ad), (width,), rng, activation="tanh")
     ens = make_critic_ensemble(sd, ad, (width,), 2, rng, activation="tanh")
-    for t in ens.targets:
-        t.values += 0.05 * rng.standard_normal(t.values.size)
+    ens.target_stack.values += 0.05 * rng.standard_normal(ens.target_stack.values.shape)
     scale = make_scale_net(sd, (width,), rng, activation="tanh")
     value = make_scale_net(sd, (width,), rng, activation="tanh")
     batch = Batch(
@@ -92,12 +91,15 @@ def _random_setup(rng):
 
 
 def _swap_member(ens, pv):
-    return CriticEnsemble(members=[pv] + ens.members[1:], targets=ens.targets)
+    values = ens.member_stack.values.copy()
+    values[0] = pv.values
+    return CriticEnsemble(ParamStack(pv.spec, values), ens.target_stack)
 
 
 def _loss_cases(setup, case_seed):
     policy, ens, scale, value, batch, score = setup
     sd = batch.s.shape[1]
+    member0 = ens.member_stack.vectors()[0]
     acts = agents.sample_action_mixture(policy, batch.s, batch.size, case_seed)
 
     def td3bc_frozen_norm():
@@ -112,7 +114,7 @@ def _loss_cases(setup, case_seed):
             lambda pv: agents.sac_critic_loss(
                 _swap_member(ens, pv), policy, batch, 0.2, 0.97, np.random.default_rng(case_seed)
             )[:2],
-            ens.members[0],
+            member0,
             lambda out: out[0],
         ),
         "policy": (
@@ -124,7 +126,7 @@ def _loss_cases(setup, case_seed):
         ),
         "score-match critic": (
             lambda pv: agents.score_match_loss(_swap_member(ens, pv), scale, score, batch.s, acts, 1.0),
-            ens.members[0],
+            member0,
             None,
         ),
         "score-match scale": (
@@ -139,7 +141,7 @@ def _loss_cases(setup, case_seed):
                 target_rng=np.random.default_rng(case_seed),
                 action_rng=np.random.default_rng(case_seed + 1),
             ),
-            ens.members[0],
+            member0,
             "smac",
         ),
         "regularized scale": (
@@ -154,17 +156,17 @@ def _loss_cases(setup, case_seed):
         ),
         "conservative penalty": (
             lambda pv: agents.cql_penalty(_swap_member(ens, pv), policy, batch, case_seed),
-            ens.members[0],
+            member0,
             lambda out: out[0],
         ),
         "capped penalty": (
             lambda pv: agents.calql_penalty(_swap_member(ens, pv), policy, batch, case_seed),
-            ens.members[0],
+            member0,
             lambda out: out[0],
         ),
         "expectile critic": (
             lambda pv: agents.iql_losses(_swap_member(ens, pv), value, policy, batch, 0.8, 0.7, 0.97),
-            ens.members[0],
+            member0,
             "iql-critic",
         ),
         "expectile value": (
@@ -181,7 +183,7 @@ def _loss_cases(setup, case_seed):
             lambda pv: agents.td3_losses(
                 _swap_member(ens, pv), policy, batch, 0.97, np.random.default_rng(case_seed)
             ),
-            ens.members[0],
+            member0,
             "td3-critic",
         ),
         "deterministic policy": (
@@ -454,8 +456,8 @@ def test_criterion_8_reduction_identity():
     b, rows_b = offline_pretrain(cfg_sac, data, None, seed=83, run_id="run")
     same = (
         np.array_equal(a.policy.params.values, b.policy.params.values)
-        and all(np.array_equal(x.values, y.values) for x, y in zip(a.critics.members, b.critics.members))
-        and all(np.array_equal(x.values, y.values) for x, y in zip(a.critics.targets, b.critics.targets))
+        and np.array_equal(a.critics.member_stack.values, b.critics.member_stack.values)
+        and np.array_equal(a.critics.target_stack.values, b.critics.target_stack.values)
         and a.log_entropy_coef == b.log_entropy_coef
         and rows_a == rows_b
     )

@@ -37,7 +37,7 @@ def single_layer_critic(state_dim, action_dim, w_state, w_action, bias):
 
 def const_ensemble(state_dim, action_dim, value):
     member = single_layer_critic(state_dim, action_dim, np.zeros(state_dim), np.zeros(action_dim), value)
-    return CriticEnsemble(members=[member, member.copy()])
+    return CriticEnsemble(ParamStack.of([member, member]))
 
 
 def random_batch(rng, state_dim=3, action_dim=2, size=8, with_mc=True):
@@ -55,8 +55,7 @@ def random_batch(rng, state_dim=3, action_dim=2, size=8, with_mc=True):
 def random_nets(rng, state_dim=3, action_dim=2, hidden=(8,), n_critics=2):
     policy = make_policy(state_dim, -np.ones(action_dim), np.ones(action_dim), hidden, rng, activation="tanh")
     ens = make_critic_ensemble(state_dim, action_dim, hidden, n_critics, rng, activation="tanh")
-    for t in ens.targets:
-        t.values += 0.01 * rng.standard_normal(t.values.size)
+    ens.target_stack.values += 0.01 * rng.standard_normal(ens.target_stack.values.shape)
     return policy, ens
 
 
@@ -175,7 +174,7 @@ class TestSacCritic:
         loss, _ = agents.sac_critic_loss(ens, policy, batch, 0.3, 0.0, stream(6, "t"))
         x = critic_input(batch.s, batch.a)
         manual = np.mean(
-            [(mlp_forward_batch(m, x)[:, 0] - batch.r) ** 2 for m in ens.members]
+            [(mlp_forward_batch(m, x)[:, 0] - batch.r) ** 2 for m in ens.member_stack.vectors()]
         )
         assert abs(loss - manual) <= 1e-15
 
@@ -186,7 +185,7 @@ class TestSacCritic:
         a2, _, _ = policy.sample(batch.s2, np.random.default_rng(0))
         x2 = critic_input(batch.s2, a2)
         tq, _ = agents._min_over(ens.target_stack, x2)
-        for t in ens.targets:
+        for t in ens.target_stack.vectors():
             assert np.all(tq <= mlp_forward_batch(t, x2)[:, 0] + 1e-15)
 
 
@@ -223,7 +222,7 @@ class TestSacPolicy:
             resid = mlp_forward_batch(critic, x)[:, 0] - (-coef_q * (a[:, 0] - center) ** 2)
             grad = mlp_grad_batch(critic, x, (2.0 / 256) * resid[:, None])
             critic, opt = adam_step(opt, critic, ParamVector(cspec, grad))
-        ens = CriticEnsemble(members=[critic, critic.copy()], targets=[critic.copy(), critic.copy()])
+        ens = CriticEnsemble(ParamStack.of([critic, critic]))
         policy = make_policy(1, [-1.0], [1.0], (32, 32), rng, activation="tanh")
         batch = Batch(
             s=np.zeros((256, 1)), a=np.zeros((256, 1)), r=np.zeros(256),
@@ -299,7 +298,7 @@ class TestScoreMatch:
         # Q linear in the action with slope v, score estimate v, scale 1.
         v = np.array([0.4, -0.7])
         member = single_layer_critic(2, 2, np.array([0.3, -0.1]), v, 0.5)
-        ens = CriticEnsemble(members=[member, member.copy()])
+        ens = CriticEnsemble(ParamStack.of([member, member]))
         rng = stream(16, "x")
         s = rng.standard_normal((6, 2))
         actions = rng.uniform(-1, 1, (6, 2))
@@ -312,7 +311,7 @@ class TestScoreMatch:
     def test_zero_scale_measures_gradient_norm(self):
         v = np.array([0.4, -0.7])
         member = single_layer_critic(2, 2, np.zeros(2), v, 0.0)
-        ens = CriticEnsemble(members=[member, member.copy()])
+        ens = CriticEnsemble(ParamStack.of([member, member]))
         rng = stream(17, "x")
         s = rng.standard_normal((5, 2))
         actions = rng.uniform(-1, 1, (5, 2))
@@ -386,7 +385,7 @@ class TestConservativePenalties:
         rng = stream(20, "x")
         policy = make_policy(1, [-1.0], [1.0], (4,), rng)
         member = single_layer_critic(1, 1, np.zeros(1), np.array([1.0]), 0.0)
-        ens = CriticEnsemble(members=[member, member.copy()])
+        ens = CriticEnsemble(ParamStack.of([member, member]))
         batch = Batch(
             s=np.zeros((6, 1)), a=np.full((6, 1), 1.0), r=np.zeros(6),
             s2=np.zeros((6, 1)), done=np.zeros(6), w=np.ones(6), mc=np.zeros(6),
@@ -401,7 +400,7 @@ class TestConservativePenalties:
         policy = make_policy(2, [-1.0], [1.0], (4,), rng)
         w_s, w_a, b = np.array([0.5, -0.25]), np.array([0.8]), 0.1
         member = single_layer_critic(2, 1, w_s, w_a, b)
-        ens = CriticEnsemble(members=[member, member.copy()])
+        ens = CriticEnsemble(ParamStack.of([member, member]))
         batch = Batch(
             s=np.array([[0.1, 0.2], [-0.3, 0.4], [0.0, -0.5]]),
             a=np.array([[0.3], [-0.6], [0.9]]),
@@ -455,7 +454,7 @@ class TestConservativePenalties:
         policy = make_policy(1, [-1.0], [1.0], (4,), rng)
         w_a = np.array([2.0])
         member = single_layer_critic(1, 1, np.zeros(1), w_a, 0.0)
-        ens = CriticEnsemble(members=[member, member.copy()])
+        ens = CriticEnsemble(ParamStack.of([member, member]))
         batch = Batch(
             s=np.zeros((2, 1)), a=np.array([[0.5], [-0.5]]), r=np.zeros(2),
             s2=np.zeros((2, 1)), done=np.zeros(2), w=np.ones(2), mc=np.array([0.3, -2.0]),
@@ -490,7 +489,7 @@ class TestIql:
     def test_asymmetric_weights(self):
         # u = +1 gets weight tau, u = -1 gets 1 - tau.
         member = single_layer_critic(1, 1, np.ones(1), np.zeros(1), 0.0)  # Q = s
-        ens = CriticEnsemble(members=[member, member.copy()])
+        ens = CriticEnsemble(ParamStack.of([member, member]))
         value = ScaleNet(ParamVector(MlpSpec((1, 1)), np.array([0.0, 0.0])))  # V = 0
         rng = stream(31, "x")
         policy = make_policy(1, [-1.0], [1.0], (4,), rng)
@@ -505,7 +504,7 @@ class TestIql:
         # The 0.9-expectile of {0, 1} is 0.9: sweep constant value nets
         # over a grid and find the value-loss minimizer.
         member = single_layer_critic(1, 1, np.ones(1), np.zeros(1), 0.0)  # Q = s
-        ens = CriticEnsemble(members=[member, member.copy()])
+        ens = CriticEnsemble(ParamStack.of([member, member]))
         rng = stream(32, "x")
         policy = make_policy(1, [-1.0], [1.0], (4,), rng)
         batch = Batch(
@@ -526,7 +525,7 @@ class TestIql:
         out = agents.iql_losses(ens, value, policy, batch, 0.7, 1.0, 0.99)
         y = batch.r + 0.99 * (1.0 - batch.done) * value.values(batch.s2)
         x = critic_input(batch.s, batch.a)
-        manual = np.mean([(mlp_forward_batch(m, x)[:, 0] - y) ** 2 for m in ens.members])
+        manual = np.mean([(mlp_forward_batch(m, x)[:, 0] - y) ** 2 for m in ens.member_stack.vectors()])
         assert abs(out.critic_loss - manual) <= 1e-12
 
     def test_policy_weights_clipped(self):
@@ -553,7 +552,7 @@ class TestTd3:
         tq, _ = agents._min_over(ens.target_stack, x2)
         y = batch.r + 0.99 * (1.0 - batch.done) * tq
         x = critic_input(batch.s, batch.a)
-        manual = np.mean([(mlp_forward_batch(m, x)[:, 0] - y) ** 2 for m in ens.members])
+        manual = np.mean([(mlp_forward_batch(m, x)[:, 0] - y) ** 2 for m in ens.member_stack.vectors()])
         assert abs(out.critic_loss - manual) <= 1e-12
 
     def test_smoothing_noise_stays_within_clip(self):
@@ -605,7 +604,7 @@ class TestTd3Bc:
     def test_two_transition_hand_case(self):
         w_a = np.array([1.5])
         member = single_layer_critic(1, 1, np.zeros(1), w_a, 0.2)
-        ens = CriticEnsemble(members=[member, member.copy()])
+        ens = CriticEnsemble(ParamStack.of([member, member]))
         spec = MlpSpec((1, 2))
         params = ParamVector(spec, np.array([0.0, 0.0, 0.4, 0.0]))  # mean head 0.4
         policy = GaussianPolicy(params, np.array([-1.0]), np.array([1.0]))
@@ -647,7 +646,7 @@ class TestAwr:
         rng = stream(44, "x")
         policy = make_policy(1, [-1.0], [1.0], (4,), rng)
         member = single_layer_critic(1, 1, np.zeros(1), np.array([1.0]), 0.0)
-        ens = CriticEnsemble(members=[member, member.copy()])
+        ens = CriticEnsemble(ParamStack.of([member, member]))
         batch = Batch(
             s=np.zeros((2, 1)), a=np.array([[0.5], [-0.5]]), r=np.zeros(2),
             s2=np.zeros((2, 1)), done=np.zeros(2), w=np.ones(2), mc=np.zeros(2),

@@ -403,7 +403,7 @@ class TestErrorPaths:
         assert f"header {key}" in err and "(line 1)" in err and "Traceback" not in err
         assert not out.parent.exists()
 
-    @pytest.mark.parametrize("array", ["critic0", "opt_policy_v"])
+    @pytest.mark.parametrize("array", ["critics", "targets", "opt_critics_v", "opt_policy_v"])
     def test_non_finite_checkpoint_exits_2_without_leftover(self, workdir, capsys, array):
         # A NaN in a checkpoint used to load and fail at the first forward
         # pass (exit 3), after the output directory was made.
@@ -437,11 +437,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "target, key, value, named",
         [
-            ("checkpoint", "n_critics", None, "n_critics"),
-            ("checkpoint", "n_critics", "3", "critic2"),
-            ("checkpoint", "opt_states.critic1", None, "critic1"),
+            ("checkpoint", "opt_states.critics", None, "critics"),
+            ("checkpoint", "opt_states.policy", None, "policy"),
             ("score_model", "k_embed_dim", None, "k_embed_dim"),
-            ("checkpoint", "n_critics", '"2"', "n_critics"),
             ("checkpoint", "policy_spec", "null", "policy_spec"),
             ("checkpoint", "policy_spec.layer_widths", "5", "layer_widths"),
             ("checkpoint", "critic_spec.output_transform", '"exp"', "output_transform"),
@@ -450,11 +448,9 @@ class TestErrorPaths:
             ("checkpoint", "policy_squash", "1", "policy_squash"),
             ("score_model", "k_embed_dim", '"8"', "k_embed_dim"),
             ("score_model", "layer_widths", "null", "layer_widths"),
-            # Values of the right type but out of range; the first two
-            # used to load and the third to fail naming no entry.
+            # Values of the right type but out of range, which used to load.
             ("checkpoint", "step", "-5", "step"),
             ("checkpoint", "rng_states", "5", "rng_states"),
-            ("checkpoint", "n_critics", "1", "n_critics"),
             ("checkpoint", "rng_states.cql", None, "rng_states"),
             ("checkpoint", "rng_states.batch.state", "7", "rng_states"),
             # Non-finite floats, which used to load and fine-tune.
@@ -580,12 +576,16 @@ class TestErrorPaths:
             ("reach2d:smac:sac:s0,online,20,eval_return,inf", "'inf' must be finite (line 3)"),
             ("reach2d:smac:sac:s0,online,1.5,eval_return,-3.0", "'1.5' (line 3)"),
             ("reach2d:smac:sac:s0,online,20,eval_return", "expected 5 fields, found 4 (line 3)"),
-            ("reach2d:smac:sac:sX,online,20,eval_return,-3.0", "malformed run id 'reach2d:"),
+            (
+                "reach2d:smac:sac:sX,online,20,eval_return,-3.0",
+                "run id 'reach2d:smac:sac:sX', expected env:offline:online:s<seed> (line 3)",
+            ),
         ],
     )
     def test_bad_metrics_row_exits_2_without_leftover(self, workdir, capsys, row, cause):
         # A NaN used to reach both output tables and exit 0; a bad step, a
-        # short row or a bad run id exited 2 naming neither file nor line.
+        # short row or a bad run id exited 2 naming neither file nor line,
+        # and later a bad run id named its file but not its line.
         metrics = workdir / "fin" / "seed-0" / "metrics.csv"
         metrics.parent.mkdir(parents=True)
         rows = [
@@ -600,6 +600,25 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"{metrics}: " in err and cause in err
         assert not out.parent.exists()
+
+    def test_run_id_in_two_run_directories_exits_2_without_leftover(self, workdir, capsys):
+        # A copy of a run (such as a rerun with --jobs 2) used to be folded
+        # into the same stream, counting each of its evaluations twice.
+        rows = [
+            "run_id,phase,step,metric,value",
+            "reach2d:smac:sac:s0,online,10,eval_return,-5.0",
+            "reach2d:smac:sac:s0,online,20,eval_return,-3.0",
+        ]
+        first, second = (workdir / "runs" / name / "seed-0" / "metrics.csv" for name in "ab")
+        for path in (first, second):
+            path.parent.mkdir(parents=True)
+            path.write_text("\n".join(rows) + "\n")
+        out = workdir / "fresh" / "table"
+        assert run(["regret-table", "--input", workdir / "runs", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"'reach2d:smac:sac:s0' is in both {first} and {second}" in err
+        assert not out.parent.exists()
+        assert run(["regret-table", "--input", first.parent.parent, "--out", out]) == 0
 
     @pytest.mark.parametrize("sources", [["--fixture", "--input", "records.csv"], []])
     def test_regret_table_takes_exactly_one_source(self, workdir, capsys, sources):
@@ -660,6 +679,30 @@ class TestErrorPaths:
             ]
         )
         assert code == 3
+
+    # The magic is read first, so a version-2 payload behind the first
+    # format's magic stands for a whole file of that format.
+    @pytest.mark.parametrize("command", ["finetune", "landscape-plane", "export-checkpoints"])
+    def test_first_checkpoint_format_exits_2_without_leftover(self, workdir, capsys, command):
+        run(["gen-data", "--config", "cfg.json"])
+        data = workdir / "runs/gen-data/dataset-s0.jsonl"
+        pre = ["--override", "offline_alg=sac", "--override", "offline_steps=2"]
+        assert run(["pretrain", "--config", "cfg.json", *pre, "--data", data, "--out", "pre"]) == 0
+        ckpt = workdir / "pre/seed-0/checkpoint.bin"
+        old = workdir / "old.bin"
+        old.write_bytes(b"SMACAC01" + ckpt.read_bytes()[8:])
+        plane = ["--checkpoint-a", ckpt, "--checkpoint-b", ckpt, "--checkpoint-c", old]
+        argv = {
+            "finetune": ["--data", data, "--checkpoint", old],
+            "landscape-plane": plane,
+            "export-checkpoints": [ckpt, old],
+        }[command]
+        out = workdir / "fresh" / "out"
+        capsys.readouterr()
+        assert run([command, "--config", "cfg.json", *argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "SMACAC01" in err and "SMACAC02" in err and "Traceback" not in err
+        assert not out.parent.exists()
 
     def test_bad_checkpoint_magic_is_config_error(self, workdir):
         run(["gen-data", "--config", "cfg.json"])

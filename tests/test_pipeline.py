@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from golden_runs import checkpoint_fields, field_digest
 
 from o2olab import blobio, numkit, pipeline
 
@@ -58,6 +59,11 @@ def small_config(**over):
 def tiny_dataset(seed=0, n=15):
     env = make_env_spec("reach2d")
     return generate_dataset(env, ScriptedPolicy(env, 0.5), n, seed=seed)
+
+
+def field_digests(agent) -> dict:
+    """The sha256 of every field `load_checkpoint` returns, by name."""
+    return {name: field_digest(value) for name, value in checkpoint_fields(agent).items()}
 
 
 def tiny_score_model(dataset, seed=1):
@@ -173,8 +179,7 @@ class TestOfflinePretrain:
         agent, rows = offline_pretrain(cfg, ds, model, seed=3)
         fresh = _init_agent(cfg, ds.env, 3)
         assert np.array_equal(agent.policy.params.values, fresh.policy.params.values)
-        for a, b in zip(agent.critics.members, fresh.critics.members):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(agent.critics.member_stack.values, fresh.critics.member_stack.values)
         assert [r for r in rows if r[3] == "eval_return"]
 
     def test_deterministic_given_seed(self):
@@ -212,10 +217,8 @@ class TestOfflinePretrain:
         a, _ = offline_pretrain(cfg_smac, ds, model, seed=7)
         b, _ = offline_pretrain(cfg_sac, ds, None, seed=7)
         assert np.array_equal(a.policy.params.values, b.policy.params.values)
-        for m1, m2 in zip(a.critics.members, b.critics.members):
-            assert np.array_equal(m1.values, m2.values)
-        for t1, t2 in zip(a.critics.targets, b.critics.targets):
-            assert np.array_equal(t1.values, t2.values)
+        assert np.array_equal(a.critics.member_stack.values, b.critics.member_stack.values)
+        assert np.array_equal(a.critics.target_stack.values, b.critics.target_stack.values)
         assert a.log_entropy_coef == b.log_entropy_coef
 
     def test_numeric_abort_names_step(self):
@@ -230,8 +233,7 @@ class TestOfflinePretrain:
     def test_full_rate_polyak_tracks_members(self):
         cfg = small_config(offline_alg="sac", offline_steps=10, optim={"target_update_rate": 1.0})
         agent, _ = offline_pretrain(cfg, tiny_dataset(), None, seed=9)
-        for m, t in zip(agent.critics.members, agent.critics.targets):
-            assert np.array_equal(m.values, t.values)
+        assert np.array_equal(agent.critics.member_stack.values, agent.critics.target_stack.values)
 
 
 class TestCheckpoint:
@@ -244,10 +246,8 @@ class TestCheckpoint:
         back = load_checkpoint(path)
         assert np.array_equal(back.policy.params.values, agent.policy.params.values)
         assert back.policy.params.spec == agent.policy.params.spec
-        for a, b in zip(back.critics.members, agent.critics.members):
-            assert np.array_equal(a.values, b.values)
-        for a, b in zip(back.critics.targets, agent.critics.targets):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(back.critics.member_stack.values, agent.critics.member_stack.values)
+        assert np.array_equal(back.critics.target_stack.values, agent.critics.target_stack.values)
         assert np.array_equal(back.scale_net.params.values, agent.scale_net.params.values)
         assert back.log_entropy_coef == agent.log_entropy_coef
         assert back.rng_states == agent.rng_states
@@ -255,29 +255,59 @@ class TestCheckpoint:
             assert np.array_equal(back.opt_states[name].m, agent.opt_states[name].m)
             assert back.opt_states[name].step_count == agent.opt_states[name].step_count
 
-    def test_file_keeps_one_optimizer_state_per_critic(self, tmp_path):
+    # Every field `load_checkpoint` returns: parameters, both critic stacks,
+    # each optimizer state's moments and settings, rng states and scalars.
+    @pytest.mark.parametrize("n_critics", [2, 3])
+    @pytest.mark.parametrize("optimizer", ["adam", "muon"])
+    def test_round_trip_returns_every_field_bit_for_bit(self, tmp_path, n_critics, optimizer):
+        nets = {"n_critics": n_critics}
+        cfg = small_config(offline_alg="iql", optimizer=optimizer, offline_steps=3, networks=nets)
+        agent, _ = offline_pretrain(cfg, tiny_dataset(), None, seed=11)
+        path = tmp_path / "agent.bin"
+        save_checkpoint(agent, path)
+        back = load_checkpoint(path)
+        assert field_digests(back) == field_digests(agent)
+        assert back.critics.member_stack.values.shape[0] == n_critics
+        assert (back.opt_states["critics"].v is None) == (optimizer == "muon")
+
+    def test_file_holds_the_ensemble_as_one_stack(self, tmp_path):
         cfg = small_config(offline_alg="sac", offline_steps=3, networks={"n_critics": 3})
         agent, _ = offline_pretrain(cfg, tiny_dataset(), None, seed=11)
-        assert agent.opt_states[pipeline.CRITIC_OPT].m.shape == agent.critics.member_stack.values.shape
         path = tmp_path / "agent.bin"
         save_checkpoint(agent, path)
         header, arrays = blobio.read_blob(path, AGENT_MAGIC)
-        assert sorted(header["opt_states"]) == ["critic0", "critic1", "critic2", "policy"]
-        for i in range(3):
-            assert np.array_equal(arrays[f"opt_critic{i}_m"], agent.opt_states["critics"].m[i])
-            assert np.array_equal(arrays[f"opt_critic{i}_v"], agent.opt_states["critics"].v[i])
+        assert "n_critics" not in header
+        assert sorted(header["opt_states"]) == ["critics", "policy"]
+        assert np.array_equal(arrays["critics"], agent.critics.member_stack.values)
+        assert np.array_equal(arrays["targets"], agent.critics.target_stack.values)
+        assert arrays["critics"].shape == arrays["targets"].shape == arrays["opt_critics_m"].shape
+        assert np.array_equal(arrays["opt_critics_m"], agent.opt_states["critics"].m)
+        assert np.array_equal(arrays["opt_critics_v"], agent.opt_states["critics"].v)
         save_checkpoint(load_checkpoint(path), tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
+    # A stack of fewer than 2 critics, or an array that is no stack.
+    @pytest.mark.parametrize("array", ["critics", "targets"])
+    @pytest.mark.parametrize(
+        "edit", [lambda a: a[:1], lambda a: a[:0], lambda a: a[0]], ids=["1-row", "0-rows", "1-d"]
+    )
+    def test_short_critic_stack_rejected(self, tmp_path, array, edit):
+        cfg = small_config(offline_alg="sac", offline_steps=2)
+        agent, _ = offline_pretrain(cfg, tiny_dataset(), None, seed=11)
+        path = tmp_path / "agent.bin"
+        save_checkpoint(agent, path)
+        header, arrays = blobio.read_blob(path, AGENT_MAGIC)
+        arrays[array] = edit(arrays[array])
+        blobio.write_blob(path, AGENT_MAGIC, header, arrays)
+        with pytest.raises(FormatError, match=f"array '{array}' of shape"):
+            load_checkpoint(path)
+
     # Each case edits one header entry to a value out of range; it used to
-    # load (step, rng_states, log_entropy_coef, target_entropy) or fail
-    # without naming the entry (n_critics).
+    # load.
     @pytest.mark.parametrize(
         "key, edit",
         [
             ("step", lambda h: h.update(step=-5)),
-            ("n_critics", lambda h: h.update(n_critics=1)),
-            ("n_critics", lambda h: h.update(n_critics=-1)),
             ("rng_states", lambda h: h.update(rng_states=5)),
             ("rng_states", lambda h: h["rng_states"].pop("cql")),
             ("rng_states", lambda h: h["rng_states"].update(extra=h["rng_states"]["cql"])),
@@ -290,7 +320,7 @@ class TestCheckpoint:
             ("log_entropy_coef", lambda h: h.update(log_entropy_coef=800.0)),
         ],
         ids=[
-            "negative-step", "one-critic", "negative-critics", "states-not-object",
+            "negative-step", "states-not-object",
             "stream-missing", "stream-extra", "snapshot-state", "snapshot-generator",
             "snapshot-out-of-range", "coef-minus-inf", "coef-nan", "target-entropy-inf",
             "coef-exp-overflows",
@@ -315,7 +345,16 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         raw[:8] = b"XXXXXXXX"
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="SMACAC01"):
+        with pytest.raises(FormatError, match="SMACAC02"):
+            load_checkpoint(path)
+
+    def test_first_format_refused_naming_both_magics(self, tmp_path):
+        cfg = small_config(offline_alg="sac", offline_steps=2)
+        agent, _ = offline_pretrain(cfg, tiny_dataset(), None, seed=11)
+        path = tmp_path / "agent.bin"
+        save_checkpoint(agent, path)
+        path.write_bytes(b"SMACAC01" + path.read_bytes()[8:])
+        with pytest.raises(FormatError, match="SMACAC01.*SMACAC02"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -339,10 +378,7 @@ class TestCheckpoint:
         resumed, _ = offline_pretrain(
             full_cfg, ds, model, seed=12, start=load_checkpoint(tmp_path / "half.bin")
         )
-        assert np.array_equal(resumed.policy.params.values, straight.policy.params.values)
-        for a, b in zip(resumed.critics.members, straight.critics.members):
-            assert np.array_equal(a.values, b.values)
-        assert resumed.log_entropy_coef == straight.log_entropy_coef
+        assert field_digests(resumed) == field_digests(straight)
 
     def test_algorithm_mismatch_on_resume_rejected(self, tmp_path):
         cfg = small_config(offline_alg="sac", offline_steps=5)
