@@ -65,7 +65,7 @@ from .networks import (
 )
 from .numkit import ACTIVATIONS, ParamStack, ParamVector, spec_from_header, spec_header
 from .optim import OptState, init_opt_state, optimizer_step, polyak_update
-from .tables import read_table, write_table
+from .tables import write_table
 
 AGENT_MAGIC = b"SMACAC02"
 
@@ -924,7 +924,3 @@ METRICS_TABLE = (("run_id", "phase", "step", "metric", "value"), (str, str, int,
 
 def write_metrics_csv(rows, path):
     write_table(path, *METRICS_TABLE, rows)
-
-
-def read_metrics_csv(path):
-    return read_table(path, *METRICS_TABLE)
