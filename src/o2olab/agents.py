@@ -8,8 +8,8 @@ network).  Gradients are exact reverse-mode, so every function here is
 covered by the finite-difference suite.
 
 Each loss runs one forward pass per network and set of input rows: the
-critic ensemble is evaluated as one `ParamStack`, and the gradient
-passes that follow reuse that forward through a `ForwardCache`.
+critic ensemble is evaluated as one `ParamStack`, and every gradient
+pass that follows is handed that forward's `numkit.Forward` record.
 
 Critic arithmetic shared by several agents has one implementation each:
 `_td_regression` (every member regressed onto one TD target, used by
@@ -43,7 +43,6 @@ import numpy as np
 from .errors import NumericError, ShapeError
 from .networks import CriticEnsemble, GaussianPolicy, ScaleNet, critic_input
 from .numkit import (
-    ForwardCache,
     mlp_forward_batch,
     mlp_grad_batch,
     mlp_input_grad,
@@ -96,9 +95,9 @@ class LossParams:
             raise ValueError("entropy coefficient must be positive")
 
 
-def _q_forward(stack, x, cache=None) -> np.ndarray:
+def _q_forward(stack, x) -> np.ndarray:
     """Q of every member of a critic stack at every input row, shape (n, batch)."""
-    return mlp_forward_batch(stack, x, cache)[..., 0]
+    return mlp_forward_batch(stack, x).out[..., 0]
 
 
 def _in_member_order(values: np.ndarray) -> float:
@@ -124,12 +123,12 @@ def _min_member_action_grad(stack, x, state_dim):
     The action block of each input row starts at column `state_dim`.
     This is what the SAC, TD3 and TD3+BC actors ascend; the gradient is
     taken w.r.t. the input only, never the critic parameters.  One
-    input-gradient pass yields every member's Q (from its forward) and
-    input gradient.
+    forward yields every member's Q, and one input-gradient pass through
+    it every member's input gradient.
     """
-    cache = ForwardCache()
-    gin = mlp_input_grad(stack, x, np.ones((len(stack), x.shape[0], 1)), cache)
-    qs = cache.out[..., 0]
+    fwd = mlp_forward_batch(stack, x)
+    gin = mlp_input_grad(fwd, np.ones((len(stack), x.shape[0], 1)))
+    qs = fwd.out[..., 0]
     idx = np.argmin(qs, axis=0)
     rows = np.arange(x.shape[0])
     return qs[idx, rows], gin[idx, rows, state_dim:]
@@ -140,10 +139,10 @@ def _td_regression(stack, x, y):
     flat parameter gradient as an (n, P) array.  The target y is a
     constant."""
     n, b = len(stack), x.shape[0]
-    cache = ForwardCache()
-    resid = _q_forward(stack, x, cache) - y
+    fwd = mlp_forward_batch(stack, x)
+    resid = fwd.out[..., 0] - y
     loss = _in_member_order(np.vecdot(resid, resid))
-    grads = mlp_grad_batch(stack, x, (2.0 / (n * b)) * resid[..., None], cache)
+    grads = mlp_grad_batch(fwd, (2.0 / (n * b)) * resid[..., None])
     return loss / (n * b), grads
 
 
@@ -194,7 +193,7 @@ def sac_policy_loss(
     loss = float(np.mean(entropy_coef * logp - qmin))
     d_logp = np.full(b, entropy_coef / b)
     d_action = -ga_sel / b
-    grad = policy.sample_grads(batch.s, internals, d_logp, d_action)
+    grad = policy.sample_grads(internals, d_logp, d_action)
     return loss, grad, float(logp.mean())
 
 
@@ -238,26 +237,26 @@ def score_match_loss(
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     eps = score_model.predict(s, actions, w, 1)
-    scale_cache = ForwardCache()
-    alpha = scale_net.values(s, scale_cache)
+    scale_fwd = scale_net.forward(s)
+    alpha = scale_fwd.out[:, 0]
     x = critic_input(s, actions)
     state_dim = s.shape[1]
     stack = ensemble.member_stack
     n, b = len(stack), s.shape[0]
     ones = np.ones((n, b, 1))
-    cache = ForwardCache()
-    g = mlp_input_grad(stack, x, ones, cache)[..., state_dim:]
+    fwd = mlp_forward_batch(stack, x)
+    g = mlp_input_grad(fwd, ones)[..., state_dim:]
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite critic action gradient")
     resid = g - alpha[:, None] * eps
     loss = _in_member_order(np.sum((resid * resid).reshape(n, -1), axis=1))
     direction = np.zeros((n, *x.shape))
     direction[..., state_dim:] = (2.0 / (n * b)) * resid
-    member_grads = mlp_second_grad(stack, x, ones, direction, cache)
+    member_grads = mlp_second_grad(fwd, ones, direction)
     d_alpha = np.zeros(b)
     for term in (-2.0 / (n * b)) * np.sum(resid * eps, axis=2):  # in member order, as above
         d_alpha += term
-    scale_grad = scale_net.grads(s, d_alpha, scale_cache)
+    scale_grad = scale_net.grads(scale_fwd, d_alpha)
     return loss / (n * b), member_grads, scale_grad
 
 
@@ -342,10 +341,11 @@ def _conservative_penalty(ensemble, batch, a_ood, cap):
     x_data = critic_input(batch.s, batch.a)
     stack = ensemble.member_stack
     n, b = len(stack), batch.size
-    ood_cache, data_cache = ForwardCache(), ForwardCache()
-    q_ood = _q_forward(stack, x_ood, ood_cache)
-    g_data = mlp_grad_batch(stack, x_data, np.full((n, b, 1), -1.0 / (n * b)), data_cache)
-    q_data = data_cache.out[..., 0]
+    ood = mlp_forward_batch(stack, x_ood)
+    q_ood = ood.out[..., 0]
+    data = mlp_forward_batch(stack, x_data)
+    g_data = mlp_grad_batch(data, np.full((n, b, 1), -1.0 / (n * b)))
+    q_data = data.out[..., 0]
     if cap is None:
         ood_term = q_ood
         up_ood = np.ones((n, b))
@@ -353,7 +353,7 @@ def _conservative_penalty(ensemble, batch, a_ood, cap):
         ood_term = np.minimum(cap, q_ood)
         up_ood = (q_ood <= cap).astype(np.float64)
     penalty = _in_member_order(np.mean(ood_term, axis=1) - np.mean(q_data, axis=1))
-    g_ood = mlp_grad_batch(stack, x_ood, (up_ood / (n * b))[..., None], ood_cache)
+    g_ood = mlp_grad_batch(ood, (up_ood / (n * b))[..., None])
     return penalty / n, g_ood + g_data
 
 
@@ -388,12 +388,12 @@ def iql_losses(
     b = batch.size
     x_data = critic_input(batch.s, batch.a)
     qt, _ = _min_over(ensemble.target_stack, x_data)
-    value_cache = ForwardCache()
-    v = value_net.values(batch.s, value_cache)
+    value_fwd = value_net.forward(batch.s)
+    v = value_fwd.out[:, 0]
     u = qt - v
     weight = np.abs(expectile - (u < 0.0).astype(np.float64))
     value_loss = float(np.mean(weight * u * u))
-    value_grad = value_net.grads(batch.s, (-2.0 / b) * weight * u, value_cache)
+    value_grad = value_net.grads(value_fwd, (-2.0 / b) * weight * u)
 
     y = batch.r + discount * (1.0 - batch.done) * value_net.values(batch.s2)
     critic_loss, member_grads = _td_regression(ensemble.member_stack, x_data, y)
@@ -401,7 +401,7 @@ def iql_losses(
     adv_w = _clipped_exp_weights(u / awr_temperature)
     logp, internals = policy.logprob_given(batch.s, batch.a)
     policy_loss = float(np.mean(-adv_w * logp))
-    policy_grad = policy.given_grads(batch.s, internals, -adv_w / b)
+    policy_grad = policy.given_grads(internals, -adv_w / b)
     return IqlOut(critic_loss, value_loss, policy_loss, member_grads, value_grad, policy_grad)
 
 
@@ -452,11 +452,11 @@ def td3_losses(
     critic_loss, member_grads = td3_critic_loss(
         ensemble, policy, batch, discount, rng, smoothing=smoothing
     )
-    cache = ForwardCache()
-    x_pi = critic_input(batch.s, policy.mean_action(batch.s, cache))
+    pi_fwd = policy.forward(batch.s)
+    x_pi = critic_input(batch.s, policy.mean_of(pi_fwd))
     qmin, ga_sel = _min_member_action_grad(ensemble.member_stack, x_pi, batch.s.shape[1])
     policy_loss = float(-np.mean(qmin))
-    policy_grad = policy.mean_action_grads(batch.s, -ga_sel / batch.size, cache)
+    policy_grad = policy.mean_action_grads(pi_fwd, -ga_sel / batch.size)
     return Td3Out(critic_loss, policy_loss, member_grads, policy_grad)
 
 
@@ -478,8 +478,8 @@ def td3bc_policy_loss(
     if bc_weight < 0.0:
         raise ValueError("bc weight must be non-negative")
     b = batch.size
-    cache = ForwardCache()
-    a_mean = policy.mean_action(batch.s, cache)
+    pi_fwd = policy.forward(batch.s)
+    a_mean = policy.mean_of(pi_fwd)
     x_pi = critic_input(batch.s, a_mean)
     qmin, ga_sel = _min_member_action_grad(ensemble.member_stack, x_pi, batch.s.shape[1])
     if normalizer is None:
@@ -488,7 +488,7 @@ def td3bc_policy_loss(
     diff = a_mean - batch.a
     loss = float(np.mean(-qmin / norm + bc_weight * np.sum(diff * diff, axis=1)))
     d_action = -ga_sel / (b * norm) + (2.0 * bc_weight / b) * diff
-    grad = policy.mean_action_grads(batch.s, d_action, cache)
+    grad = policy.mean_action_grads(pi_fwd, d_action)
     return loss, grad
 
 
@@ -531,7 +531,7 @@ def awr_policy_loss(
         weights = awr_weights(ensemble, policy, batch, temperature, rng)
     logp, internals = policy.logprob_given(batch.s, batch.a)
     loss = float(np.mean(-weights * logp))
-    grad = policy.given_grads(batch.s, internals, -weights / b)
+    grad = policy.given_grads(internals, -weights / b)
     return loss, grad
 
 

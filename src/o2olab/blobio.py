@@ -2,13 +2,16 @@
 
 Layout: 8 magic bytes, a little-endian uint32 header length, the UTF-8
 JSON header, then the declared arrays concatenated as little-endian
-float64.  The header's "arrays" entry lists (name, shape) pairs in
-payload order, so files are self-describing and byte-deterministic.
+float64.  The header's "arrays" entry lists [name, shape] pairs in
+payload order, so files are self-describing and byte-deterministic;
+`read_blob` refuses a manifest that is not such a list, with distinct
+names and shapes of non-negative ints.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -70,11 +73,19 @@ def read_blob(path, expected_magic: bytes):
         raise FormatError(f"malformed header: {exc}") from None
     if not isinstance(header, Entries):
         raise FormatError("header is not a JSON object")
+    manifest = header["arrays"]
+    if not isinstance(manifest, list):
+        raise FormatError(f"blob entry 'arrays' is not a list of [name, shape] pairs: {manifest!r}")
     arrays = Entries()
     pos = head_end
-    for name, shape in header["arrays"]:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for entry in manifest:
+        name, shape = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
+        if not isinstance(name, str) or name in arrays or not isinstance(shape, list) or any(
+            type(n) is not int or n < 0 for n in shape
+        ):
+            message = "not a [name, shape] pair of a new name and a list of non-negative ints"
+            raise FormatError(f"blob entry 'arrays' holds {entry!r}, {message}")
+        nbytes = math.prod(shape) * 8
         if len(raw) < pos + nbytes:
             raise FormatError(f"truncated payload for array {name!r}", offset=len(raw))
         arrays[name] = np.frombuffer(raw[pos : pos + nbytes], dtype="<f8").reshape(shape).copy()

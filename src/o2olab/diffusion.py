@@ -26,7 +26,6 @@ import numpy as np
 from . import blobio
 from .errors import NumericError, ShapeError
 from .numkit import (
-    ForwardCache,
     MlpSpec,
     ParamVector,
     init_params,
@@ -146,7 +145,7 @@ class ScoreModel:
 
     def predict(self, s, a, w, k) -> np.ndarray:
         """Noise estimate eps_hat(s, a, w, k); batched."""
-        return mlp_forward_batch(self.params, self.net_input(s, a, w, k))
+        return mlp_forward_batch(self.params, self.net_input(s, a, w, k)).out
 
     def with_params(self, params: ParamVector) -> "ScoreModel":
         return replace(self, params=params)
@@ -201,13 +200,12 @@ def diffusion_loss(model: ScoreModel, s, a, w, seed):
     rng = as_generator(seed)
     k, eps = _draw_noising(model.schedule, model.action_dim, s.shape[0], rng)
     x = model.net_input(s, noise_action(a, k, model.schedule, eps), w, k)
-    cache = ForwardCache()
-    pred = mlp_forward_batch(model.params, x, cache)
-    resid = pred - eps
+    fwd = mlp_forward_batch(model.params, x)
+    resid = fwd.out - eps
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
     if not np.isfinite(loss):
         raise NumericError("non-finite diffusion loss")
-    return loss, mlp_grad_batch(model.params, x, 2.0 * resid / s.shape[0], cache)
+    return loss, mlp_grad_batch(fwd, 2.0 * resid / s.shape[0])
 
 
 def train_score_model(

@@ -9,8 +9,10 @@ Because losses here are optimized with hand-rolled reverse mode, the
 policy exposes its sampling internals together with closed-form partial
 derivatives of (log-density, action) w.r.t. the two heads; loss code
 supplies per-sample upstreams and receives flat parameter gradients.
-Sampling and log-density internals carry the `ForwardCache` of the
-heads, so the gradient call that follows reuses that forward pass.
+Each network's `forward` returns the `numkit.Forward` of its states.
+Sampling and log-density internals carry that record, and the gradient
+methods take the record they differentiate, so a loss runs one forward
+per network and set of states.
 Acting needs none of that: `GaussianPolicy.act` draws the same actions
 as `sample` and computes neither log-density nor clamp mask.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numkit import (
-    ForwardCache,
+    Forward,
     MlpSpec,
     ParamStack,
     ParamVector,
@@ -55,7 +57,7 @@ class GaussianPolicy:
     """Tanh-squashed (optionally) diagonal Gaussian policy.
 
     `params` may also be a `ParamStack` of m policies of one spec; then
-    `heads` and `mean_action` evaluate all of them in one pass, on shared
+    `forward` and `mean_action` evaluate all of them in one pass, on shared
     `(batch, d)` or per-policy `(m, batch, d)` states.
     """
 
@@ -88,20 +90,23 @@ class GaussianPolicy:
     def with_params(self, params: ParamVector | ParamStack) -> "GaussianPolicy":
         return replace(self, params=params)
 
-    def heads(self, s: np.ndarray, cache: ForwardCache | None = None):
-        """(mean, pre_std, std, clamp mask) for a batch of states; with a
-        `ParamStack` of n policies each carries a leading member axis."""
-        out = mlp_forward_batch(self.params, s, cache)
+    def forward(self, s: np.ndarray) -> Forward:
+        """The policy network's forward over a batch of states."""
+        return mlp_forward_batch(self.params, np.atleast_2d(np.asarray(s, dtype=np.float64)))
+
+    def heads(self, s: np.ndarray):
+        """(forward, mean, std, clamp mask) for a batch of states; with a
+        `ParamStack` of n policies all but the forward carry a leading
+        member axis."""
+        fwd = self.forward(s)
         d = self.action_dim
-        mu, rho = out[..., :d], out[..., d:]
+        mu, rho = fwd.out[..., :d], fwd.out[..., d:]
         mask = ((rho > EXP_CLAMP_LO) & (rho < EXP_CLAMP_HI)).astype(np.float64)
-        return mu, rho, _std(rho), mask
+        return fwd, mu, _std(rho), mask
 
     def sample(self, s: np.ndarray, rng: np.random.Generator):
         """Reparameterized batch sample; returns (actions, logp, internals)."""
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        cache = ForwardCache()
-        mu, _, std, mask = self.heads(s, cache)
+        fwd, mu, std, mask = self.heads(s)
         xi = rng.standard_normal(mu.shape)
         u = mu + std * xi
         base = -0.5 * xi * xi - np.log(std) - 0.5 * LOG_2PI
@@ -113,19 +118,18 @@ class GaussianPolicy:
             t = None
             a = u
             logp = np.sum(base, axis=1)
-        internals = {"xi": xi, "u": u, "std": std, "mask": mask, "tanh_u": t, "cache": cache}
+        internals = {"xi": xi, "u": u, "std": std, "mask": mask, "tanh_u": t, "fwd": fwd}
         return a, logp, internals
 
     def act(self, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """The actions of `sample`, from the same draws of `rng`, without
         their log-density or gradient internals."""
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        out = mlp_forward_batch(self.params, s)
+        out = self.forward(s).out
         mu, rho = out[..., : self.action_dim], out[..., self.action_dim :]
         u = mu + _std(rho) * rng.standard_normal(mu.shape)
         return self.center + self.half * np.tanh(u) if self.squash else u
 
-    def sample_grads(self, s, internals, d_logp, d_action) -> np.ndarray:
+    def sample_grads(self, internals, d_logp, d_action) -> np.ndarray:
         """Flat parameter gradient of sum_i d_logp_i * logp_i + <d_action_i, a_i>
         for a reparameterized sample described by `internals`."""
         xi, std, mask = internals["xi"], internals["std"], internals["mask"]
@@ -141,14 +145,12 @@ class GaussianPolicy:
             d_mu = d_action.copy()
             d_rho = (-d_logp[:, None] + d_action * xi * std) * mask
         upstream = np.concatenate([d_mu, d_rho], axis=1)
-        return mlp_grad_batch(self.params, s, upstream, internals["cache"])
+        return mlp_grad_batch(internals["fwd"], upstream)
 
     def logprob_given(self, s: np.ndarray, a: np.ndarray):
         """Log-density of given actions; returns (logp, internals)."""
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        cache = ForwardCache()
-        mu, _, std, mask = self.heads(s, cache)
+        fwd, mu, std, mask = self.heads(s)
         if self.squash:
             v = np.clip((a - self.center) / self.half, -ATANH_CLIP, ATANH_CLIP)
             u = np.arctanh(v)
@@ -158,39 +160,37 @@ class GaussianPolicy:
             corr = 0.0
         xi = (u - mu) / std
         logp = np.sum(-0.5 * xi * xi - np.log(std) - 0.5 * LOG_2PI, axis=1) - corr
-        return logp, {"xi": xi, "std": std, "mask": mask, "cache": cache}
+        return logp, {"xi": xi, "std": std, "mask": mask, "fwd": fwd}
 
-    def given_grads(self, s, internals, d_logp) -> np.ndarray:
+    def given_grads(self, internals, d_logp) -> np.ndarray:
         """Flat parameter gradient of sum_i d_logp_i * logp_i at fixed actions."""
         xi, std, mask = internals["xi"], internals["std"], internals["mask"]
         d_mu = d_logp[:, None] * xi / std
         d_rho = d_logp[:, None] * (xi * xi - 1.0) * mask
         upstream = np.concatenate([d_mu, d_rho], axis=1)
-        return mlp_grad_batch(self.params, s, upstream, internals["cache"])
+        return mlp_grad_batch(internals["fwd"], upstream)
 
-    def mean_action(self, s: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        mu = mlp_forward_batch(self.params, s, cache)[..., : self.action_dim]
+    def mean_action(self, s: np.ndarray) -> np.ndarray:
+        return self.mean_of(self.forward(s))
+
+    def mean_of(self, fwd: Forward) -> np.ndarray:
+        """Mean actions of a forward."""
+        mu = fwd.out[..., : self.action_dim]
         if self.squash:
             return self.center + self.half * np.tanh(mu)
         return mu
 
-    def mean_action_grads(self, s, d_action, cache: ForwardCache | None = None) -> np.ndarray:
-        """Flat parameter gradient of sum_i <d_action_i, mean_action_i>;
-        pass the `cache` given to `mean_action` at the same states."""
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        if cache is None:
-            cache = ForwardCache()
-        if cache.hs is None:
-            mlp_forward_batch(self.params, s, cache)
-        mu = cache.out[:, : self.action_dim]
+    def mean_action_grads(self, fwd: Forward, d_action) -> np.ndarray:
+        """Flat parameter gradient of sum_i <d_action_i, mean action_i> of
+        the forward `fwd`."""
+        mu = fwd.out[:, : self.action_dim]
         if self.squash:
             t = np.tanh(mu)
             d_mu = d_action * self.half * (1.0 - t * t)
         else:
             d_mu = d_action
         upstream = np.concatenate([d_mu, np.zeros_like(d_mu)], axis=1)
-        return mlp_grad_batch(self.params, s, upstream, cache)
+        return mlp_grad_batch(fwd, upstream)
 
 
 def make_policy(
@@ -255,13 +255,15 @@ class ScaleNet:
 
     params: ParamVector
 
-    def values(self, s, cache: ForwardCache | None = None) -> np.ndarray:
-        return mlp_forward_batch(self.params, np.atleast_2d(s), cache)[:, 0]
+    def forward(self, s) -> Forward:
+        return mlp_forward_batch(self.params, np.atleast_2d(s))
 
-    def grads(self, s, d_out, cache: ForwardCache | None = None) -> np.ndarray:
-        """Flat parameter gradient of sum_i d_out_i * value_i; pass the
-        `cache` given to `values` at the same states."""
-        return mlp_grad_batch(self.params, np.atleast_2d(s), d_out[:, None], cache)
+    def values(self, s) -> np.ndarray:
+        return self.forward(s).out[:, 0]
+
+    def grads(self, fwd: Forward, d_out) -> np.ndarray:
+        """Flat parameter gradient of sum_i d_out_i * value_i of the forward `fwd`."""
+        return mlp_grad_batch(fwd, d_out[:, None])
 
     def with_params(self, params: ParamVector) -> "ScaleNet":
         return ScaleNet(params=params)

@@ -9,25 +9,29 @@ package.
 
 Three levels of differentiation are provided:
 
-* `mlp_forward_batch` -- plain evaluation,
+* `mlp_forward_batch` -- evaluation; it returns a `Forward`, the record
+  of one pass (parameters, per-layer views, the input and every layer's
+  output), whose `.out` is the network output,
 * `mlp_grad_batch` / `mlp_input_grad` -- one reverse-mode pass of
-  <upstream, output>, which returns either the gradient w.r.t. the
-  parameters or the one w.r.t. the inputs, never both: no caller reads
-  both, and the parameter pass stops before the input layer's adjoint,
-* `mlp_second_grad` -- the forward-over-reverse pass needed when a loss
-  depends on an input gradient of the network (gradients of gradients);
-  it returns the parameter gradient only.
+  <upstream, output> through a `Forward`, which returns either the
+  gradient w.r.t. the parameters or the one w.r.t. the inputs, never
+  both: no caller reads both, and the parameter pass stops before the
+  input layer's adjoint,
+* `mlp_second_grad` -- the forward-over-reverse pass through a `Forward`
+  needed when a loss depends on an input gradient of the network
+  (gradients of gradients); it returns the parameter gradient only.
 
 Each pass takes a batch of input rows; a single input is a batch of one.
+A loss runs one forward and hands that record to every gradient pass it
+takes of it, so the passes share the forward by construction.
 
-Every pass also takes a `ParamStack`, the parameters of several networks
-of one spec, and then evaluates all of them with one `np.matmul` per
-layer; inputs are shared `(batch, in)` rows or per-network
-`(n, batch, in)` rows.  A `ForwardCache` handed to successive passes
-over the same parameters and rows lets them share one forward.  A
-forward keeps only each layer's output: the gradient passes take the
-activation's derivatives from those outputs (relu `h > 0`, tanh
-`1 - h*h`), so a plain evaluation computes none.
+Every pass also works on a `ParamStack`, the parameters of several
+networks of one spec, and then evaluates all of them with one
+`np.matmul` per layer; inputs are shared `(batch, in)` rows or
+per-network `(n, batch, in)` rows.  A forward keeps only each layer's
+output: the gradient passes take the activation's derivatives from those
+outputs (relu `h > 0`, tanh `1 - h*h`), so a plain evaluation computes
+none.
 
 The passes do their elementwise arithmetic in place, in arrays they
 allocated themselves: a layer adds its bias and applies its activation in
@@ -36,7 +40,7 @@ activation's derivative in place, and each layer's parameter gradient is
 written into its slice of one flat array.  Every operation and its
 operand order are those of the plain expressions, so results are the
 same bit for bit; no pass writes into an array its caller passed in or
-into a cache's arrays.
+into the arrays of the `Forward` it is handed.
 
 `spec_header` and `spec_from_header` are the one codec of a spec in the
 JSON header of a checkpoint or score-model file.
@@ -181,24 +185,23 @@ class ParamStack:
         return [ParamVector(self.spec, row) for row in self.values]
 
 
-class ForwardCache:
-    """Activations of one forward pass, shared by the passes after it.
+@dataclass(frozen=True, eq=False)
+class Forward:
+    """One forward pass, the record that the gradient passes differentiate:
+    the parameters it ran, their per-layer (weight, bias) views, and the
+    input rows followed by every layer's output."""
 
-    Hand a fresh cache to the first pass over some parameters and input
-    rows; it fills the cache.  Later passes given the same parameter
-    object and the same input rows (the same array, or a view of the
-    same elements) read the cache instead of running the forward again.
-    """
+    params: ParamVector | ParamStack
+    layers: list[tuple[np.ndarray, np.ndarray]]
+    hs: list[np.ndarray]
 
-    def __init__(self):
-        self.params = None
-        self.x = None
-        self.layers = None
-        self.hs = None
+    @property
+    def spec(self) -> MlpSpec:
+        return self.params.spec
 
     @property
     def out(self) -> np.ndarray:
-        """Network output of the cached pass."""
+        """Network output: `(batch, out)`, or `(n, batch, out)` for a `ParamStack`."""
         return self.hs[-1]
 
 
@@ -254,29 +257,11 @@ def _act_second(kind: str, f: np.ndarray, df: np.ndarray) -> np.ndarray:
     return ddf
 
 
-def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when a and b view the same elements in the same layout.  (An
-    unpickled array's dtype is a new instance, so `np.asarray(x, float64)`
-    may return a fresh view of x rather than x itself.)"""
-    return a is b or (
-        a.shape == b.shape
-        and a.strides == b.strides
-        and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
-    )
-
-
-def _forward_cached(params, x: np.ndarray, cache: ForwardCache | None):
-    """Forward pass keeping per-layer activations for the backward passes.
-
-    Returns (layers, hs): the (weight, bias) views, and the input and
-    every layer's output.  A filled `cache` is returned as it is; an
-    empty one is filled.
-    """
+def mlp_forward_batch(params, x: np.ndarray) -> Forward:
+    """Forward pass over a batch of input rows, `(batch, in)`, or `(n,
+    batch, in)` per network of a `ParamStack`.  Its `.out` is `(batch,
+    out)`, or `(n, batch, out)` for a `ParamStack`."""
     x = np.asarray(x, dtype=np.float64)
-    if cache is not None and cache.hs is not None:
-        if cache.params is not params or not _same_memory(cache.x, x):
-            raise ValueError("cache holds a forward pass of other parameters or inputs")
-        return cache.layers, cache.hs
     lead = params.values.shape[:-1]
     if x.ndim < 2 or x.shape[-1] != params.spec.in_dim or x.shape[:-2] not in ((), lead):
         raise ShapeError(
@@ -298,33 +283,23 @@ def _forward_cached(params, x: np.ndarray, cache: ForwardCache | None):
             else:
                 np.tanh(h, out=h)
         hs.append(h)
-    if cache is not None:
-        cache.params, cache.x = params, x
-        cache.layers, cache.hs = layers, hs
-    return layers, hs
+    return Forward(params, layers, hs)
 
 
-def mlp_forward_batch(params, x: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
-    """Outputs for a batch of input rows: `(batch, out)`, or `(n, batch,
-    out)` for a `ParamStack`."""
-    _, hs = _forward_cached(params, x, cache)
-    return hs[-1]
-
-
-def _reverse(params, x, upstream, cache, param_grads: bool):
+def _reverse(fwd: Forward, upstream, param_grads: bool):
     """Reverse pass of sum_b <upstream_b, output_b>: the flat parameter
     gradient if `param_grads`, else the per-sample input gradients.  The
     parameter gradient is written layer by layer into its slices of one
     flat array, and that pass ends at the input layer's weight gradient,
     before the adjoint of the inputs."""
     upstream = np.asarray(upstream, dtype=np.float64)
-    layers, hs = _forward_cached(params, x, cache)
+    layers, hs = fwd.layers, fwd.hs
     if upstream.shape != hs[-1].shape:
         raise ShapeError(f"upstream shape {upstream.shape} != output shape {hs[-1].shape}")
-    kind = params.spec.activation
+    kind = fwd.spec.activation
     if param_grads:
-        flat = np.empty(params.values.shape)
-        grads = _layer_views(params.spec, flat)
+        flat = np.empty(fwd.params.values.shape)
+        grads = _layer_views(fwd.spec, flat)
     delta = upstream  # the output layer is affine
     for idx in range(len(layers) - 1, -1, -1):
         if param_grads:
@@ -339,31 +314,27 @@ def _reverse(params, x, upstream, cache, param_grads: bool):
     return delta
 
 
-def mlp_grad_batch(params, x: np.ndarray, upstream: np.ndarray, cache: ForwardCache | None = None):
-    """Flat parameter gradient of sum_b <upstream_b, output_b>, summed
-    over the batch.  For a `ParamStack` it carries a leading member axis,
-    and each member's gradient is that of its own output block."""
-    return _reverse(params, x, upstream, cache, param_grads=True)
+def mlp_grad_batch(fwd: Forward, upstream: np.ndarray):
+    """Flat parameter gradient of sum_b <upstream_b, output_b> at the
+    forward `fwd`, summed over the batch.  For a `ParamStack` it carries
+    a leading member axis, and each member's gradient is that of its own
+    output block."""
+    return _reverse(fwd, upstream, param_grads=True)
 
 
-def mlp_input_grad(params, x: np.ndarray, upstream: np.ndarray, cache: ForwardCache | None = None):
-    """Per-sample input gradients of sum_b <upstream_b, output_b>, shaped
-    like the input rows (with the member axis for a `ParamStack`)."""
-    return _reverse(params, x, upstream, cache, param_grads=False)
+def mlp_input_grad(fwd: Forward, upstream: np.ndarray):
+    """Per-sample input gradients of sum_b <upstream_b, output_b> at the
+    forward `fwd`, shaped like its input rows (with the member axis for a
+    `ParamStack`)."""
+    return _reverse(fwd, upstream, param_grads=False)
 
 
-def mlp_second_grad(
-    params,
-    x: np.ndarray,
-    out_upstream: np.ndarray,
-    in_direction: np.ndarray,
-    cache: ForwardCache | None = None,
-):
+def mlp_second_grad(fwd: Forward, out_upstream: np.ndarray, in_direction: np.ndarray):
     """Parameter gradient of a bilinear form of the network Jacobian.
 
     For phi = sum_b <u_b, J_b v_b>, with J_b the Jacobian of the output
-    w.r.t. the input at sample b, u = `out_upstream` and v =
-    `in_direction`, returns the flat d phi / d params.  For a
+    w.r.t. the input at sample b of the forward `fwd`, u = `out_upstream`
+    and v = `in_direction`, returns the flat d phi / d params.  For a
     `ParamStack`, u and v carry the member axis like the output.
 
     This is forward-over-reverse differentiation.  The forward tangent
@@ -375,14 +346,14 @@ def mlp_second_grad(
     """
     u = np.asarray(out_upstream, dtype=np.float64)
     v = np.asarray(in_direction, dtype=np.float64)
-    layers, hs = _forward_cached(params, x, cache)
+    layers, hs = fwd.layers, fwd.hs
     if u.shape != hs[-1].shape:
         raise ShapeError(f"out_upstream shape {u.shape} != output shape {hs[-1].shape}")
     if v.shape != hs[-1].shape[:-1] + hs[0].shape[-1:]:
         raise ShapeError(f"in_direction shape {v.shape} != input shape {hs[0].shape}")
     # Activation derivatives of every layer, from the layer outputs; the
     # affine output layer's are 1 and 0.
-    kind, n = params.spec.activation, len(layers)
+    kind, n = fwd.spec.activation, len(layers)
     dfs = [_act_deriv(kind, h) for h in hs[1:n]]
     ddfs = [_act_second(kind, h, df) for h, df in zip(hs[1:n], dfs)] + [0.0]
     dfs.append(1.0)
@@ -399,8 +370,8 @@ def mlp_second_grad(
     # Reverse pass: adjoint of the tangent output w.r.t. every node.  Only
     # the parameter gradient is returned, so the adjoints of the input
     # itself are never formed.
-    flat = np.empty(params.values.shape)
-    grads = _layer_views(params.spec, flat)
+    flat = np.empty(fwd.params.values.shape)
+    grads = _layer_views(fwd.spec, flat)
     a = u  # d phi / d hdot_L
     hbar = np.zeros_like(u)  # d phi / d h_L
     for idx in range(n - 1, -1, -1):

@@ -418,7 +418,9 @@ def load_checkpoint(path) -> AgentCheckpoint:
     """Read a checkpoint written by `save_checkpoint`.  Every array must be
     finite: a NaN or inf parameter or optimizer buffer raises
     `FormatError` naming the array.  So does a `critics` or `targets`
-    array that does not stack 2 or more critics, one per row, and a header
+    array that does not stack 2 or more critics, one per row, an optimizer
+    moment `opt_<name>_m` or `_v` not shaped like array `<name>`, an
+    "adam" state without `_v` or a "muon" state with one, and a header
     entry out of range: a negative `step`, a non-finite `target_entropy`,
     a `log_entropy_coef` that is not finite or whose exp overflows, or
     `rng_states` that are not snapshots of the offline streams."""
@@ -461,11 +463,19 @@ def load_checkpoint(path) -> AgentCheckpoint:
     # Every agent has a policy and a critic optimizer state.
     for name in sorted({"policy", CRITIC_OPT} | set(opt_headers)):
         oh = opt_headers.typed(name, dict)
-        opt_states[name] = OptState(
-            **{key: oh.typed(key, kind) for key, kind in _OPT_SETTINGS.items()},
-            m=arrays[f"opt_{name}_m"],
-            v=arrays[f"opt_{name}_v"] if oh.typed("has_v", bool) else None,
-        )
+        settings = {key: oh.typed(key, kind) for key, kind in _OPT_SETTINGS.items()}
+        has_v = oh.typed("has_v", bool)
+        if has_v != (settings["kind"] == "adam"):
+            have = f"{'has' if has_v else 'lacks'} array 'opt_{name}_v'"
+            raise FormatError(f"checkpoint {settings['kind']!r} state {name!r} {have}")
+        moments = {key: arrays[f"opt_{name}_{key}"] for key in (("m", "v") if has_v else ("m",))}
+        for key, moment in moments.items():
+            if moment.shape != arrays[name].shape:
+                raise FormatError(
+                    f"checkpoint array 'opt_{name}_{key}' of shape {moment.shape} does not match "
+                    f"array {name!r} of shape {arrays[name].shape}"
+                )
+        opt_states[name] = OptState(**settings, m=moments["m"], v=moments.get("v"))
     return AgentCheckpoint(
         step=step,
         offline_alg=header.typed("offline_alg", str),

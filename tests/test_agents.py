@@ -142,8 +142,9 @@ class TestMinMemberActionGrad:
         x = rng.standard_normal((256, 5))
         stack = ens.member_stack
         qmin, ga = agents._min_member_action_grad(stack, x, 3)
-        gin = mlp_input_grad(stack, x, np.ones((3, 256, 1)))
-        qs = mlp_forward_batch(stack, x)[..., 0]
+        fwd = mlp_forward_batch(stack, x)
+        gin = mlp_input_grad(fwd, np.ones((3, 256, 1)))
+        qs = fwd.out[..., 0]
         idx, rows = np.argmin(qs, axis=0), np.arange(256)
         assert qmin.tobytes() == qs[idx, rows].tobytes()
         assert ga.tobytes() == gin[idx, rows, 3:].tobytes()
@@ -174,7 +175,7 @@ class TestSacCritic:
         loss, _ = agents.sac_critic_loss(ens, policy, batch, 0.3, 0.0, stream(6, "t"))
         x = critic_input(batch.s, batch.a)
         manual = np.mean(
-            [(mlp_forward_batch(m, x)[:, 0] - batch.r) ** 2 for m in ens.member_stack.vectors()]
+            [(mlp_forward_batch(m, x).out[:, 0] - batch.r) ** 2 for m in ens.member_stack.vectors()]
         )
         assert abs(loss - manual) <= 1e-15
 
@@ -186,7 +187,7 @@ class TestSacCritic:
         x2 = critic_input(batch.s2, a2)
         tq, _ = agents._min_over(ens.target_stack, x2)
         for t in ens.target_stack.vectors():
-            assert np.all(tq <= mlp_forward_batch(t, x2)[:, 0] + 1e-15)
+            assert np.all(tq <= mlp_forward_batch(t, x2).out[:, 0] + 1e-15)
 
 
 class TestSacPolicy:
@@ -200,7 +201,7 @@ class TestSacPolicy:
         # entropy-only objective with the same samples
         a, logp, internals = policy.sample(batch.s, np.random.default_rng(9))
         ent_grad = policy.sample_grads(
-            batch.s, internals, np.full(batch.size, coef / batch.size), np.zeros_like(a)
+            internals, np.full(batch.size, coef / batch.size), np.zeros_like(a)
         )
         assert np.array_equal(grad, ent_grad)
         assert abs(loss - float(np.mean(coef * logp - 2.0))) <= 1e-15
@@ -219,8 +220,9 @@ class TestSacPolicy:
             s = np.zeros((256, 1))
             a = drng.uniform(-1, 1, (256, 1))
             x = np.concatenate([s, a], axis=1)
-            resid = mlp_forward_batch(critic, x)[:, 0] - (-coef_q * (a[:, 0] - center) ** 2)
-            grad = mlp_grad_batch(critic, x, (2.0 / 256) * resid[:, None])
+            fwd = mlp_forward_batch(critic, x)
+            resid = fwd.out[:, 0] - (-coef_q * (a[:, 0] - center) ** 2)
+            grad = mlp_grad_batch(fwd, (2.0 / 256) * resid[:, None])
             critic, opt = adam_step(opt, critic, ParamVector(cspec, grad))
         ens = CriticEnsemble(ParamStack.of([critic, critic]))
         policy = make_policy(1, [-1.0], [1.0], (32, 32), rng, activation="tanh")
@@ -237,7 +239,7 @@ class TestSacPolicy:
                 policy = policy.with_params(newp)
         grid = np.linspace(-1 + 1e-6, 1 - 1e-6, 4001)
         x = np.concatenate([np.zeros((grid.size, 1)), grid[:, None]], axis=1)
-        q = mlp_forward_batch(critic, x)[:, 0]
+        q = mlp_forward_batch(critic, x).out[:, 0]
         e = np.exp(q - q.max())
         pstar = e / np.trapezoid(e, grid)
         logp, _ = policy.logprob_given(np.zeros((grid.size, 1)), grid[:, None])
@@ -525,7 +527,7 @@ class TestIql:
         out = agents.iql_losses(ens, value, policy, batch, 0.7, 1.0, 0.99)
         y = batch.r + 0.99 * (1.0 - batch.done) * value.values(batch.s2)
         x = critic_input(batch.s, batch.a)
-        manual = np.mean([(mlp_forward_batch(m, x)[:, 0] - y) ** 2 for m in ens.member_stack.vectors()])
+        manual = np.mean([(mlp_forward_batch(m, x).out[:, 0] - y) ** 2 for m in ens.member_stack.vectors()])
         assert abs(out.critic_loss - manual) <= 1e-12
 
     def test_policy_weights_clipped(self):
@@ -552,7 +554,7 @@ class TestTd3:
         tq, _ = agents._min_over(ens.target_stack, x2)
         y = batch.r + 0.99 * (1.0 - batch.done) * tq
         x = critic_input(batch.s, batch.a)
-        manual = np.mean([(mlp_forward_batch(m, x)[:, 0] - y) ** 2 for m in ens.member_stack.vectors()])
+        manual = np.mean([(mlp_forward_batch(m, x).out[:, 0] - y) ** 2 for m in ens.member_stack.vectors()])
         assert abs(out.critic_loss - manual) <= 1e-12
 
     def test_smoothing_noise_stays_within_clip(self):
@@ -583,7 +585,7 @@ class TestTd3Bc:
         loss, grad = agents.td3bc_policy_loss(ens, policy, batch, beta)
         a_mean = policy.mean_action(batch.s)
         bc_grad = policy.mean_action_grads(
-            batch.s, (2.0 * beta / batch.size) * (a_mean - batch.a)
+            policy.forward(batch.s), (2.0 * beta / batch.size) * (a_mean - batch.a)
         )
         assert np.array_equal(grad, bc_grad)
         manual = -1.0 + beta * np.mean(np.sum((a_mean - batch.a) ** 2, axis=1))
@@ -596,7 +598,7 @@ class TestTd3Bc:
         _, grad = agents.td3bc_policy_loss(ens, policy, batch, 1e9)
         a_mean = policy.mean_action(batch.s)
         bc_grad = policy.mean_action_grads(
-            batch.s, (2.0 * 1e9 / batch.size) * (a_mean - batch.a)
+            policy.forward(batch.s), (2.0 * 1e9 / batch.size) * (a_mean - batch.a)
         )
         cos = grad @ bc_grad / (np.linalg.norm(grad) * np.linalg.norm(bc_grad))
         assert cos >= 1.0 - 1e-9
@@ -631,7 +633,7 @@ class TestAwr:
         batch = random_batch(rng)
         loss, grad = agents.awr_policy_loss(ens, policy, batch, 0.5, np.random.default_rng(3))
         logp, internals = policy.logprob_given(batch.s, batch.a)
-        bc_grad = policy.given_grads(batch.s, internals, -np.ones(batch.size) / batch.size)
+        bc_grad = policy.given_grads(internals, -np.ones(batch.size) / batch.size)
         assert np.array_equal(grad, bc_grad)
         assert abs(loss - np.mean(-logp)) <= 1e-12
 

@@ -430,10 +430,11 @@ class TestErrorPaths:
         assert repr(array) in capsys.readouterr().err
         assert not out.parent.exists()
 
-    # Each case drops or changes one header key (a dotted path) of a file
-    # the command reads first: (file, key, new value as JSON text or None
-    # to drop it, name in the error).  A missing key or array used to
-    # escape as a KeyError, and a wrongly typed value as a TypeError.
+    # Each case drops or changes one header key (a dotted path, whose
+    # numbers index lists) of a file the command reads first: (file, key,
+    # new value as JSON text or None to drop it, name in the error).  A
+    # missing key or array used to escape as a KeyError, and a wrongly
+    # typed value as a TypeError.
     @pytest.mark.parametrize(
         "target, key, value, named",
         [
@@ -456,6 +457,16 @@ class TestErrorPaths:
             # Non-finite floats, which used to load and fine-tune.
             ("checkpoint", "log_entropy_coef", "-Infinity", "log_entropy_coef"),
             ("checkpoint", "target_entropy", "NaN", "target_entropy"),
+            # A bad array manifest, which used to escape as a TypeError, or
+            # exit 2 without naming the entry.  The first array is
+            # 'action_low'.
+            ("checkpoint", "arrays", "5", "arrays"),
+            ("checkpoint", "arrays.0.1", '"ab"', "action_low"),
+            ("checkpoint", "arrays.0.1", "[1.5]", "action_low"),
+            ("checkpoint", "arrays.0.1", "[true]", "action_low"),
+            ("checkpoint", "arrays.0.1", "[-1]", "action_low"),
+            ("checkpoint", "arrays.0", '["action_low"]', "action_low"),
+            ("checkpoint", "arrays.1.0", '"action_low"', "action_low"),
         ],
     )
     def test_incomplete_blob_header_exits_2_without_leftover(
@@ -472,7 +483,7 @@ class TestErrorPaths:
         raw = path.read_bytes()
         (head_len,) = struct.unpack("<I", raw[8:12])
         header = json.loads(raw[12 : 12 + head_len])
-        *parents, last = key.split(".")
+        *parents, last = [int(part) if part.isdigit() else part for part in key.split(".")]
         node = header
         for part in parents:
             node = node[part]

@@ -5,7 +5,7 @@ import pytest
 
 from o2olab.errors import FormatError, NumericError, ShapeError
 from o2olab.numkit import (
-    ForwardCache,
+    Forward,
     MlpSpec,
     ParamStack,
     ParamVector,
@@ -57,7 +57,7 @@ def reference_input_grad(params: ParamVector, x: np.ndarray, upstream: np.ndarra
 
 def forward_one(params, x):
     """The network output at one input vector, as a batch of one row."""
-    return mlp_forward_batch(params, np.asarray(x, dtype=np.float64)[None, :])[0]
+    return mlp_forward_batch(params, np.asarray(x, dtype=np.float64)[None, :]).out[0]
 
 
 def linear_1_1(weight, bias):
@@ -173,8 +173,9 @@ class TestForward:
 class TestGradients:
     def test_affine_1_1_grads(self):
         params, x, up = linear_1_1(2.0, 1.0), np.array([[3.0]]), np.array([[1.0]])
-        grads = mlp_grad_batch(params, x, up)
-        assert mlp_input_grad(params, x, up)[0, 0] == 2.0
+        fwd = mlp_forward_batch(params, x)
+        grads = mlp_grad_batch(fwd, up)
+        assert mlp_input_grad(fwd, up)[0, 0] == 2.0
         assert grads[0] == 3.0  # d/dw
         assert grads[1] == 1.0  # d/db
 
@@ -186,7 +187,7 @@ class TestGradients:
         params = init_params(spec, rng)
         layers = unflatten(params)
         upstream = rng.standard_normal(2)
-        gin = mlp_input_grad(params, np.zeros((1, 3)), upstream[None, :])[0]
+        gin = mlp_input_grad(mlp_forward_batch(params, np.zeros((1, 3))), upstream[None, :])[0]
         want = upstream @ layers[1][0] @ layers[0][0]
         assert np.max(np.abs(gin - want)) <= 1e-12
 
@@ -201,7 +202,8 @@ class TestGradients:
             u = rng.standard_normal((1, widths[-1]))
 
             def f(pv):
-                return float(np.sum(u * mlp_forward_batch(pv, x))), mlp_grad_batch(pv, x, u)
+                fwd = mlp_forward_batch(pv, x)
+                return float(np.sum(u * fwd.out)), mlp_grad_batch(fwd, u)
 
             assert finite_diff_check(f, params, 1e-5, rng=rng, max_coords=64) <= 1e-5
 
@@ -211,10 +213,13 @@ class TestGradients:
         params = init_params(spec, rng)
         xs = rng.standard_normal((4, 3))
         us = rng.standard_normal((4, 2))
-        flat = mlp_grad_batch(params, xs, us)
-        single = sum(mlp_grad_batch(params, x[None, :], u[None, :]) for x, u in zip(xs, us))
+        fwd = mlp_forward_batch(params, xs)
+        flat = mlp_grad_batch(fwd, us)
+        single = sum(
+            mlp_grad_batch(mlp_forward_batch(params, x[None, :]), u[None, :]) for x, u in zip(xs, us)
+        )
         assert np.max(np.abs(flat - single)) <= 1e-12
-        gins = mlp_input_grad(params, xs, us)
+        gins = mlp_input_grad(fwd, us)
         for i in range(4):
             assert np.max(np.abs(gins[i] - reference_input_grad(params, xs[i], us[i]))) <= 1e-12
 
@@ -230,8 +235,8 @@ class TestSecondGrad:
         v = rng.standard_normal((3, 4))
 
         def f(pv):
-            val = float(np.sum(mlp_input_grad(pv, x, u) * v))
-            return val, mlp_second_grad(pv, x, u, v)
+            fwd = mlp_forward_batch(pv, x)
+            return float(np.sum(mlp_input_grad(fwd, u) * v)), mlp_second_grad(fwd, u, v)
 
         assert finite_diff_check(f, params, 1e-5, rng=rng) <= 1e-5
 
@@ -243,14 +248,16 @@ class TestSecondGrad:
         x = rng.standard_normal((2, 4))
         u = rng.standard_normal((2, 2))
         v1, v2 = rng.standard_normal((2, 2, 4))
-        both = mlp_second_grad(params, x, u, v1 - 3.0 * v2)
-        apart = mlp_second_grad(params, x, u, v1) - 3.0 * mlp_second_grad(params, x, u, v2)
+        fwd = mlp_forward_batch(params, x)
+        both = mlp_second_grad(fwd, u, v1 - 3.0 * v2)
+        apart = mlp_second_grad(fwd, u, v1) - 3.0 * mlp_second_grad(fwd, u, v2)
         assert np.max(np.abs(both - apart)) <= 1e-12 * max(1.0, np.max(np.abs(both)))
 
     def test_linear_net_param_grad(self):
         # For f(x) = w x + b, d/dw <1, J v> = v and d/db = 0.
         params = linear_1_1(2.0, 1.0)
-        flat = mlp_second_grad(params, np.array([[3.0]]), np.array([[1.0]]), np.array([[0.7]]))
+        fwd = mlp_forward_batch(params, np.array([[3.0]]))
+        flat = mlp_second_grad(fwd, np.array([[1.0]]), np.array([[0.7]]))
         assert np.allclose(flat, [0.7, 0.0], atol=1e-15)
 
 
@@ -281,11 +288,11 @@ class TestParamStack:
         stack, x, xs, _, _ = _stack_case(n, batch, activation)
         members = stack.vectors()
         assert np.array_equal(
-            mlp_forward_batch(stack, x), np.stack([mlp_forward_batch(m, x) for m in members])
+            mlp_forward_batch(stack, x).out, np.stack([mlp_forward_batch(m, x).out for m in members])
         )
         assert np.array_equal(
-            mlp_forward_batch(stack, xs),
-            np.stack([mlp_forward_batch(m, xi) for m, xi in zip(members, xs)]),
+            mlp_forward_batch(stack, xs).out,
+            np.stack([mlp_forward_batch(m, xi).out for m, xi in zip(members, xs)]),
         )
 
     @cases
@@ -294,18 +301,23 @@ class TestParamStack:
         members = stack.vectors()
         for rows in (x, xs):
             own = [rows if rows.ndim == 2 else rows[i] for i in range(n)]
-            flat = mlp_grad_batch(stack, rows, up)
-            gin = mlp_input_grad(stack, rows, up)
-            loop = [mlp_grad_batch(m, r, u) for m, r, u in zip(members, own, up)]
+            fwd = mlp_forward_batch(stack, rows)
+            flat = mlp_grad_batch(fwd, up)
+            gin = mlp_input_grad(fwd, up)
+            fwds = [mlp_forward_batch(m, r) for m, r in zip(members, own)]
+            loop = [mlp_grad_batch(f, u) for f, u in zip(fwds, up)]
             assert np.array_equal(flat, np.stack(loop))
-            loop = [mlp_input_grad(m, r, u) for m, r, u in zip(members, own, up)]
+            loop = [mlp_input_grad(f, u) for f, u in zip(fwds, up)]
             assert np.array_equal(gin, np.stack(loop))
 
     @cases
     def test_second_grad_equals_member_loop(self, n, batch, activation):
         stack, x, _, up, v = _stack_case(n, batch, activation)
-        flat = mlp_second_grad(stack, x, up, v)
-        loop = [mlp_second_grad(m, x, up[i], v[i]) for i, m in enumerate(stack.vectors())]
+        flat = mlp_second_grad(mlp_forward_batch(stack, x), up, v)
+        loop = [
+            mlp_second_grad(mlp_forward_batch(m, x), up[i], v[i])
+            for i, m in enumerate(stack.vectors())
+        ]
         assert np.array_equal(flat, np.stack(loop))
 
     def test_rows_are_views(self):
@@ -323,50 +335,6 @@ class TestParamStack:
         stack, _, _, _, _ = _stack_case(2, 8, "tanh")
         with pytest.raises(ShapeError):
             mlp_forward_batch(stack, np.zeros((3, 8, 4)))
-
-
-class TestForwardCache:
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_cached_passes_equal_uncached(self, activation):
-        stack, x, _, up, v = _stack_case(2, 64, activation)
-        cache = ForwardCache()
-        out = mlp_forward_batch(stack, x, cache)
-        assert np.array_equal(cache.out, out)
-        assert np.array_equal(mlp_grad_batch(stack, x, up, cache), mlp_grad_batch(stack, x, up))
-        assert np.array_equal(mlp_input_grad(stack, x, up, cache), mlp_input_grad(stack, x, up))
-        assert np.array_equal(
-            mlp_second_grad(stack, x, up, v, cache), mlp_second_grad(stack, x, up, v)
-        )
-
-    def test_grad_fills_an_empty_cache(self):
-        rng = np.random.default_rng(2)
-        params = init_params(MlpSpec((3, 5, 2)), rng)
-        x = rng.standard_normal((6, 3))
-        cache = ForwardCache()
-        mlp_grad_batch(params, x, np.ones((6, 2)), cache)
-        assert np.array_equal(cache.out, mlp_forward_batch(params, x))
-
-    def test_view_of_the_same_rows_reads_the_cache(self):
-        # An unpickled array's dtype is a new instance, and np.asarray then
-        # returns a fresh view of it; the cache must still apply.
-        rng = np.random.default_rng(4)
-        params = init_params(MlpSpec((3, 5, 2)), rng)
-        x = rng.standard_normal((6, 3))
-        cache = ForwardCache()
-        mlp_forward_batch(params, x, cache)
-        cached = mlp_grad_batch(params, x.view(), np.ones((6, 2)), cache)
-        assert np.array_equal(cached, mlp_grad_batch(params, x, np.ones((6, 2))))
-
-    def test_cache_of_other_rows_rejected(self):
-        rng = np.random.default_rng(3)
-        params = init_params(MlpSpec((3, 5, 2)), rng)
-        x = rng.standard_normal((6, 3))
-        cache = ForwardCache()
-        mlp_forward_batch(params, x, cache)
-        with pytest.raises(ValueError):
-            mlp_grad_batch(params, x.copy(), np.ones((6, 2)), cache)
-        with pytest.raises(ValueError):
-            mlp_grad_batch(params.copy(), x, np.ones((6, 2)), cache)
 
 
 def _pass_case(stacked, activation, per_member, seed=12):
@@ -392,7 +360,7 @@ class TestInputGrad:
     @PASS_CASES
     def test_matches_reference_chain_rule(self, stacked, per_member, activation):
         params, x, up, _ = _pass_case(stacked, activation, per_member)
-        got = mlp_input_grad(params, x, up)
+        got = mlp_input_grad(mlp_forward_batch(params, x), up)
         assert got.shape == (x.shape if per_member or not stacked else (3, *x.shape))
         members = params.vectors() if stacked else [params]
         got = got if stacked else got[None]
@@ -402,49 +370,71 @@ class TestInputGrad:
             want = np.stack([reference_input_grad(member, r, u) for r, u in zip(rows, ups)])
             assert np.max(np.abs(got[i] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
-    @PASS_CASES
-    @pytest.mark.parametrize("cache", ["empty", "filled"])
-    def test_cache_gives_the_same_bits(self, stacked, per_member, activation, cache):
-        params, x, up, _ = _pass_case(stacked, activation, per_member)
-        fc = ForwardCache()
-        if cache == "filled":
-            mlp_forward_batch(params, x, fc)
-        got = mlp_input_grad(params, x, up, fc)
-        assert got.tobytes() == mlp_input_grad(params, x, up).tobytes()
-        assert np.array_equal(fc.out, mlp_forward_batch(params, x))
-
     def test_upstream_shape_checked(self):
         params, x, up, _ = _pass_case(False, "tanh", False)
         with pytest.raises(ShapeError):
-            mlp_input_grad(params, x, up[:-1])
+            mlp_input_grad(mlp_forward_batch(params, x), up[:-1])
 
 
 class TestPassesLeaveInputsUnchanged:
     """No pass writes into an array its caller handed it: rows, upstreams,
-    directions, parameters or the arrays of a filled cache."""
+    directions, parameters or the arrays of the `Forward` it differentiates."""
 
     @PASS_CASES
     @pytest.mark.parametrize(
         "run",
         [
-            lambda p, x, up, v, c: mlp_forward_batch(p, x, c),
-            lambda p, x, up, v, c: mlp_grad_batch(p, x, up, c),
-            lambda p, x, up, v, c: mlp_input_grad(p, x, up, c),
-            lambda p, x, up, v, c: mlp_second_grad(p, x, up, v, c),
+            lambda p, x, up, v, f: mlp_forward_batch(p, x),
+            lambda p, x, up, v, f: mlp_grad_batch(f, up),
+            lambda p, x, up, v, f: mlp_input_grad(f, up),
+            lambda p, x, up, v, f: mlp_second_grad(f, up, v),
         ],
         ids=["forward", "grad", "input_grad", "second_grad"],
     )
-    @pytest.mark.parametrize("filled", [False, True])
-    def test_inputs_unchanged(self, stacked, per_member, activation, run, filled):
+    def test_inputs_unchanged(self, stacked, per_member, activation, run):
         params, x, up, v = _pass_case(stacked, activation, per_member)
-        cache = ForwardCache()
-        if filled:
-            mlp_forward_batch(params, x, cache)
-        handed = [x, up, v, params.values] + (cache.hs if filled else [])
+        fwd = mlp_forward_batch(params, x)
+        handed = [x, up, v, params.values, *fwd.hs, *(a for layer in fwd.layers for a in layer)]
         before = [a.copy() for a in handed]
-        run(params, x, up, v, cache)
+        run(params, x, up, v, fwd)
         for old, new in zip(before, handed):
             assert old.tobytes() == new.tobytes()
+
+
+class TestForwardRecord:
+    """A `Forward` holds the pass it ran, and any number of gradient passes
+    may differentiate it."""
+
+    @PASS_CASES
+    def test_passes_on_one_forward_equal_passes_on_fresh_forwards(
+        self, stacked, per_member, activation
+    ):
+        params, x, up, v = _pass_case(stacked, activation, per_member)
+        shared = mlp_forward_batch(params, x)
+        runs = [
+            lambda f: mlp_grad_batch(f, up),
+            lambda f: mlp_input_grad(f, up),
+            lambda f: mlp_second_grad(f, up, v),
+            lambda f: mlp_grad_batch(f, up),
+        ]
+        on_shared = [run(shared) for run in runs]
+        on_fresh = [run(mlp_forward_batch(params, x)) for run in runs]
+        for got, want in zip(on_shared, on_fresh):
+            assert got.tobytes() == want.tobytes()
+
+    def test_record_holds_its_pass(self):
+        stack, x, _, _, _ = _stack_case(2, 8, "tanh")
+        fwd = mlp_forward_batch(stack, x)
+        assert isinstance(fwd, Forward)
+        assert fwd.params is stack and fwd.spec is stack.spec
+        assert fwd.hs[0] is x and fwd.out is fwd.hs[-1]
+        assert len(fwd.hs) == len(fwd.layers) + 1 == stack.spec.n_layers + 1
+        assert fwd.out.shape == (2, 8, 1)
+
+    def test_direction_shape_checked(self):
+        params, x, up, v = _pass_case(True, "tanh", False)
+        with pytest.raises(ShapeError):
+            mlp_second_grad(mlp_forward_batch(params, x), up, v[:, :-1])
 
 
 class TestFiniteDiffCheck:

@@ -289,6 +289,33 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"array '{array}' of shape"):
             load_checkpoint(path)
 
+    # Each case edits an optimizer state's moments so that they no longer
+    # fit its parameters: (array named in the error, edit of header and
+    # arrays).  Each used to load, and resuming from it failed at the first
+    # step with numpy's broadcast error, which names no array.
+    @pytest.mark.parametrize(
+        "named, edit",
+        [
+            ("opt_critics_m", lambda h, a: a.update(opt_critics_m=a["opt_critics_m"][:, :5])),
+            ("opt_policy_m", lambda h, a: a.update(opt_policy_m=a["opt_policy_m"][:-1])),
+            (
+                "opt_critics_v",
+                lambda h, a: (h["opt_states"]["critics"].update(has_v=False), a.pop("opt_critics_v")),
+            ),
+        ],
+        ids=["critics-m-2x5", "policy-m-short", "adam-without-v"],
+    )
+    def test_moments_unlike_their_parameters_rejected(self, tmp_path, named, edit):
+        cfg = small_config(offline_alg="sac", offline_steps=2)
+        agent, _ = offline_pretrain(cfg, tiny_dataset(), None, seed=11)
+        path = tmp_path / "agent.bin"
+        save_checkpoint(agent, path)
+        header, arrays = blobio.read_blob(path, AGENT_MAGIC)
+        edit(header, arrays)
+        blobio.write_blob(path, AGENT_MAGIC, header, arrays)
+        with pytest.raises(FormatError, match=f"'{named}'"):
+            load_checkpoint(path)
+
     # Each case edits one header entry to a value out of range; it used to
     # load.
     @pytest.mark.parametrize(
@@ -615,8 +642,10 @@ IN_GRAD, SECOND = "mlp_input_grad", "mlp_second_grad"
 
 class TestPassCount:
     """numkit passes per training step at the default network sizes, in
-    order.  A pass whose parameter gradient nobody reads must be an
-    input-gradient pass (`mlp_input_grad`), never a full `mlp_grad_batch`.
+    order.  Every gradient pass differentiates a forward counted before
+    it, so each `FWD` is one forward computed.  A pass whose parameter
+    gradient nobody reads must be an input-gradient pass
+    (`mlp_input_grad`), never a full `mlp_grad_batch`.
     """
 
     def _setup(self, **over):
@@ -635,17 +664,18 @@ class TestPassCount:
         streams = {name: stream(4, name) for name in pipeline._OFFLINE_STREAMS}
         batch = ds.sample_batch(cfg.offline_batch, streams["batch"])
         pipeline._offline_update(cfg, agent, batch, streams, model)
-        # 13 in all (21 before the critic ensemble was stacked).
+        # 15 in all, 8 of them forwards.
         assert numkit_passes == [
             # critic loss, TD part: policy sample at s2, stacked target
             # forward, stacked member forward and its gradient
             FWD, FWD, FWD, GRAD,
             # score-match part: mixture policy sample, score model, scale
-            # net, member action gradients, second-order member pass,
-            # scale gradient
-            FWD, FWD, FWD, IN_GRAD, SECOND, GRAD,
-            # actor: policy sample, min-member action gradient, policy gradient
-            FWD, IN_GRAD, GRAD,
+            # net, stacked member forward, its action gradients and its
+            # second-order pass, scale gradient
+            FWD, FWD, FWD, FWD, IN_GRAD, SECOND, GRAD,
+            # actor: policy sample, stacked member forward and its action
+            # gradient, policy gradient
+            FWD, FWD, IN_GRAD, GRAD,
         ]
 
     def test_sac_online_step(self, numkit_passes):
@@ -659,13 +689,14 @@ class TestPassCount:
         pipeline._explore_action(agent.policy, ds.env, state, "sac", streams["explore"])
         batch = ds.sample_batch(cfg.online_batch, streams["batch"])
         pipeline._online_update(cfg, agent, batch, streams)
-        # 8 in all (14 before the critic ensemble was stacked).
+        # 9 in all, 6 of them forwards.
         assert numkit_passes == [
             # exploring action
             FWD,
             # critic loss: policy sample at s2, stacked target forward,
             # stacked member forward and its gradient
             FWD, FWD, FWD, GRAD,
-            # actor: policy sample, min-member action gradient, policy gradient
-            FWD, IN_GRAD, GRAD,
+            # actor: policy sample, stacked member forward and its action
+            # gradient, policy gradient
+            FWD, FWD, IN_GRAD, GRAD,
         ]

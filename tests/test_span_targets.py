@@ -1,18 +1,23 @@
-"""The benchmark's span targets still name functions of the package.
+"""The benchmark's span targets still name functions of the package,
+and the benchmark still runs.
 
 `perfbench/spans.py` wraps each `TARGETS` entry when a traced benchmark
 run starts; a target that no longer resolves makes every such run fail.
 The module is loaded from its file as it is, without importing the rest
-of the benchmark.
+of the benchmark.  The per-call measures that the tracer reads from a
+target's arguments are checked by running the benchmark's own self-test.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -37,3 +42,11 @@ def test_target_resolves(mod_name, qualname):
     else:
         target = getattr(home, qualname)
     assert callable(target)
+
+
+def test_benchmark_self_test_passes():
+    # Toy runs of every workload, untraced and traced; about 5 s.
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")], capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
