@@ -431,10 +431,36 @@ class TestForwardRecord:
         assert len(fwd.hs) == len(fwd.layers) + 1 == stack.spec.n_layers + 1
         assert fwd.out.shape == (2, 8, 1)
 
-    def test_direction_shape_checked(self):
-        params, x, up, v = _pass_case(True, "tanh", False)
-        with pytest.raises(ShapeError):
-            mlp_second_grad(mlp_forward_batch(params, x), up, v[:, :-1])
+
+class TestPassShapeChecks:
+    """Every gradient pass refuses an upstream or direction one short on
+    any axis of the record's output (or input) shape, and names it."""
+
+    @pytest.mark.parametrize(
+        "stacked,per_member,axis",
+        [(False, False, axis) for axis in ("rows", "width")]
+        + [(True, rows, axis) for rows in (False, True) for axis in ("members", "rows", "width")],
+    )
+    @pytest.mark.parametrize(
+        "run,name",
+        [
+            (lambda f, up, v: mlp_grad_batch(f, up), "upstream"),
+            (lambda f, up, v: mlp_input_grad(f, up), "upstream"),
+            (lambda f, up, v: mlp_second_grad(f, up, v), "out_upstream"),
+            (lambda f, up, v: mlp_second_grad(f, up, v), "in_direction"),
+        ],
+        ids=["grad", "input_grad", "second_grad_upstream", "second_grad_direction"],
+    )
+    def test_array_one_short_rejected(self, stacked, per_member, axis, run, name):
+        params, x, up, v = _pass_case(stacked, "tanh", per_member)
+        fwd = mlp_forward_batch(params, x)
+        dim = {"members": 0, "rows": -2, "width": -1}[axis]
+        if name == "in_direction":
+            v = np.delete(v, -1, axis=dim)
+        else:
+            up = np.delete(up, -1, axis=dim)
+        with pytest.raises(ShapeError, match=f"^{name} shape"):
+            run(fwd, up, v)
 
 
 class TestFiniteDiffCheck:
