@@ -239,6 +239,15 @@ def _cmd_pretrain(args) -> int:
         if not args.diffusion:
             raise ConfigError("pretrain with the score-matched agent needs --diffusion")
         score_model = load_score_model(args.diffusion)
+        got, want = (
+            (x.state_dim, x.action_dim, x.action_low.tolist(), x.action_high.tolist())
+            for x in (score_model, dataset.env)
+        )
+        if got != want:
+            raise ConfigError(
+                f"score model {args.diffusion} has (state dim, action dim, action low, action "
+                f"high) {got}, not environment {dataset.env.name!r}'s {want}"
+            )
     seeds = _seeds(args, config)
     with _OutputDir(args) as outdir:
         _map_seeds(

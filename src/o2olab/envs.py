@@ -13,9 +13,12 @@ rows of one row-wise `env_step`.  It reproduces one-at-a-time rollouts
 on the seed's "dataset" stream byte for byte, because each window draws
 in trajectory order, keeps only the trajectories whose draws match, and
 leaves the stream where those rollouts would (see `generate_dataset`).
-`rollout_episode` still runs one episode a state at a time for warm
-start, which acts through the policy's 1-row forward: a 1-row matrix
-product is not byte-identical to the same row of a larger one.
+`env_step` takes `(n, d)` rows only, with no single-state mode; an agent
+explores one `(1, d)` row at a time (`pipeline._explore`), because a
+1-row matrix product is not byte-identical to the same row of a larger
+one.  `rollout_episode`, one episode on such rows, is now a test
+reference (`tests/test_envs.py`) that `generate_dataset` and warm start
+are pinned to.
 
 Datasets carry per-trajectory Monte-Carlo returns and a per-transition
 outcome label in [0, 1]: the min-max normalized trajectory outcome
@@ -96,8 +99,8 @@ class EnvSpec:
 class Batch:
     """Stacked transition arrays, the unit consumed by every loss.
 
-    `w` (outcome label) and `mc` (Monte-Carlo return) are NaN for rows
-    that do not come from a `Dataset`.
+    `mc` (Monte-Carlo return) is NaN for rows that do not come from a
+    `Dataset`.
     """
 
     s: np.ndarray
@@ -105,7 +108,6 @@ class Batch:
     r: np.ndarray
     s2: np.ndarray
     done: np.ndarray
-    w: np.ndarray
     mc: np.ndarray
 
     @property
@@ -190,21 +192,16 @@ def env_reset(spec: EnvSpec, seed: int) -> np.ndarray:
 
 
 def env_step(spec: EnvSpec, state: np.ndarray, action: np.ndarray):
-    """Deterministic dynamics for one `(d,)` state or for `(n, d)` rows.
-
-    One state gives (next state, float reward, bool done); rows give
-    (next states, rewards, dones) as arrays of n rows.  Out-of-bounds
-    actions are clipped, and each clipped row is counted.
+    """Deterministic dynamics for `(n, d)` rows of states and actions;
+    returns (next states, rewards, dones) as arrays of n rows.
+    Out-of-bounds actions are clipped, and each clipped row is counted.
     """
     global _clip_warnings
     state = np.asarray(state, dtype=np.float64)
     action = np.asarray(action, dtype=np.float64)
-    single = state.ndim == 1
-    if not (single or state.ndim == 2) or state.shape[-1] != spec.state_dim:
-        raise ShapeError(
-            f"state shape {state.shape}, expected ({spec.state_dim},) or (n, {spec.state_dim})"
-        )
-    expected = (spec.action_dim,) if single else (state.shape[0], spec.action_dim)
+    if state.ndim != 2 or state.shape[1] != spec.state_dim:
+        raise ShapeError(f"state shape {state.shape}, expected (n, {spec.state_dim})")
+    expected = (state.shape[0], spec.action_dim)
     if action.shape != expected:
         raise ShapeError(f"action shape {action.shape}, expected {expected}")
     # The ndarray method is np.clip's ufunc without np.clip's wrapper calls,
@@ -216,13 +213,9 @@ def env_step(spec: EnvSpec, state: np.ndarray, action: np.ndarray):
         # equals its clip is finite.
         finite = np.isfinite(action)
         if not finite.all():
-            where = "" if single else f" in row {np.argmin(finite.all(axis=1))}"
-            raise NumericError(f"non-finite action{where}")
-        _clip_warnings += int(np.count_nonzero(out_of_bounds.any(axis=-1)))
-    if not single:
-        return spec.dynamics(state, clipped)
-    nxt, reward, done = spec.dynamics(state[None, :], clipped[None, :])
-    return nxt[0], float(reward[0]), bool(done[0])
+            raise NumericError(f"non-finite action in row {np.argmin(finite.all(axis=1))}")
+        _clip_warnings += int(np.count_nonzero(out_of_bounds.any(axis=1)))
+    return spec.dynamics(state, clipped)
 
 
 class ScriptedPolicy:
@@ -230,8 +223,7 @@ class ScriptedPolicy:
 
     With moderate `noise_std` this is the "noisy expert" used to generate
     offline data; with zero gain it degrades to a pure noise policy.
-    `control` is the control law on `(n, d)` rows with their noise given;
-    `act` draws one state's noise and applies it.
+    `control` is the control law on `(n, d)` rows with their noise given.
     """
 
     def __init__(self, spec: EnvSpec, noise_std: float = 0.0, gain: float = 5.0):
@@ -251,25 +243,6 @@ class ScriptedPolicy:
         if self.noisy:
             ctrl = ctrl + self.noise_std * noise
         return ctrl.clip(self.spec.action_low, self.spec.action_high)
-
-    def act(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        noise = rng.standard_normal(self.spec.action_dim) if self.noisy else None
-        return self.control(state, noise)
-
-
-def rollout_episode(spec: EnvSpec, act_fn, rng: np.random.Generator) -> Batch:
-    """Run one episode; ends at a terminal step or at the horizon.  The
-    batch holds its transitions in step order, with `w` and `mc` NaN."""
-    buffer = ReplayBuffer(spec.state_dim, spec.action_dim)
-    state = env_reset(spec, rng)
-    for _ in range(spec.horizon):
-        action = np.asarray(act_fn(state, rng), dtype=np.float64)
-        nxt, reward, done = env_step(spec, state, action)
-        buffer.push(state, action, reward, nxt, done)
-        state = nxt
-        if done:
-            break
-    return buffer.rows()
 
 
 def _trajectory_bounds(traj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,15 +305,7 @@ class Dataset:
 
     def sample_batch(self, size: int, rng: np.random.Generator) -> Batch:
         idx = rng.integers(0, self.size, size=size)
-        return Batch(
-            s=self.s[idx],
-            a=self.a[idx],
-            r=self.r[idx],
-            s2=self.s2[idx],
-            done=self.done[idx],
-            w=self.w_labels[idx],
-            mc=self.mc[idx],
-        )
+        return Batch(*(x[idx] for x in (self.s, self.a, self.r, self.s2, self.done, self.mc)))
 
 
 def generate_dataset(
@@ -350,7 +315,7 @@ def generate_dataset(
     stream, in lock step.
 
     The result equals, field for field and signed zeros included, n
-    `rollout_episode` calls on that stream one after another.  A window
+    one-at-a-time rollouts on that stream one after another.  A window
     of trajectories steps together as the rows of one row-wise
     `env_step`; each draws its reset and, when the policy is noisy, a
     full horizon of noise in trajectory order, betting that none ends
@@ -461,13 +426,10 @@ class ReplayBuffer:
         self._pushes += 1
 
     def rows(self, idx=None) -> Batch:
-        """The held rows in slot order (or the rows at `idx`), with NaN
-        `w` and `mc`."""
-        if idx is None:
-            idx = slice(0, self.size)
-        s, a, r, s2, done = (c[idx] for c in self._cols)
-        n = r.shape[0]
-        return Batch(s, a, r, s2, done, w=np.full(n, np.nan), mc=np.full(n, np.nan))
+        """The held rows in slot order (or the rows at `idx`), with NaN `mc`."""
+        idx = slice(0, self.size) if idx is None else idx
+        cols = [c[idx] for c in self._cols]
+        return Batch(*cols, mc=np.full(len(cols[2]), np.nan))
 
     def sample(self, size: int, rng: np.random.Generator) -> Batch:
         if self.size == 0:

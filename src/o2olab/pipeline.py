@@ -9,7 +9,10 @@ bit-exactly.
 Both training phases run through one phase runner, the only step loop:
 per step it draws one batch, calls the algorithm's update once and moves
 the critic targets one Polyak step; it owns the evaluations, metric rows
-and the "<phase> step N" prefix of a numeric abort.
+and the "<phase> step N" prefix of a numeric abort.  Warm start and the
+online phase act through one exploring loop, `_explore`, on `(1, d)`
+state rows: warm start takes its first steps, and each online batch
+follows one of its steps.
 
 The plain soft actor-critic trainer and the score-matched one share a
 single code path: the regularized critic loss with weight zero skips
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain, islice
 
 import numpy as np
 
@@ -51,8 +53,8 @@ from .envs import (
     ReplayBuffer,
     env_reset,
     env_step,
+    make_env_spec,
     mixed_batch,
-    rollout_episode,
 )
 from .errors import ConfigError, FormatError, NumericError
 from .networks import (
@@ -345,10 +347,19 @@ class AgentCheckpoint:
 
 
 # The settings of an optimizer state that a checkpoint header holds, next
-# to "has_v", with the type each must have; its moment buffers are arrays.
+# to "has_v": each one's type and the range a loaded value must lie in.
+# Its moment buffers are arrays.
+_POSITIVE = ("finite and positive", lambda x: 0.0 < x < np.inf)
+_UNIT = ("in [0, 1)", lambda x: 0.0 <= x < 1.0)
 _OPT_SETTINGS = {
-    "kind": str, "learning_rate": float, "step_count": int, "beta1": float, "beta2": float,
-    "eps": float, "momentum": float, "ns_iterations": int,
+    "kind": (str, "'adam' or 'muon'", lambda x: x in ("adam", "muon")),
+    "learning_rate": (float, *_POSITIVE),
+    "step_count": (int, "non-negative", lambda x: x >= 0),
+    "beta1": (float, *_UNIT),
+    "beta2": (float, *_UNIT),
+    "eps": (float, *_POSITIVE),
+    "momentum": (float, *_UNIT),
+    "ns_iterations": (int, "at least 1", lambda x: x >= 1),
 }
 
 
@@ -417,13 +428,15 @@ def _checked_rng_states(states) -> dict:
 def load_checkpoint(path) -> AgentCheckpoint:
     """Read a checkpoint written by `save_checkpoint`.  Every array must be
     finite: a NaN or inf parameter or optimizer buffer raises
-    `FormatError` naming the array.  So does a `critics` or `targets`
-    array that does not stack 2 or more critics, one per row, an optimizer
-    moment `opt_<name>_m` or `_v` not shaped like array `<name>`, an
-    "adam" state without `_v` or a "muon" state with one, and a header
-    entry out of range: a negative `step`, a non-finite `target_entropy`,
-    a `log_entropy_coef` that is not finite or whose exp overflows, or
-    `rng_states` that are not snapshots of the offline streams."""
+    `FormatError` naming the array.  So does an action box unlike that of
+    environment `env_name`, a `critics` or `targets` array that does not
+    stack 2 or more critics, one per row, an optimizer moment
+    `opt_<name>_m` or `_v` not shaped like array `<name>`, an "adam" state
+    without `_v` or a "muon" state with one, and a header entry out of
+    range: a negative `step`, a non-finite `target_entropy`, a
+    `log_entropy_coef` that is not finite or whose exp overflows,
+    `rng_states` that are not snapshots of the offline streams, or an
+    optimizer setting `opt_states.<name>.<key>` outside `_OPT_SETTINGS`."""
     header, arrays = blobio.read_blob(path, AGENT_MAGIC)
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
@@ -432,6 +445,12 @@ def load_checkpoint(path) -> AgentCheckpoint:
     if step < 0:
         raise FormatError(f"checkpoint entry 'step' is negative: {step}")
     rng_states = _checked_rng_states(header["rng_states"])
+    env_name = header.typed("env_name", str)
+    env = make_env_spec(env_name)
+    for key in ("action_low", "action_high"):
+        if not np.array_equal(arrays[key], getattr(env, key)):
+            box = f"{arrays[key].tolist()} is not environment {env_name!r}'s"
+            raise FormatError(f"checkpoint array {key!r} {box} {getattr(env, key).tolist()}")
 
     def at_most(key, top):
         value = header.typed(key, float)
@@ -463,7 +482,12 @@ def load_checkpoint(path) -> AgentCheckpoint:
     # Every agent has a policy and a critic optimizer state.
     for name in sorted({"policy", CRITIC_OPT} | set(opt_headers)):
         oh = opt_headers.typed(name, dict)
-        settings = {key: oh.typed(key, kind) for key, kind in _OPT_SETTINGS.items()}
+        settings = {}
+        for key, (kind, what, ok) in _OPT_SETTINGS.items():
+            settings[key] = value = oh.typed(key, kind)
+            if not ok(value):
+                entry = f"opt_states.{name}.{key}"
+                raise FormatError(f"checkpoint entry {entry!r} must be {what}, got {value!r}")
         has_v = oh.typed("has_v", bool)
         if has_v != (settings["kind"] == "adam"):
             have = f"{'has' if has_v else 'lacks'} array 'opt_{name}_v'"
@@ -479,7 +503,7 @@ def load_checkpoint(path) -> AgentCheckpoint:
     return AgentCheckpoint(
         step=step,
         offline_alg=header.typed("offline_alg", str),
-        env_name=header.typed("env_name", str),
+        env_name=env_name,
         policy=policy,
         critics=CriticEnsemble(critic_stack("critics"), critic_stack("targets")),
         scale_net=net_of("scale_spec", "scale"),
@@ -796,54 +820,52 @@ def offline_pretrain(
 # ----------------------------------------------------------------------
 
 
+def _explore(agent, env: EnvSpec, alg: str, buffer: ReplayBuffer, reset_rng, act_rng):
+    """Act with the agent's current policy on one `(1, d)` state row, step,
+    push the transition into `buffer` and yield; an episode resets (one
+    `reset_rng` draw) when done or at the horizon.  An action is a policy
+    sample or, for td3 and td3bc, Gaussian noise about the mean action,
+    drawn from `act_rng` and clipped into the box."""
+    td3 = alg in ("td3", "td3bc")
+    half = 0.5 * (env.action_high - env.action_low)
+    while True:
+        state = env_reset(env, reset_rng)[None, :]
+        for _ in range(env.horizon):
+            if td3:
+                mean = agent.policy.mean_action(state)
+                action = mean + TD3_EXPLORE_STD * half * act_rng.standard_normal(mean.shape)
+            else:
+                action = agent.policy.act(state, act_rng)
+            action = np.clip(action, env.action_low, env.action_high)
+            nxt, reward, done = env_step(env, state, action)
+            buffer.push(state[0], action[0], reward[0], nxt[0], done[0])
+            yield
+            if done[0]:
+                break
+            state = nxt
+
+
 def warm_start(
     agent: AgentCheckpoint, env: EnvSpec, count: int, seed: int, capacity=None
 ) -> ReplayBuffer:
-    """Fill a fresh replay buffer with the first `count` transitions of
-    episodes sampled from the frozen pre-trained policy.  The rest of the
-    last episode is drawn from this function's own stream and dropped."""
+    """Fill a fresh replay buffer with the first `count` exploring steps of
+    the frozen pre-trained policy, acting as SAC does whatever the online
+    algorithm, with this function's own stream for resets and actions."""
     if count < 1:
         raise ValueError("count must be positive")
     if capacity is not None and capacity < count:
         raise ValueError(f"replay capacity {capacity} cannot hold {count} warm-start transitions")
     rng = seeding.stream(seed, "warmstart")
-
-    def act(state, rng):
-        return _explore_action(agent.policy, env, state, "sac", rng)
-
-    episodes = iter(lambda: rollout_episode(env, act, rng), None)
-    transitions = chain.from_iterable(zip(ep.s, ep.a, ep.r, ep.s2, ep.done) for ep in episodes)
     buffer = ReplayBuffer(env.state_dim, env.action_dim, capacity)
-    for transition in islice(transitions, count):
-        buffer.push(*transition)
+    steps = _explore(agent, env, "sac", buffer, rng, rng)
+    for _ in range(count):
+        next(steps)
     return buffer
 
 
-def _explore_action(policy, env, state, online_alg, rng):
-    if online_alg in ("td3", "td3bc"):
-        mean = policy.mean_action(state[None, :])[0]
-        half = 0.5 * (env.action_high - env.action_low)
-        noisy = mean + TD3_EXPLORE_STD * half * rng.standard_normal(env.action_dim)
-        return np.clip(noisy, env.action_low, env.action_high)
-    action = policy.act(state[None, :], rng)
-    return np.clip(action[0], env.action_low, env.action_high)
-
-
 def _online_batches(agent, config, dataset, env, buffer, streams):
-    """Endless batches of the online phase.  Before each, the current policy
-    takes one exploring step into the replay ring (a terminal step or the
-    horizon restarts the episode); each is a mixed dataset/replay draw."""
-    state = env_reset(env, streams["env"])
-    t_in_ep = 0
-    while True:
-        action = _explore_action(agent.policy, env, state, config.online_alg, streams["explore"])
-        nxt, reward, done = env_step(env, state, action)
-        buffer.push(state, action, reward, nxt, done)
-        state = nxt
-        t_in_ep += 1
-        if done or t_in_ep >= env.horizon:
-            state = env_reset(env, streams["env"])
-            t_in_ep = 0
+    """Endless online batches: a mixed draw after each exploring step."""
+    for _ in _explore(agent, env, config.online_alg, buffer, streams["env"], streams["explore"]):
         yield mixed_batch(dataset, buffer, config.online_batch, config.mix, streams["batch"])
 
 

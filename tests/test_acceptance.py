@@ -76,18 +76,18 @@ def _random_setup(rng):
     ens.target_stack.values += 0.05 * rng.standard_normal(ens.target_stack.values.shape)
     scale = make_scale_net(sd, (width,), rng, activation="tanh")
     value = make_scale_net(sd, (width,), rng, activation="tanh")
-    batch = Batch(
+    rows = dict(
         s=rng.standard_normal((b, sd)),
         a=np.clip(rng.standard_normal((b, ad)), -0.9, 0.9),
         r=rng.standard_normal(b),
         s2=rng.standard_normal((b, sd)),
         done=(rng.random(b) < 0.25).astype(np.float64),
-        w=rng.random(b),
-        mc=rng.standard_normal(b) + 1.0,
     )
+    labels = rng.random(b)  # outcome labels of the noise-prediction case
+    batch = Batch(**rows, mc=rng.standard_normal(b) + 1.0)
     sched = cosine_schedule(6)
     score = init_score_model(sd, ad, sched, rng, hidden=(width,), activation="tanh")
-    return policy, ens, scale, value, batch, score
+    return policy, ens, scale, value, batch, labels, score
 
 
 def _swap_member(ens, pv):
@@ -97,7 +97,7 @@ def _swap_member(ens, pv):
 
 
 def _loss_cases(setup, case_seed):
-    policy, ens, scale, value, batch, score = setup
+    policy, ens, scale, value, batch, labels, score = setup
     sd = batch.s.shape[1]
     member0 = ens.member_stack.vectors()[0]
     acts = agents.sample_action_mixture(policy, batch.s, batch.size, case_seed)
@@ -206,7 +206,7 @@ def _loss_cases(setup, case_seed):
             None,
         ),
         "noise prediction": (
-            lambda pv: diffusion_loss(score.with_params(pv), batch.s, batch.a, batch.w, case_seed),
+            lambda pv: diffusion_loss(score.with_params(pv), batch.s, batch.a, labels, case_seed),
             score.params,
             None,
         ),
@@ -396,7 +396,6 @@ def test_criterion_6_penalty_ordering():
             r=rng.standard_normal(b),
             s2=rng.standard_normal((b, sd)),
             done=np.zeros(b),
-            w=np.ones(b),
             mc=rng.standard_normal(b),
         )
         plain, _ = agents.cql_penalty(ens, policy, batch, case)
@@ -421,7 +420,6 @@ def test_criterion_7_expectile_reduction():
             r=rng.standard_normal(b),
             s2=rng.standard_normal((b, sd)),
             done=np.zeros(b),
-            w=np.ones(b),
             mc=np.zeros(b),
         )
         out = agents.iql_losses(ens, value, policy, batch, 0.5, 1.0, 0.99)
@@ -542,12 +540,12 @@ def test_criterion_10_transfer_smoke():
     rng = np.random.default_rng(99)
     behavior_returns = []
     for _ in range(100):
-        s = env_reset(env, rng)
+        s = env_reset(env, rng)[None, :]
         total = 0.0
         for _ in range(env.horizon):
-            s, r, d = env_step(env, s, behavior.act(s, rng))
-            total += r
-            if d:
+            s, r, d = env_step(env, s, behavior.control(s, rng.standard_normal((1, env.action_dim))))
+            total += r[0]
+            if d[0]:
                 break
         behavior_returns.append(total)
     j_behavior = float(np.mean(behavior_returns))

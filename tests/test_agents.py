@@ -41,15 +41,15 @@ def const_ensemble(state_dim, action_dim, value):
 
 
 def random_batch(rng, state_dim=3, action_dim=2, size=8, with_mc=True):
-    return Batch(
+    rows = dict(
         s=rng.standard_normal((size, state_dim)),
         a=np.clip(rng.standard_normal((size, action_dim)), -0.95, 0.95),
         r=rng.standard_normal(size),
         s2=rng.standard_normal((size, state_dim)),
         done=(rng.random(size) < 0.2).astype(np.float64),
-        w=rng.random(size),
-        mc=rng.standard_normal(size) + 1.0 if with_mc else np.full(size, np.nan),
     )
+    rng.random(size)  # the draw of the dropped outcome labels, so later draws stay put
+    return Batch(**rows, mc=rng.standard_normal(size) + 1.0 if with_mc else np.full(size, np.nan))
 
 
 def random_nets(rng, state_dim=3, action_dim=2, hidden=(8,), n_critics=2):
@@ -162,7 +162,6 @@ class TestSacCritic:
             r=np.full(4, 1.5),
             s2=np.ones((4, 2)),
             done=np.ones(4),
-            w=np.ones(4),
             mc=np.zeros(4),
         )
         loss, grads = agents.sac_critic_loss(ens, policy, batch, 0.3, 0.99, rng)
@@ -228,7 +227,7 @@ class TestSacPolicy:
         policy = make_policy(1, [-1.0], [1.0], (32, 32), rng, activation="tanh")
         batch = Batch(
             s=np.zeros((256, 1)), a=np.zeros((256, 1)), r=np.zeros(256),
-            s2=np.zeros((256, 1)), done=np.zeros(256), w=np.ones(256), mc=np.zeros(256),
+            s2=np.zeros((256, 1)), done=np.zeros(256), mc=np.zeros(256),
         )
         prng = stream(11, "policy")
         for lr, steps in ((3e-4, 4000), (3e-5, 2000)):
@@ -390,7 +389,7 @@ class TestConservativePenalties:
         ens = CriticEnsemble(ParamStack.of([member, member]))
         batch = Batch(
             s=np.zeros((6, 1)), a=np.full((6, 1), 1.0), r=np.zeros(6),
-            s2=np.zeros((6, 1)), done=np.zeros(6), w=np.ones(6), mc=np.zeros(6),
+            s2=np.zeros((6, 1)), done=np.zeros(6), mc=np.zeros(6),
         )
         penalty, _ = agents.cql_penalty(ens, policy, batch, 21)
         assert penalty < 0.0
@@ -407,7 +406,7 @@ class TestConservativePenalties:
             s=np.array([[0.1, 0.2], [-0.3, 0.4], [0.0, -0.5]]),
             a=np.array([[0.3], [-0.6], [0.9]]),
             r=np.zeros(3), s2=np.zeros((3, 2)), done=np.zeros(3),
-            w=np.ones(3), mc=np.zeros(3),
+            mc=np.zeros(3),
         )
         # Odd batches cannot split between policy and uniform samples.
         with pytest.raises(ValueError):
@@ -416,7 +415,7 @@ class TestConservativePenalties:
             s=np.vstack([batch.s, [[0.7, 0.7]]]),
             a=np.vstack([batch.a, [[-0.2]]]),
             r=np.zeros(4), s2=np.zeros((4, 2)), done=np.zeros(4),
-            w=np.ones(4), mc=np.zeros(4),
+            mc=np.zeros(4),
         )
         penalty, _ = agents.cql_penalty(ens, policy, batch4, 22)
         sampled = agents.sample_action_mixture(
@@ -459,7 +458,7 @@ class TestConservativePenalties:
         ens = CriticEnsemble(ParamStack.of([member, member]))
         batch = Batch(
             s=np.zeros((2, 1)), a=np.array([[0.5], [-0.5]]), r=np.zeros(2),
-            s2=np.zeros((2, 1)), done=np.zeros(2), w=np.ones(2), mc=np.array([0.3, -2.0]),
+            s2=np.zeros((2, 1)), done=np.zeros(2), mc=np.array([0.3, -2.0]),
         )
         penalty, _ = agents.calql_penalty(ens, policy, batch, 28)
         sampled = agents.sample_action_mixture(
@@ -497,7 +496,7 @@ class TestIql:
         policy = make_policy(1, [-1.0], [1.0], (4,), rng)
         batch = Batch(
             s=np.array([[1.0], [-1.0]]), a=np.zeros((2, 1)), r=np.zeros(2),
-            s2=np.zeros((2, 1)), done=np.zeros(2), w=np.ones(2), mc=np.zeros(2),
+            s2=np.zeros((2, 1)), done=np.zeros(2), mc=np.zeros(2),
         )
         out = agents.iql_losses(ens, value, policy, batch, 0.9, 1.0, 0.99)
         assert abs(out.value_loss - 0.5 * (0.9 * 1.0 + 0.1 * 1.0)) <= 1e-15
@@ -511,7 +510,7 @@ class TestIql:
         policy = make_policy(1, [-1.0], [1.0], (4,), rng)
         batch = Batch(
             s=np.array([[0.0], [1.0]]), a=np.zeros((2, 1)), r=np.zeros(2),
-            s2=np.zeros((2, 1)), done=np.zeros(2), w=np.ones(2), mc=np.zeros(2),
+            s2=np.zeros((2, 1)), done=np.zeros(2), mc=np.zeros(2),
         )
         grid = np.linspace(0.0, 1.0, 1001)
         losses = []
@@ -612,7 +611,7 @@ class TestTd3Bc:
         policy = GaussianPolicy(params, np.array([-1.0]), np.array([1.0]))
         batch = Batch(
             s=np.zeros((2, 1)), a=np.array([[0.1], [-0.2]]), r=np.zeros(2),
-            s2=np.zeros((2, 1)), done=np.zeros(2), w=np.ones(2), mc=np.zeros(2),
+            s2=np.zeros((2, 1)), done=np.zeros(2), mc=np.zeros(2),
         )
         beta = 0.7
         loss, _ = agents.td3bc_policy_loss(ens, policy, batch, beta)
@@ -651,7 +650,7 @@ class TestAwr:
         ens = CriticEnsemble(ParamStack.of([member, member]))
         batch = Batch(
             s=np.zeros((2, 1)), a=np.array([[0.5], [-0.5]]), r=np.zeros(2),
-            s2=np.zeros((2, 1)), done=np.zeros(2), w=np.ones(2), mc=np.zeros(2),
+            s2=np.zeros((2, 1)), done=np.zeros(2), mc=np.zeros(2),
         )
         temp = 0.8
         loss, _ = agents.awr_policy_loss(ens, policy, batch, temp, np.random.default_rng(5))

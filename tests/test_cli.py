@@ -12,8 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from o2olab import blobio
 from o2olab.cli import _sha256, main, parse_run_id
+from o2olab.diffusion import CHECKPOINT_MAGIC
 from o2olab.errors import FormatError
+from o2olab.pipeline import AGENT_MAGIC
 
 
 @pytest.fixture()
@@ -379,6 +382,34 @@ class TestErrorPaths:
         assert code == 2
         assert not out.parent.exists()
 
+    # A score model trained on reach2d used to fail at the first regularizer
+    # query on gate1d data, after the step-0 evaluation, naming neither the
+    # file nor the mismatch; a model with another action box used to train.
+    @pytest.mark.parametrize("case", ["other-env", "other-box"])
+    def test_pretrain_score_model_env_mismatch_exits_2_without_leftover(
+        self, workdir, capsys, case
+    ):
+        run(["gen-data", "--config", "cfg.json"])
+        data = workdir / "runs/gen-data/dataset-s0.jsonl"
+        assert run(["train-diffusion", "--config", "cfg.json", "--data", data]) == 0
+        model = workdir / "runs/train-diffusion/seed-0/score_model.bin"
+        over = []
+        if case == "other-env":
+            over = ["--override", "env=gate1d"]
+            run(["gen-data", "--config", "cfg.json", *over, "--out", workdir / "gdata"])
+            data = workdir / "gdata/dataset-s0.jsonl"
+        else:
+            header, arrays = blobio.read_blob(model, CHECKPOINT_MAGIC)
+            arrays["action_high"] = np.array([1.0, 2.0])
+            blobio.write_blob(model, CHECKPOINT_MAGIC, header, arrays)
+        out = workdir / "fresh" / "pre"
+        capsys.readouterr()
+        pretrain = ["pretrain", "--config", "cfg.json", *over, "--data", data]
+        assert run(pretrain + ["--diffusion", model, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"score model {model} has" in err and "Traceback" not in err
+        assert not out.parent.exists()
+
     # A list for `env` used to end in a TypeError traceback and exit 1; the
     # other entries used to load.
     @pytest.mark.parametrize(
@@ -430,6 +461,37 @@ class TestErrorPaths:
         assert repr(array) in capsys.readouterr().err
         assert not out.parent.exists()
 
+    # Each case: the checkpoint's (action_low, action_high) and the array
+    # named.  Swapped or equal bounds used to abort at the first TD target
+    # (exit 3), a wider box to load and clip every action, and a one-entry
+    # box to fail at the policy's output width.
+    @pytest.mark.parametrize(
+        "low, high, named",
+        [
+            ([1.0, 1.0], [-1.0, -1.0], "action_low"),
+            ([0.0, 0.0], [0.0, 0.0], "action_low"),
+            ([-5.0, -5.0], [5.0, 5.0], "action_low"),
+            ([-1.0, -1.0], [1.0, 5.0], "action_high"),
+            ([-1.0], [1.0], "action_low"),
+        ],
+        ids=["swapped", "equal", "wide", "wide-high", "one-entry"],
+    )
+    def test_foreign_action_box_exits_2_without_leftover(self, workdir, capsys, low, high, named):
+        run(["gen-data", "--config", "cfg.json"])
+        data = workdir / "runs/gen-data/dataset-s0.jsonl"
+        pre = ["--override", "offline_alg=sac", "--override", "offline_steps=2"]
+        assert run(["pretrain", "--config", "cfg.json", *pre, "--data", data, "--out", "pre"]) == 0
+        path = workdir / "pre" / "seed-0" / "checkpoint.bin"
+        header, arrays = blobio.read_blob(path, AGENT_MAGIC)
+        arrays.update(action_low=np.array(low), action_high=np.array(high))
+        blobio.write_blob(path, AGENT_MAGIC, header, arrays)
+        out = workdir / "fresh" / "fin"
+        capsys.readouterr()
+        finetune = ["finetune", "--config", "cfg.json", "--data", data]
+        assert run(finetune + ["--checkpoint", path, "--out", out]) == 2
+        assert f"checkpoint array {named!r}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     # Each case drops or changes one header key (a dotted path, whose
     # numbers index lists) of a file the command reads first: (file, key,
     # new value as JSON text or None to drop it, name in the error).  A
@@ -467,6 +529,19 @@ class TestErrorPaths:
             ("checkpoint", "arrays.0.1", "[-1]", "action_low"),
             ("checkpoint", "arrays.0", '["action_low"]', "action_low"),
             ("checkpoint", "arrays.1.0", '"action_low"', "action_low"),
+            # Optimizer settings out of range, which used to load, or to
+            # fail without naming the entry.
+            *(
+                ("checkpoint", f"opt_states.{name}.{key}", value, f"opt_states.{name}.{key}")
+                for name, key, value in [
+                    ("policy", "step_count", "-5"),
+                    ("critics", "beta1", "1.5"),
+                    ("policy", "eps", "-1"),
+                    ("critics", "ns_iterations", "0"),
+                    ("policy", "learning_rate", "Infinity"),
+                    ("policy", "learning_rate", "0"),
+                ]
+            ),
         ],
     )
     def test_incomplete_blob_header_exits_2_without_leftover(

@@ -20,7 +20,6 @@ from o2olab.envs import (
     load_dataset,
     make_env_spec,
     mixed_batch,
-    rollout_episode,
     save_dataset,
     stack_batch,
 )
@@ -29,13 +28,42 @@ from o2olab.seeding import stream
 
 
 class UniformPolicy:
-    """Uniform-random actions over the action box."""
+    """Uniform-random actions over the action box, one per state row."""
 
     def __init__(self, spec):
         self.spec = spec
 
-    def act(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.spec.action_low, self.spec.action_high)
+    def act(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        size = (states.shape[0], self.spec.action_dim)
+        return rng.uniform(self.spec.action_low, self.spec.action_high, size=size)
+
+
+def scripted_act(behavior):
+    """`behavior` acting on state rows; a noisy one draws each row's noise
+    from the generator it is handed."""
+
+    def act(states, rng):
+        shape = (states.shape[0], behavior.spec.action_dim)
+        return behavior.control(states, rng.standard_normal(shape) if behavior.noisy else None)
+
+    return act
+
+
+def rollout_episode(spec, act_fn, rng: np.random.Generator):
+    """Run one episode on `(1, d)` state rows: a reset draw, then per step
+    `act_fn(state, rng)` and one `env_step`, until a terminal step or the
+    horizon.  The batch holds its transitions in step order, with `mc`
+    NaN.  `generate_dataset` and warm start are pinned to this reference."""
+    buffer = ReplayBuffer(spec.state_dim, spec.action_dim)
+    state = env_reset(spec, rng)[None, :]
+    for _ in range(spec.horizon):
+        action = act_fn(state, rng)
+        nxt, reward, done = env_step(spec, state, action)
+        buffer.push(state[0], action[0], reward[0], nxt[0], done[0])
+        if done[0]:
+            break
+        state = nxt
+    return buffer.rows()
 
 
 def trajectory_bounds(ds):
@@ -71,34 +99,34 @@ class TestEnvBasics:
 
     def test_reach2d_goal_is_fixed_point_with_max_reward(self):
         spec = make_env_spec("reach2d")
-        nxt, reward, done = env_step(spec, np.zeros(2), np.zeros(2))
-        assert np.array_equal(nxt, np.zeros(2))
-        assert reward == 0.0 and not done
+        nxt, reward, done = env_step(spec, np.zeros((1, 2)), np.zeros((1, 2)))
+        assert np.array_equal(nxt, np.zeros((1, 2)))
+        assert reward[0] == 0.0 and not done[0]
         # any other action gives a strictly lower (negative) reward
-        _, worse, _ = env_step(spec, np.zeros(2), np.array([1.0, 0.0]))
-        assert worse < reward
+        _, worse, _ = env_step(spec, np.zeros((1, 2)), np.array([[1.0, 0.0]]))
+        assert worse[0] < reward[0]
 
     def test_gate1d_step_penalty_before_goal(self):
         spec = make_env_spec("gate1d")
-        _, reward, done = env_step(spec, np.array([-0.5]), np.array([0.3]))
-        assert reward == -1.0 and not done
+        _, reward, done = env_step(spec, np.array([[-0.5]]), np.array([[0.3]]))
+        assert reward[0] == -1.0 and not done[0]
 
     def test_gate1d_terminates_at_goal(self):
         spec = make_env_spec("gate1d")
-        nxt, reward, done = env_step(spec, np.array([0.75]), np.array([1.0]))
-        assert done and reward == 0.0 and nxt[0] >= 0.8
+        nxt, reward, done = env_step(spec, np.array([[0.75]]), np.array([[1.0]]))
+        assert done[0] and reward[0] == 0.0 and nxt[0, 0] >= 0.8
 
     def test_non_finite_action_rejected(self):
         spec = make_env_spec("reach2d")
         with pytest.raises(NumericError):
-            env_step(spec, np.zeros(2), np.array([np.nan, 0.0]))
+            env_step(spec, np.zeros((1, 2)), np.array([[np.nan, 0.0]]))
 
     def test_out_of_bounds_action_clipped_and_counted(self):
         spec = make_env_spec("reach2d")
         before = clip_warning_count()
-        nxt, _, _ = env_step(spec, np.zeros(2), np.array([5.0, 0.0]))
+        nxt, _, _ = env_step(spec, np.zeros((1, 2)), np.array([[5.0, 0.0]]))
         assert clip_warning_count() == before + 1
-        assert nxt[0] == 0.1  # clipped to action 1.0, scaled by step size
+        assert nxt[0, 0] == 0.1  # clipped to action 1.0, scaled by step size
 
     def test_rewards_bounded_and_states_in_box(self):
         for name in ("reach2d", "gate1d"):
@@ -115,12 +143,12 @@ class TestEnvBasics:
     def test_expert_beats_random(self):
         for name in ("reach2d", "gate1d"):
             spec = make_env_spec(name)
-            expert = ScriptedPolicy(spec, noise_std=0.0)
+            expert = scripted_act(ScriptedPolicy(spec, noise_std=0.0))
             random_pi = UniformPolicy(spec)
             rng_e = np.random.default_rng(2)
             rng_r = np.random.default_rng(2)
             expert_ret = np.mean(
-                [rollout_episode(spec, expert.act, rng_e).r.sum() for _ in range(100)]
+                [rollout_episode(spec, expert, rng_e).r.sum() for _ in range(100)]
             )
             random_ret = np.mean(
                 [rollout_episode(spec, random_pi.act, rng_r).r.sum() for _ in range(100)]
@@ -132,10 +160,11 @@ class TestEnvBasics:
         for name in ("reach2d", "gate1d"):
             spec = make_env_spec(name)
             back = pickle.loads(pickle.dumps(spec))
-            state = env_reset(spec, 3)
-            action = np.full(spec.action_dim, 0.5)
-            assert np.array_equal(env_reset(back, 3), state)
-            assert env_step(back, state, action)[1:] == env_step(spec, state, action)[1:]
+            state = env_reset(spec, 3)[None, :]
+            action = np.full((1, spec.action_dim), 0.5)
+            assert np.array_equal(env_reset(back, 3), state[0])
+            for got, want in zip(env_step(back, state, action), env_step(spec, state, action)):
+                assert np.array_equal(got, want)
 
 
 def step_rows(name, n=40, seed=31):
@@ -158,10 +187,15 @@ class TestRowStep:
             assert 0 < done.sum() < len(states)
         assert np.any(np.abs(actions) > 1.0)
         for i in range(len(states)):
-            one_nxt, one_reward, one_done = env_step(spec, states[i], actions[i])
-            assert np.array_equal(nxt[i], one_nxt), i
-            assert reward[i] == one_reward and done[i] == one_done, i
-            assert type(one_reward) is float and type(one_done) is bool
+            one_nxt, one_reward, one_done = env_step(spec, states[i : i + 1], actions[i : i + 1])
+            assert np.array_equal(nxt[i : i + 1], one_nxt), i
+            assert reward[i] == one_reward[0] and done[i] == one_done[0], i
+            assert one_reward.shape == one_done.shape == (1,)
+
+    def test_single_state_rejected(self, name):
+        spec, states, actions = step_rows(name, n=1)
+        with pytest.raises(ShapeError, match=r"state shape \(\d,\), expected \(n, \d\)"):
+            env_step(spec, states[0], actions[0])
 
     def test_wrong_action_shape_rejected(self, name):
         spec, states, actions = step_rows(name, n=3)
@@ -190,8 +224,8 @@ class TestRowStep:
             actions[1, 0] = value
             with pytest.raises(NumericError, match="row 1"):
                 env_step(spec, states, actions)
-            with pytest.raises(NumericError, match="non-finite action$"):
-                env_step(spec, states[1], actions[1])
+            with pytest.raises(NumericError, match="non-finite action in row 0$"):
+                env_step(spec, states[1:2], actions[1:2])
         assert clip_warning_count() == before
 
     def test_clip_count_counts_clipped_rows(self, name):
@@ -201,8 +235,8 @@ class TestRowStep:
         before = clip_warning_count()
         env_step(spec, states, actions)
         assert clip_warning_count() == before + clipped_rows
-        for state, action in zip(states, actions):
-            env_step(spec, state, action)
+        for i in range(len(states)):
+            env_step(spec, states[i : i + 1], actions[i : i + 1])
         assert clip_warning_count() == before + 2 * clipped_rows
 
 
@@ -261,7 +295,8 @@ class TestDataset:
 
 
 def former_act(behavior):
-    """`ScriptedPolicy.act` as it was before the row-wise control law."""
+    """The scripted behaviour's action as it was computed before the
+    row-wise control law, on one `(1, d)` state row."""
     spec = behavior.spec
 
     def act(state, rng):
@@ -275,7 +310,7 @@ def former_act(behavior):
 
 def sequential_dataset(spec, behavior, n_traj, seed):
     """The former generator: one `rollout_episode` after another on the
-    seed's "dataset" stream, each stepping one state at a time."""
+    seed's "dataset" stream, each stepping one state row at a time."""
     rng = stream(seed, "dataset")
     episodes = [rollout_episode(spec, former_act(behavior), rng) for _ in range(n_traj)]
     rows = stack_batch(episodes)
@@ -708,7 +743,7 @@ class TestReplayBufferAndMixing:
         buf = ReplayBuffer(1, 1)
         push_rewards(buf, range(4))
         batch = buf.sample(6, np.random.default_rng(1))
-        assert np.all(np.isnan(batch.w)) and np.all(np.isnan(batch.mc))
+        assert np.all(np.isnan(batch.mc))
 
     def test_mix_one_uses_dataset_only(self):
         ds = make_tiny_dataset()
@@ -718,7 +753,6 @@ class TestReplayBufferAndMixing:
         for got, want in ((batch.s, ds.s), (batch.a, ds.a), (batch.r, ds.r), (batch.s2, ds.s2)):
             assert np.array_equal(got, want[idx])
         assert np.array_equal(batch.done, ds.done[idx])
-        assert np.array_equal(batch.w, ds.w_labels[idx])
         assert np.array_equal(batch.mc, ds.mc[idx])
 
     def test_half_mix_splits_counts(self):
@@ -766,7 +800,7 @@ class TestReplayBufferAndMixing:
         ds = make_tiny_dataset()
         a = mixed_batch(ds, None, 8, 1.0, seed=5)
         b = mixed_batch(ds, None, 8, 1.0, seed=5)
-        for name in ("s", "a", "r", "s2", "done", "w", "mc"):
+        for name in ("s", "a", "r", "s2", "done", "mc"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_stack_batch_shapes(self):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from golden_runs import checkpoint_fields, field_digest
 
-from o2olab import blobio, numkit, pipeline
+from o2olab import blobio, envs, numkit, pipeline
 
 from o2olab.diffusion import cosine_schedule, init_score_model, train_score_model
-from o2olab.envs import ScriptedPolicy, generate_dataset, make_env_spec
+from o2olab.envs import ReplayBuffer, ScriptedPolicy, generate_dataset, make_env_spec, stack_batch
 from o2olab.errors import ConfigError, FormatError, NumericError
 from o2olab.pipeline import (
     AGENT_MAGIC,
@@ -237,6 +237,30 @@ class TestOfflinePretrain:
         assert np.array_equal(agent.critics.member_stack.values, agent.critics.target_stack.values)
 
 
+# (optimizer state, setting, value out of its range), each of which used
+# to load, or to fail without naming the entry.
+OPT_SETTINGS_OUT_OF_RANGE = [
+    ("policy", "kind", "sgd"),
+    ("policy", "learning_rate", 0.0),
+    ("policy", "learning_rate", float("inf")),
+    ("critics", "learning_rate", float("nan")),
+    ("policy", "step_count", -5),
+    ("critics", "beta1", 1.5),
+    ("critics", "beta1", -0.1),
+    ("policy", "beta2", 1.0),
+    ("policy", "momentum", -0.5),
+    ("critics", "eps", -1.0),
+    ("critics", "eps", 0.0),
+    ("policy", "eps", float("inf")),
+    ("critics", "ns_iterations", 0),
+]
+
+
+def set_opt(name, key, value):
+    """A checkpoint header edit that sets optimizer state `name`'s `key`."""
+    return lambda header: header["opt_states"][name].update({key: value})
+
+
 class TestCheckpoint:
     # Every field `load_checkpoint` returns: parameters, both critic stacks,
     # each optimizer state's moments and settings, rng states and scalars.
@@ -332,12 +356,17 @@ class TestCheckpoint:
             ("log_entropy_coef", lambda h: h.update(log_entropy_coef=float("nan"))),
             ("target_entropy", lambda h: h.update(target_entropy=float("inf"))),
             ("log_entropy_coef", lambda h: h.update(log_entropy_coef=800.0)),
+            *(
+                (f"opt_states.{name}.{key}", set_opt(name, key, value))
+                for name, key, value in OPT_SETTINGS_OUT_OF_RANGE
+            ),
         ],
         ids=[
             "negative-step", "states-not-object",
             "stream-missing", "stream-extra", "snapshot-state", "snapshot-generator",
             "snapshot-out-of-range", "coef-minus-inf", "coef-nan", "target-entropy-inf",
             "coef-exp-overflows",
+            *(f"{name}-{key}-{value}" for name, key, value in OPT_SETTINGS_OUT_OF_RANGE),
         ],
     )
     def test_out_of_range_header_entry_rejected(self, tmp_path, key, edit):
@@ -393,6 +422,18 @@ class TestCheckpoint:
             offline_pretrain(small_config(offline_alg="iql"), tiny_dataset(), None, start=agent)
 
 
+def exploring_agent(name):
+    """A fresh agent on `name`; on gate1d its policy pushes towards the
+    gate, so warm-start episodes end there before the horizon."""
+    env = make_env_spec(name)
+    agent = _init_agent(small_config(env=name, offline_alg="sac"), env, seed=41)
+    if name == "gate1d":
+        weight, bias = numkit.unflatten(agent.policy.params)[-1]
+        weight *= 0.1
+        bias[0] = np.arctanh(0.5)
+    return env, agent
+
+
 class TestWarmStartAndOnline:
     def _pretrained(self, seed=14):
         cfg = small_config(offline_alg="sac", offline_steps=20)
@@ -408,6 +449,56 @@ class TestWarmStartAndOnline:
     def test_warm_start_single_transition(self):
         cfg, ds, agent = self._pretrained()
         assert warm_start(agent, ds.env, 1, seed=16).size == 1
+
+    @pytest.mark.parametrize("name", ["reach2d", "gate1d"])
+    def test_warm_start_steps_and_pushes_count_times(self, name, monkeypatch):
+        # Warm start used to push every transition twice and step its last
+        # episode on to its end: 50 steps and 87 pushes for 37 on reach2d.
+        env, agent = exploring_agent(name)
+        calls = {"step": 0, "push": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        step = counted("step", envs.env_step)
+        monkeypatch.setattr(envs, "env_step", step)
+        monkeypatch.setattr(pipeline, "env_step", step)
+        monkeypatch.setattr(ReplayBuffer, "push", counted("push", ReplayBuffer.push))
+        assert warm_start(agent, env, 37, seed=15).size == 37
+        assert calls == {"step": 37, "push": 37}
+
+    @pytest.mark.parametrize("name", ["reach2d", "gate1d"])
+    @pytest.mark.parametrize("horizons, extra", [(0, 1), (0, 37), (1, 0), (2, 0)])
+    def test_warm_start_matches_rollout_reference(self, name, horizons, extra):
+        # The first `count` transitions of episodes from the test-side
+        # `rollout_episode`, each a reset and then clipped policy samples
+        # drawn from one "warmstart" stream, byte for byte; in a ring of
+        # exactly `count`.
+        from test_envs import rollout_episode
+
+        env, agent = exploring_agent(name)
+        count = horizons * env.horizon + extra
+        rng = stream(40, "warmstart")
+
+        def act(state, g):
+            return np.clip(agent.policy.act(state, g), env.action_low, env.action_high)
+
+        episodes = []
+        while sum(ep.size for ep in episodes) < count:
+            episodes.append(rollout_episode(env, act, rng))
+        if name == "gate1d" and count >= env.horizon:
+            # Episodes end at the gate, so the count spans resets on done.
+            assert min(ep.size for ep in episodes) < env.horizon
+        want = stack_batch(episodes)
+        got = warm_start(agent, env, count, seed=40, capacity=count).rows()
+        for field in ("s", "a", "r", "s2", "done"):
+            x, y = getattr(got, field), getattr(want, field)[:count]
+            assert x.dtype == y.dtype and x.shape == y.shape, field
+            assert x.tobytes() == y.tobytes(), field
 
     def test_warm_start_actions_within_bounds(self):
         cfg, ds, agent = self._pretrained()
@@ -486,13 +577,13 @@ class TestEvaluate:
         from o2olab.envs import env_reset, env_step
 
         r = np.random.default_rng(24)
-        state = env_reset(env, r)
+        state = env_reset(env, r)[None, :]
         total = 0.0
         for _ in range(env.horizon):
-            action = policy.mean_action(state[None, :])[0]
+            action = policy.mean_action(state)
             state, reward, done = env_step(env, state, np.clip(action, env.action_low, env.action_high))
-            total += reward
-            if done:
+            total += reward[0]
+            if done[0]:
                 break
         assert mean == total
 
@@ -513,13 +604,13 @@ class TestEvaluate:
         r = np.random.default_rng(28)
         returns, lengths = [], []
         for _ in range(20):
-            state = env_reset(env, r)
+            state = env_reset(env, r)[None, :]
             total = 0.0
             for step in range(env.horizon):
-                action = policy.mean_action(state[None, :])[0]
+                action = policy.mean_action(state)
                 state, reward, done = env_step(env, state, np.clip(action, env.action_low, env.action_high))
-                total += reward
-                if done:
+                total += reward[0]
+                if done[0]:
                     break
             returns.append(total)
             lengths.append(step + 1)
@@ -572,12 +663,12 @@ class TestEvaluate:
             starts = [env_reset(env, r) for _ in range(9)]
             for policy, row in zip(policies, returns):
                 for start, want in zip(starts, row):
-                    state, total = start, 0.0
+                    state, total = start[None, :], 0.0
                     for _ in range(env.horizon):
-                        action = np.clip(policy.mean_action(state[None, :])[0], -1.0, 1.0)
+                        action = np.clip(policy.mean_action(state), -1.0, 1.0)
                         state, reward, done = env_step(env, state, action)
-                        total += reward
-                        if done:
+                        total += reward[0]
+                        if done[0]:
                             break
                     assert total == want
         for policy, row in zip(policies, returns):
@@ -685,8 +776,8 @@ class TestPassCount:
             pipeline.CRITIC_OPT: agent.opt_states[pipeline.CRITIC_OPT],
         }
         streams = {name: stream(5, name) for name in ("explore", "batch", "policy")}
-        state = ds.s[0]
-        pipeline._explore_action(agent.policy, ds.env, state, "sac", streams["explore"])
+        buffer = ReplayBuffer(ds.env.state_dim, ds.env.action_dim)
+        next(pipeline._explore(agent, ds.env, "sac", buffer, streams["explore"], streams["explore"]))
         batch = ds.sample_batch(cfg.online_batch, streams["batch"])
         pipeline._online_update(cfg, agent, batch, streams)
         # 9 in all, 6 of them forwards.
