@@ -48,7 +48,6 @@ from .numkit import (
     mlp_input_grad,
     mlp_second_grad,
 )
-from .seeding import as_generator
 
 # Advantage weights are clipped here to keep exponentials from overflowing.
 WEIGHT_CLIP = 100.0
@@ -198,7 +197,7 @@ def sac_policy_loss(
 
 
 def sample_action_mixture(
-    policy: GaussianPolicy, s: np.ndarray, batch_size: int, seed
+    policy: GaussianPolicy, s: np.ndarray, batch_size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Half reparameterized policy samples, half uniform over the policy's
     action box.
@@ -211,7 +210,6 @@ def sample_action_mixture(
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     if s.shape[0] != batch_size:
         raise ShapeError(f"{s.shape[0]} states for batch_size {batch_size}")
-    rng = as_generator(seed)
     nh = batch_size // 2
     a_pol = policy.act(s[:nh], rng)
     size = (batch_size - nh, policy.action_dim)
@@ -318,20 +316,18 @@ def smac_critic_loss(
     )
 
 
-def cql_penalty(ensemble: CriticEnsemble, policy: GaussianPolicy, batch, seed):
+def cql_penalty(ensemble: CriticEnsemble, policy: GaussianPolicy, batch, rng: np.random.Generator):
     """mean Q on mixture-sampled actions minus mean Q on dataset actions."""
-    rng = as_generator(seed)
     a_ood = sample_action_mixture(policy, batch.s, batch.size, rng)
     return _conservative_penalty(ensemble, batch, a_ood, cap=None)
 
 
-def calql_penalty(ensemble: CriticEnsemble, policy: GaussianPolicy, batch, seed):
+def calql_penalty(ensemble: CriticEnsemble, policy: GaussianPolicy, batch, rng: np.random.Generator):
     """Conservative penalty with the sampled-action term capped at the
     Monte-Carlo return of the state.  Rejects batches without
     Monte-Carlo returns (callers fall back to `cql_penalty`)."""
     if np.any(np.isnan(batch.mc)):
         raise ValueError("batch lacks Monte-Carlo returns; use cql_penalty instead")
-    rng = as_generator(seed)
     a_ood = sample_action_mixture(policy, batch.s, batch.size, rng)
     return _conservative_penalty(ensemble, batch, a_ood, cap=batch.mc)
 

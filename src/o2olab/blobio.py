@@ -5,7 +5,7 @@ JSON header, then the declared arrays concatenated as little-endian
 float64.  The header's "arrays" entry lists [name, shape] pairs in
 payload order, so files are self-describing and byte-deterministic;
 `read_blob` refuses a manifest that is not such a list, with distinct
-names and shapes of non-negative ints.
+names and shapes of non-negative ints, and a non-finite array value.
 """
 
 from __future__ import annotations
@@ -92,5 +92,8 @@ def read_blob(path, expected_magic: bytes):
         pos += nbytes
     if pos != len(raw):
         raise FormatError(f"{len(raw) - pos} trailing bytes after the last array", offset=pos)
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"blob array {name!r} holds a non-finite value")
     del header["arrays"]
     return header, arrays

@@ -181,9 +181,17 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _load_config_env_dataset(config, path):
+    """Load the dataset at `path`, refusing one of another env than the config's."""
+    dataset = load_dataset(path)
+    if dataset.env.name != config.env:
+        raise ConfigError(f"dataset env {dataset.env.name!r} != config env {config.env!r}")
+    return dataset
+
+
 def _cmd_train_diffusion(args) -> int:
     config = _load_config(args)
-    dataset = load_dataset(args.data)
+    dataset = _load_config_env_dataset(config, args.data)
     seeds = _seeds(args, config)
     dc = config.diffusion
     with _OutputDir(args) as outdir:
@@ -231,9 +239,7 @@ def _pretrain_one(config, dataset, score_model, seed, seed_dir: Path):
 
 def _cmd_pretrain(args) -> int:
     config = _load_config(args)
-    dataset = load_dataset(args.data)
-    if dataset.env.name != config.env:
-        raise ConfigError(f"dataset env {dataset.env.name!r} != config env {config.env!r}")
+    dataset = _load_config_env_dataset(config, args.data)
     score_model = None
     if config.offline_alg == "smac":
         if not args.diffusion:
@@ -283,7 +289,7 @@ def _finetune_one(config, dataset, agent, seed, seed_dir: Path):
 
 def _cmd_finetune(args) -> int:
     config = _load_config(args)
-    dataset = load_dataset(args.data)
+    dataset = _load_config_env_dataset(config, args.data)
     seeds = _seeds(args, config)
     ckpt_root = Path(args.checkpoint)
     # One load per seed: fine-tuning changes its agent in place.

@@ -35,7 +35,7 @@ from .numkit import (
     spec_header,
 )
 from .optim import init_opt_state, optimizer_step
-from .seeding import as_generator, stream
+from .seeding import stream
 
 SCHEDULE_CLIP_LO = 1e-5
 SCHEDULE_CLIP_HI = 0.9999
@@ -55,9 +55,10 @@ class NoiseSchedule:
         object.__setattr__(self, "alpha_bar", ab)
         if ab.ndim != 1 or ab.size < 2:
             raise ShapeError("schedule needs at least 2 steps")
-        if np.any(ab <= 0.0) or np.any(ab >= 1.0):
+        # Written so that NaN, for which every comparison is false, fails.
+        if not np.all((ab > 0.0) & (ab < 1.0)):
             raise ValueError("schedule values must lie in (0, 1)")
-        if np.any(np.diff(ab) >= 0.0):
+        if not np.all(np.diff(ab) < 0.0):
             raise ValueError("schedule must be strictly decreasing")
 
     @property
@@ -184,20 +185,19 @@ def _draw_noising(schedule: NoiseSchedule, action_dim: int, n: int, rng: np.rand
     return k, eps
 
 
-def diffusion_loss(model: ScoreModel, s, a, w, seed):
+def diffusion_loss(model: ScoreModel, s, a, w, rng: np.random.Generator):
     """Mean squared noise-prediction error and its parameter gradient.
 
     Per batch of n: the first n // 2 elements take k = 1, the level
     `score_at_k1` queries, and the rest take k ~ uniform{1..K} (a batch
     of 1 is uniform); eps ~ N(0, I).  The loss is the mean over the
-    batch of ||eps - eps_hat||^2 (summed over action dims).
-    Deterministic per seed.
+    batch of ||eps - eps_hat||^2 (summed over action dims); k and eps are
+    drawn from `rng`.
     """
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if s.shape[0] == 0:
         raise ValueError("empty batch")
-    rng = as_generator(seed)
     k, eps = _draw_noising(model.schedule, model.action_dim, s.shape[0], rng)
     x = model.net_input(s, noise_action(a, k, model.schedule, eps), w, k)
     fwd = mlp_forward_batch(model.params, x)
@@ -215,10 +215,9 @@ def train_score_model(
     batch_size: int,
     learning_rate: float,
     seed: int,
-    optimizer: str = "adam",
     outcome_labels: np.ndarray | None = None,
 ):
-    """Train by SGD on `diffusion_loss`; returns (model, loss history).
+    """Train by Adam on `diffusion_loss`; returns (model, loss history).
 
     `outcome_labels` overrides the dataset's labels; passing a constant
     vector disables outcome conditioning (the RvS-off ablation).
@@ -226,7 +225,7 @@ def train_score_model(
     labels = dataset.w_labels if outcome_labels is None else np.asarray(outcome_labels)
     batch_rng = stream(seed, "diffusion-batch")
     noise_rng = stream(seed, "diffusion-noise")
-    state = init_opt_state(optimizer, model.params.values.size, learning_rate)
+    state = init_opt_state("adam", model.params.values.size, learning_rate)
     params = model.params
     losses = np.empty(steps)
     for i in range(steps):
@@ -258,7 +257,9 @@ def calibrated_score_at_k1(model: ScoreModel, s, a, w) -> np.ndarray:
     return -score_at_k1(model, s, a, w) / np.sqrt(1.0 - ab1)
 
 
-def ddpm_sample(model: ScoreModel, s, w, seed, stochastic: bool = False) -> np.ndarray:
+def ddpm_sample(
+    model: ScoreModel, s, w, rng: np.random.Generator, stochastic: bool = False
+) -> np.ndarray:
     """Run the K-step reverse chain from Gaussian noise.
 
     The default sampler is the deterministic (no added noise) variant of
@@ -267,7 +268,6 @@ def ddpm_sample(model: ScoreModel, s, w, seed, stochastic: bool = False) -> np.n
     """
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     n = s.shape[0]
-    rng = as_generator(seed)
     ab = model.schedule.alpha_bar
     x = rng.standard_normal((n, model.action_dim))
     for k in range(model.schedule.n_steps, 0, -1):

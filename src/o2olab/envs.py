@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import FormatError, NumericError, ShapeError
-from .seeding import as_generator, stream
+from .seeding import stream
 
 STEP_SIZE = 0.1
 REACH2D_GOAL = np.zeros(2)
@@ -186,9 +186,9 @@ def make_env_spec(name: str) -> EnvSpec:
     return _ENV_SPECS[name]()
 
 
-def env_reset(spec: EnvSpec, seed: int) -> np.ndarray:
-    """Draw an initial state; deterministic per seed."""
-    return spec.reset(as_generator(seed))
+def env_reset(spec: EnvSpec, rng: np.random.Generator) -> np.ndarray:
+    """Draw an initial state from `rng`."""
+    return spec.reset(rng)
 
 
 def env_step(spec: EnvSpec, state: np.ndarray, action: np.ndarray):
@@ -438,7 +438,8 @@ class ReplayBuffer:
 
 
 def mixed_batch(
-    dataset: Dataset, buffer: ReplayBuffer | None, batch_size: int, mix: float, seed
+    dataset: Dataset, buffer: ReplayBuffer | None, batch_size: int, mix: float,
+    rng: np.random.Generator,
 ) -> Batch:
     """floor(mix * batch_size) dataset rows, then the remainder from the
     buffer; the dataset indices are drawn first."""
@@ -446,7 +447,6 @@ def mixed_batch(
         raise ValueError("batch_size must be at least 2")
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix must lie in [0, 1]")
-    rng = as_generator(seed)
     n_data = int(np.floor(mix * batch_size))
     n_buf = batch_size - n_data
     if n_buf > 0 and (buffer is None or buffer.size == 0):

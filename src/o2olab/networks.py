@@ -1,9 +1,9 @@
 """Policy, critic-ensemble, and scalar state networks used by every agent.
 
 The Gaussian policy network maps a state to per-action mean and
-pre-std heads; the std is exp of the clamped pre-std.  With squashing
-enabled, samples are mapped through tanh and rescaled into the action
-box, and log-densities include the change-of-variables correction.
+pre-std heads; the std is exp of the clamped pre-std.  Samples are
+mapped through tanh and rescaled into the action box, and log-densities
+include the change-of-variables correction.
 
 Because losses here are optimized with hand-rolled reverse mode, the
 policy exposes its sampling internals together with closed-form partial
@@ -54,7 +54,7 @@ def _std(rho: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GaussianPolicy:
-    """Tanh-squashed (optionally) diagonal Gaussian policy.
+    """Tanh-squashed diagonal Gaussian policy.
 
     `params` may also be a `ParamStack` of m policies of one spec; then
     `forward` and `mean_action` evaluate all of them in one pass, on shared
@@ -64,7 +64,6 @@ class GaussianPolicy:
     params: ParamVector | ParamStack
     action_low: np.ndarray
     action_high: np.ndarray
-    squash: bool = True
 
     def __post_init__(self):
         self.action_low = np.asarray(self.action_low, dtype=np.float64)
@@ -110,14 +109,9 @@ class GaussianPolicy:
         xi = rng.standard_normal(mu.shape)
         u = mu + std * xi
         base = -0.5 * xi * xi - np.log(std) - 0.5 * LOG_2PI
-        if self.squash:
-            t = np.tanh(u)
-            a = self.center + self.half * t
-            logp = np.sum(base - np.log(self.half) - _log1m_tanh2(u), axis=1)
-        else:
-            t = None
-            a = u
-            logp = np.sum(base, axis=1)
+        t = np.tanh(u)
+        a = self.center + self.half * t
+        logp = np.sum(base - np.log(self.half) - _log1m_tanh2(u), axis=1)
         internals = {"xi": xi, "u": u, "std": std, "mask": mask, "tanh_u": t, "fwd": fwd}
         return a, logp, internals
 
@@ -127,23 +121,19 @@ class GaussianPolicy:
         out = self.forward(s).out
         mu, rho = out[..., : self.action_dim], out[..., self.action_dim :]
         u = mu + _std(rho) * rng.standard_normal(mu.shape)
-        return self.center + self.half * np.tanh(u) if self.squash else u
+        return self.center + self.half * np.tanh(u)
 
     def sample_grads(self, internals, d_logp, d_action) -> np.ndarray:
         """Flat parameter gradient of sum_i d_logp_i * logp_i + <d_action_i, a_i>
         for a reparameterized sample described by `internals`."""
         xi, std, mask = internals["xi"], internals["std"], internals["mask"]
-        if self.squash:
-            t = internals["tanh_u"]
-            dadu = self.half * (1.0 - t * t)
-            dlog_dmu = 2.0 * t
-            dlog_drho = (-1.0 + 2.0 * t * xi * std) * mask
-            du_drho = xi * std * mask
-            d_mu = d_logp[:, None] * dlog_dmu + d_action * dadu
-            d_rho = d_logp[:, None] * dlog_drho + d_action * dadu * du_drho
-        else:
-            d_mu = d_action.copy()
-            d_rho = (-d_logp[:, None] + d_action * xi * std) * mask
+        t = internals["tanh_u"]
+        dadu = self.half * (1.0 - t * t)
+        dlog_dmu = 2.0 * t
+        dlog_drho = (-1.0 + 2.0 * t * xi * std) * mask
+        du_drho = xi * std * mask
+        d_mu = d_logp[:, None] * dlog_dmu + d_action * dadu
+        d_rho = d_logp[:, None] * dlog_drho + d_action * dadu * du_drho
         upstream = np.concatenate([d_mu, d_rho], axis=1)
         return mlp_grad_batch(internals["fwd"], upstream)
 
@@ -151,13 +141,9 @@ class GaussianPolicy:
         """Log-density of given actions; returns (logp, internals)."""
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         fwd, mu, std, mask = self.heads(s)
-        if self.squash:
-            v = np.clip((a - self.center) / self.half, -ATANH_CLIP, ATANH_CLIP)
-            u = np.arctanh(v)
-            corr = np.sum(np.log(self.half) + np.log1p(-v * v), axis=1)
-        else:
-            u = a
-            corr = 0.0
+        v = np.clip((a - self.center) / self.half, -ATANH_CLIP, ATANH_CLIP)
+        u = np.arctanh(v)
+        corr = np.sum(np.log(self.half) + np.log1p(-v * v), axis=1)
         xi = (u - mu) / std
         logp = np.sum(-0.5 * xi * xi - np.log(std) - 0.5 * LOG_2PI, axis=1) - corr
         return logp, {"xi": xi, "std": std, "mask": mask, "fwd": fwd}
@@ -176,19 +162,14 @@ class GaussianPolicy:
     def mean_of(self, fwd: Forward) -> np.ndarray:
         """Mean actions of a forward."""
         mu = fwd.out[..., : self.action_dim]
-        if self.squash:
-            return self.center + self.half * np.tanh(mu)
-        return mu
+        return self.center + self.half * np.tanh(mu)
 
     def mean_action_grads(self, fwd: Forward, d_action) -> np.ndarray:
         """Flat parameter gradient of sum_i <d_action_i, mean action_i> of
         the forward `fwd`."""
         mu = fwd.out[:, : self.action_dim]
-        if self.squash:
-            t = np.tanh(mu)
-            d_mu = d_action * self.half * (1.0 - t * t)
-        else:
-            d_mu = d_action
+        t = np.tanh(mu)
+        d_mu = d_action * self.half * (1.0 - t * t)
         upstream = np.concatenate([d_mu, np.zeros_like(d_mu)], axis=1)
         return mlp_grad_batch(fwd, upstream)
 
@@ -200,7 +181,6 @@ def make_policy(
     hidden,
     rng: np.random.Generator,
     activation: str = "relu",
-    squash: bool = True,
 ) -> GaussianPolicy:
     action_low = np.asarray(action_low, dtype=np.float64)
     spec = MlpSpec((state_dim, *hidden, 2 * action_low.size), activation=activation)
@@ -208,7 +188,6 @@ def make_policy(
         params=init_params(spec, rng),
         action_low=action_low,
         action_high=np.asarray(action_high, dtype=np.float64),
-        squash=squash,
     )
 
 

@@ -90,7 +90,6 @@ class NetworkConfig:
     n_critics: int = 2
     policy_hidden: tuple = (64, 64)
     policy_activation: str = "relu"
-    policy_squash: bool = True
     scale_hidden: tuple = (32, 32)
     scale_activation: str = "relu"
     value_hidden: tuple = (64, 64)
@@ -376,7 +375,8 @@ def save_checkpoint(checkpoint: AgentCheckpoint, path):
         "log_entropy_coef": checkpoint.log_entropy_coef,
         "target_entropy": checkpoint.target_entropy,
         "policy_spec": spec_header(checkpoint.policy.params.spec),
-        "policy_squash": checkpoint.policy.squash,
+        # The policy is always tanh-squashed; the entry keeps the format.
+        "policy_squash": True,
         "critic_spec": spec_header(checkpoint.critics.member_stack.spec),
         "scale_spec": None
         if checkpoint.scale_net is None
@@ -426,21 +426,18 @@ def _checked_rng_states(states) -> dict:
 
 
 def load_checkpoint(path) -> AgentCheckpoint:
-    """Read a checkpoint written by `save_checkpoint`.  Every array must be
-    finite: a NaN or inf parameter or optimizer buffer raises
-    `FormatError` naming the array.  So does an action box unlike that of
-    environment `env_name`, a `critics` or `targets` array that does not
-    stack 2 or more critics, one per row, an optimizer moment
-    `opt_<name>_m` or `_v` not shaped like array `<name>`, an "adam" state
-    without `_v` or a "muon" state with one, and a header entry out of
-    range: a negative `step`, a non-finite `target_entropy`, a
-    `log_entropy_coef` that is not finite or whose exp overflows,
-    `rng_states` that are not snapshots of the offline streams, or an
-    optimizer setting `opt_states.<name>.<key>` outside `_OPT_SETTINGS`."""
+    """Read a checkpoint written by `save_checkpoint`.  A non-finite array
+    raises `FormatError` naming it (`blobio.read_blob` checks).  So does
+    an action box unlike that of environment `env_name`, a `critics` or
+    `targets` array that does not stack 2 or more critics, one per row,
+    an optimizer moment `opt_<name>_m` or `_v` not shaped like array
+    `<name>`, an "adam" state without `_v` or a "muon" state with one,
+    and a header entry out of range: a negative `step`, a non-finite
+    `target_entropy`, a `log_entropy_coef` that is not finite or whose
+    exp overflows, `rng_states` that are not snapshots of the offline
+    streams, a false `policy_squash`, or an optimizer setting
+    `opt_states.<name>.<key>` outside `_OPT_SETTINGS`."""
     header, arrays = blobio.read_blob(path, AGENT_MAGIC)
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"checkpoint array {name!r} holds a non-finite value")
     step = header.typed("step", int)
     if step < 0:
         raise FormatError(f"checkpoint entry 'step' is negative: {step}")
@@ -471,11 +468,12 @@ def load_checkpoint(path) -> AgentCheckpoint:
             raise FormatError(message)
         return ParamStack(spec_of("critic_spec"), values)
 
+    if not header.typed("policy_squash", bool):
+        raise FormatError("checkpoint entry 'policy_squash' must be true, got false")
     policy = GaussianPolicy(
         params=ParamVector(spec_of("policy_spec"), arrays["policy"]),
         action_low=arrays["action_low"],
         action_high=arrays["action_high"],
-        squash=header.typed("policy_squash", bool),
     )
     opt_headers = header.typed("opt_states", dict)
     opt_states = {}
@@ -601,7 +599,6 @@ def _init_agent(config: ExperimentConfig, env: EnvSpec, seed: int) -> AgentCheck
         net.policy_hidden,
         seeding.stream(seed, "init-policy"),
         activation=net.policy_activation,
-        squash=net.policy_squash,
     )
     critics = make_critic_ensemble(
         env.state_dim,
@@ -692,7 +689,8 @@ def _run_phase(config, agent, env, seed, run_id, phase, steps: range, batches, u
     `update(batch)` takes the algorithm's optimizer steps and returns a
     metrics dict.  The policy is evaluated before a phase that starts at
     step 0 and after every `eval_every`-th step and the last, where that
-    step's metrics are logged too."""
+    step's metrics are logged too.  A numeric abort in step N, its batch
+    draw and evaluation included, is prefixed "<phase> step N:"."""
     rows = []
     log_every = min(config.eval_every, max(steps.stop, 1))
     rate = config.optim.target_update_rate
@@ -703,18 +701,19 @@ def _run_phase(config, agent, env, seed, run_id, phase, steps: range, batches, u
         rows.append((run_id, phase, step, "eval_return", mean))
         rows.append((run_id, phase, step, "eval_stderr", err))
 
-    if steps.start == 0:
-        evaluate(0)
-    for step, batch in zip(steps, batches):
-        try:
-            metrics = update(batch)
+    step = steps.start
+    try:
+        if step == 0:
+            evaluate(0)
+        for step in steps:
+            metrics = update(next(batches))
             critics = agent.critics
             critics.target_stack = polyak_update(critics.target_stack, critics.member_stack, rate)
-        except NumericError as exc:
-            raise NumericError(f"{phase} step {step}: {exc}") from None
-        if (step + 1) % log_every == 0 or step + 1 == steps.stop:
-            rows.extend((run_id, phase, step + 1, name, float(v)) for name, v in metrics.items())
-            evaluate(step + 1)
+            if (step + 1) % log_every == 0 or step + 1 == steps.stop:
+                rows.extend((run_id, phase, step + 1, k, float(v)) for k, v in metrics.items())
+                evaluate(step + 1)
+    except NumericError as exc:
+        raise NumericError(f"{phase} step {step}: {exc}") from None
     return rows
 
 
@@ -850,7 +849,8 @@ def warm_start(
 ) -> ReplayBuffer:
     """Fill a fresh replay buffer with the first `count` exploring steps of
     the frozen pre-trained policy, acting as SAC does whatever the online
-    algorithm, with this function's own stream for resets and actions."""
+    algorithm, with this function's own stream for resets and actions.  A
+    numeric abort in step N is prefixed "warm start step N:"."""
     if count < 1:
         raise ValueError("count must be positive")
     if capacity is not None and capacity < count:
@@ -858,8 +858,11 @@ def warm_start(
     rng = seeding.stream(seed, "warmstart")
     buffer = ReplayBuffer(env.state_dim, env.action_dim, capacity)
     steps = _explore(agent, env, "sac", buffer, rng, rng)
-    for _ in range(count):
-        next(steps)
+    for step in range(count):
+        try:
+            next(steps)
+        except NumericError as exc:
+            raise NumericError(f"warm start step {step}: {exc}") from None
     return buffer
 
 

@@ -1,8 +1,9 @@
 """Named, independent RNG streams derived from a single root seed.
 
-Every source of randomness in a run draws from its own named stream, so
-adding or removing one consumer (say, the regularizer's action sampler)
-never perturbs the draws seen by any other consumer.  This is what makes
+Every source of randomness in a run draws from its own named stream,
+handed to it as an `np.random.Generator`, so adding or removing one
+consumer (say, the regularizer's action sampler) never perturbs the
+draws seen by any other consumer.  This is what makes
 algorithm-reduction identities (and checkpoint resume) reproducible at
 the bit level.
 """
@@ -19,12 +20,6 @@ def stream(root_seed: int, name: str) -> np.random.Generator:
     key = zlib.crc32(name.encode("utf-8"))
     seq = np.random.SeedSequence(entropy=int(root_seed), spawn_key=(key,))
     return np.random.default_rng(seq)
-
-
-def as_generator(seed) -> np.random.Generator:
-    """`seed` itself when it is already a Generator, else a fresh
-    `np.random.default_rng(seed)`; lets a function take either."""
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
 def capture_state(rng: np.random.Generator) -> dict:

@@ -382,7 +382,6 @@ def checkpoint_fields(agent) -> dict:
         "policy.spec": spec_header(agent.policy.params.spec),
         "policy.action_low": agent.policy.action_low,
         "policy.action_high": agent.policy.action_high,
-        "policy.squash": agent.policy.squash,
         "critics.members": agent.critics.member_stack.values,
         "critics.targets": agent.critics.target_stack.values,
         "critics.spec": spec_header(agent.critics.member_stack.spec),

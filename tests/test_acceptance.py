@@ -100,7 +100,9 @@ def _loss_cases(setup, case_seed):
     policy, ens, scale, value, batch, labels, score = setup
     sd = batch.s.shape[1]
     member0 = ens.member_stack.vectors()[0]
-    acts = agents.sample_action_mixture(policy, batch.s, batch.size, case_seed)
+    acts = agents.sample_action_mixture(
+        policy, batch.s, batch.size, np.random.default_rng(case_seed)
+    )
 
     def td3bc_frozen_norm():
         qmin, _ = agents._min_over(ens.member_stack, critic_input(batch.s, policy.mean_action(batch.s)))
@@ -155,12 +157,16 @@ def _loss_cases(setup, case_seed):
             "smac-scale",
         ),
         "conservative penalty": (
-            lambda pv: agents.cql_penalty(_swap_member(ens, pv), policy, batch, case_seed),
+            lambda pv: agents.cql_penalty(
+                _swap_member(ens, pv), policy, batch, np.random.default_rng(case_seed)
+            ),
             member0,
             lambda out: out[0],
         ),
         "capped penalty": (
-            lambda pv: agents.calql_penalty(_swap_member(ens, pv), policy, batch, case_seed),
+            lambda pv: agents.calql_penalty(
+                _swap_member(ens, pv), policy, batch, np.random.default_rng(case_seed)
+            ),
             member0,
             lambda out: out[0],
         ),
@@ -206,7 +212,9 @@ def _loss_cases(setup, case_seed):
             None,
         ),
         "noise prediction": (
-            lambda pv: diffusion_loss(score.with_params(pv), batch.s, batch.a, labels, case_seed),
+            lambda pv: diffusion_loss(
+                score.with_params(pv), batch.s, batch.a, labels, np.random.default_rng(case_seed)
+            ),
             score.params,
             None,
         ),
@@ -398,8 +406,8 @@ def test_criterion_6_penalty_ordering():
             done=np.zeros(b),
             mc=rng.standard_normal(b),
         )
-        plain, _ = agents.cql_penalty(ens, policy, batch, case)
-        capped, _ = agents.calql_penalty(ens, policy, batch, case)
+        plain, _ = agents.cql_penalty(ens, policy, batch, np.random.default_rng(case))
+        capped, _ = agents.calql_penalty(ens, policy, batch, np.random.default_rng(case))
         if capped > plain:
             violations += 1
     report(6, violations == 0, f"capped <= plain penalty on 1000 random batches, {violations} violations")

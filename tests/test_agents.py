@@ -79,15 +79,6 @@ class TestPolicy:
         assert 0.99 <= mass <= 1.01
         assert abs(mass - 1.0) <= 1e-3
 
-    def test_unsquashed_density_is_gaussian(self):
-        spec = MlpSpec((1, 2))
-        params = ParamVector(spec, np.array([0.0, 0.0, 0.3, np.log(0.5)]))
-        policy = GaussianPolicy(params, np.array([-1.0]), np.array([1.0]), squash=False)
-        a = np.array([[0.1]])
-        logp, _ = policy.logprob_given(np.zeros((1, 1)), a)
-        want = -0.5 * ((0.1 - 0.3) / 0.5) ** 2 - np.log(0.5) - 0.5 * np.log(2 * np.pi)
-        assert abs(logp[0] - want) <= 1e-12
-
     def test_sampling_deterministic_per_seed(self):
         rng = stream(2, "policy")
         policy = make_policy(2, [-1.0, -1.0], [1.0, 1.0], (8,), rng)
@@ -102,10 +93,9 @@ class TestPolicy:
         a, _, _ = policy.sample(np.zeros((500, 1)), rng)
         assert np.all(a >= -0.5) and np.all(a <= 2.0)
 
-    @pytest.mark.parametrize("squash", [True, False])
     @pytest.mark.parametrize("batch", [1, 7])
-    def test_act_is_sample_without_log_density(self, squash, batch):
-        policy = make_policy(2, [-1.0, -0.5], [1.0, 2.0], (16, 16), stream(5, "policy"), squash=squash)
+    def test_act_is_sample_without_log_density(self, batch):
+        policy = make_policy(2, [-1.0, -0.5], [1.0, 2.0], (16, 16), stream(5, "policy"))
         s = stream(6, "states").standard_normal((batch, 2))
         by_sample, by_act = stream(7, "explore"), stream(7, "explore")
         want, _, _ = policy.sample(s, by_sample)
@@ -114,13 +104,10 @@ class TestPolicy:
         assert got.tobytes() == want.tobytes()
         assert by_act.bit_generator.state == by_sample.bit_generator.state
 
-    @pytest.mark.parametrize("squash", [True, False])
     @pytest.mark.parametrize("batch", [1, 7])
-    def test_stacked_mean_action_matches_each_member(self, squash, batch):
+    def test_stacked_mean_action_matches_each_member(self, batch):
         rng = stream(4, "policy")
-        members = [
-            make_policy(2, [-1.0, -0.5], [1.0, 2.0], (64, 64), rng, squash=squash) for _ in range(3)
-        ]
+        members = [make_policy(2, [-1.0, -0.5], [1.0, 2.0], (64, 64), rng) for _ in range(3)]
         stack = members[0].with_params(ParamStack.of(m.params for m in members))
         shared = rng.standard_normal((batch, 2))
         per_member = rng.standard_normal((3, batch, 2))
@@ -251,7 +238,7 @@ class TestActionMixture:
         rng = stream(12, "x")
         policy = make_policy(2, [-1.0], [1.0], (8,), rng)
         s = np.zeros((10, 2))
-        a = agents.sample_action_mixture(policy, s, 10, 13)
+        a = agents.sample_action_mixture(policy, s, 10, np.random.default_rng(13))
         assert a.shape == (10, 1)
 
     def test_uniform_half_passes_ks_test(self):
@@ -259,7 +246,7 @@ class TestActionMixture:
         policy = make_policy(1, [-1.0], [1.0], (4,), rng)
         n = 100_000
         s = np.zeros((n, 1))
-        a = agents.sample_action_mixture(policy, s, n, 14)
+        a = agents.sample_action_mixture(policy, s, n, np.random.default_rng(14))
         uniform_half = np.sort(a[n // 2 :, 0])
         cdf = (uniform_half + 1.0) / 2.0
         ecdf = np.arange(1, uniform_half.size + 1) / uniform_half.size
@@ -269,14 +256,14 @@ class TestActionMixture:
     def test_all_samples_within_bounds(self):
         rng = stream(14, "x")
         policy = make_policy(1, [-0.3], [0.8], (4,), rng)
-        a = agents.sample_action_mixture(policy, np.zeros((200, 1)), 200, 15)
+        a = agents.sample_action_mixture(policy, np.zeros((200, 1)), 200, np.random.default_rng(15))
         assert np.all(a >= -0.3) and np.all(a <= 0.8)
 
     def test_odd_batch_rejected(self):
         rng = stream(15, "x")
         policy = make_policy(1, [-1.0], [1.0], (4,), rng)
         with pytest.raises(ValueError):
-            agents.sample_action_mixture(policy, np.zeros((3, 1)), 3, 0)
+            agents.sample_action_mixture(policy, np.zeros((3, 1)), 3, np.random.default_rng(0))
 
 
 class LinearScoreStub:
@@ -377,7 +364,7 @@ class TestConservativePenalties:
         policy = make_policy(3, [-1, -1], [1, 1], (4,), rng)
         ens = const_ensemble(3, 2, 5.0)
         batch = random_batch(rng)
-        penalty, grads = agents.cql_penalty(ens, policy, batch, 0)
+        penalty, grads = agents.cql_penalty(ens, policy, batch, np.random.default_rng(0))
         assert penalty == 0.0
 
     def test_higher_data_q_gives_negative_penalty(self):
@@ -391,7 +378,7 @@ class TestConservativePenalties:
             s=np.zeros((6, 1)), a=np.full((6, 1), 1.0), r=np.zeros(6),
             s2=np.zeros((6, 1)), done=np.zeros(6), mc=np.zeros(6),
         )
-        penalty, _ = agents.cql_penalty(ens, policy, batch, 21)
+        penalty, _ = agents.cql_penalty(ens, policy, batch, np.random.default_rng(21))
         assert penalty < 0.0
 
     def test_hand_case_matches_manual_arithmetic(self):
@@ -410,14 +397,14 @@ class TestConservativePenalties:
         )
         # Odd batches cannot split between policy and uniform samples.
         with pytest.raises(ValueError):
-            agents.cql_penalty(ens, policy, batch, 22)
+            agents.cql_penalty(ens, policy, batch, np.random.default_rng(22))
         batch4 = Batch(
             s=np.vstack([batch.s, [[0.7, 0.7]]]),
             a=np.vstack([batch.a, [[-0.2]]]),
             r=np.zeros(4), s2=np.zeros((4, 2)), done=np.zeros(4),
             mc=np.zeros(4),
         )
-        penalty, _ = agents.cql_penalty(ens, policy, batch4, 22)
+        penalty, _ = agents.cql_penalty(ens, policy, batch4, np.random.default_rng(22))
         sampled = agents.sample_action_mixture(
             policy, batch4.s, 4, np.random.default_rng(22)
         )
@@ -430,8 +417,8 @@ class TestConservativePenalties:
         policy, ens = random_nets(rng)
         batch = random_batch(rng, size=6)
         batch.mc = np.full(6, np.inf)
-        a, _ = agents.cql_penalty(ens, policy, batch, 24)
-        b, _ = agents.calql_penalty(ens, policy, batch, 24)
+        a, _ = agents.cql_penalty(ens, policy, batch, np.random.default_rng(24))
+        b, _ = agents.calql_penalty(ens, policy, batch, np.random.default_rng(24))
         assert a == b
 
     def test_capped_never_exceeds_plain(self):
@@ -439,8 +426,8 @@ class TestConservativePenalties:
         for case in range(100):
             policy, ens = random_nets(rng)
             batch = random_batch(rng, size=6)
-            plain, _ = agents.cql_penalty(ens, policy, batch, case)
-            capped, _ = agents.calql_penalty(ens, policy, batch, case)
+            plain, _ = agents.cql_penalty(ens, policy, batch, np.random.default_rng(case))
+            capped, _ = agents.calql_penalty(ens, policy, batch, np.random.default_rng(case))
             assert capped <= plain + 1e-15
 
     def test_missing_mc_rejected(self):
@@ -448,7 +435,7 @@ class TestConservativePenalties:
         policy, ens = random_nets(rng)
         batch = random_batch(rng, size=6, with_mc=False)
         with pytest.raises(ValueError, match="Monte-Carlo"):
-            agents.calql_penalty(ens, policy, batch, 0)
+            agents.calql_penalty(ens, policy, batch, np.random.default_rng(0))
 
     def test_two_element_capped_hand_case(self):
         rng = stream(27, "x")
@@ -460,7 +447,7 @@ class TestConservativePenalties:
             s=np.zeros((2, 1)), a=np.array([[0.5], [-0.5]]), r=np.zeros(2),
             s2=np.zeros((2, 1)), done=np.zeros(2), mc=np.array([0.3, -2.0]),
         )
-        penalty, _ = agents.calql_penalty(ens, policy, batch, 28)
+        penalty, _ = agents.calql_penalty(ens, policy, batch, np.random.default_rng(28))
         sampled = agents.sample_action_mixture(
             policy, batch.s, 2, np.random.default_rng(28)
         )

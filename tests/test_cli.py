@@ -50,6 +50,19 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def _write_nan(path, array):
+    """Overwrite the first value of blob array `array` in the file at `path` with NaN."""
+    raw = bytearray(path.read_bytes())
+    (head_len,) = struct.unpack("<I", raw[8:12])
+    pos = 12 + head_len
+    for name, shape in json.loads(raw[12:pos])["arrays"]:
+        if name == array:
+            break
+        pos += 8 * int(np.prod(shape))
+    raw[pos : pos + 8] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(raw))
+
+
 class TestWorkflow:
     def test_full_chain(self, workdir):
         assert run(["gen-data", "--config", "cfg.json"]) == 0
@@ -382,6 +395,24 @@ class TestErrorPaths:
         assert code == 2
         assert not out.parent.exists()
 
+    # Data of another env than the config's used to train and fine-tune,
+    # and the manifest recorded the config's env; pretrain refused it.
+    @pytest.mark.parametrize("command", ["train-diffusion", "finetune"])
+    def test_dataset_env_mismatch_exits_2_without_leftover(self, workdir, capsys, command):
+        run(["gen-data", "--config", "cfg.json"])
+        data = workdir / "runs/gen-data/dataset-s0.jsonl"
+        argv = [command, "--config", "cfg.json", "--override", "env=gate1d", "--data", data]
+        if command == "finetune":
+            pre = ["--override", "offline_alg=sac", "--override", "offline_steps=2", "--out", "pre"]
+            assert run(["pretrain", "--config", "cfg.json", *pre, "--data", data]) == 0
+            argv += ["--checkpoint", workdir / "pre"]
+        out = workdir / "fresh" / "out"
+        capsys.readouterr()
+        assert run(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "dataset env 'reach2d' != config env 'gate1d'" in err and "Traceback" not in err
+        assert not out.parent.exists()
+
     # A score model trained on reach2d used to fail at the first regularizer
     # query on gate1d data, after the step-0 evaluation, naming neither the
     # file nor the mismatch; a model with another action box used to train.
@@ -443,22 +474,31 @@ class TestErrorPaths:
         pre = ["--override", "offline_alg=sac", "--override", "offline_steps=2"]
         pretrain = ["pretrain", "--config", "cfg.json", *pre, "--data", data]
         assert run(pretrain + ["--out", workdir / "pre"]) == 0
-        path = workdir / "pre" / "seed-0" / "checkpoint.bin"
-        raw = bytearray(path.read_bytes())
-        (head_len,) = struct.unpack("<I", raw[8:12])
-        pos = 12 + head_len
-        for name, shape in json.loads(raw[12:pos])["arrays"]:
-            if name == array:
-                break
-            pos += 8 * int(np.prod(shape))
-        raw[pos : pos + 8] = struct.pack("<d", float("nan"))
-        path.write_bytes(bytes(raw))
+        _write_nan(workdir / "pre" / "seed-0" / "checkpoint.bin", array)
         out = workdir / "fresh" / "fin"
         capsys.readouterr()
         finetune = ["finetune", "--config", "cfg.json", "--data", data]
         code = run(finetune + ["--checkpoint", workdir / "pre", "--out", out])
         assert code == 2
         assert repr(array) in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    # A NaN in the score model's parameters used to fail after the step-0
+    # evaluation (exit 3), and one in its schedule to load and train.
+    @pytest.mark.parametrize("array", ["alpha_bar", "params", "action_low", "action_high"])
+    def test_non_finite_score_model_exits_2_without_leftover(self, workdir, capsys, array):
+        run(["gen-data", "--config", "cfg.json"])
+        data = workdir / "runs/gen-data/dataset-s0.jsonl"
+        assert run(["train-diffusion", "--config", "cfg.json", "--data", data]) == 0
+        model = workdir / "runs/train-diffusion/seed-0/score_model.bin"
+        _write_nan(model, array)
+        out = workdir / "fresh" / "pre"
+        capsys.readouterr()
+        pretrain = ["pretrain", "--config", "cfg.json", "--data", data, "--diffusion", model]
+        assert run(pretrain + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"blob array {array!r} holds a non-finite value" in err
+        assert "Traceback" not in err
         assert not out.parent.exists()
 
     # Each case: the checkpoint's (action_low, action_high) and the array
@@ -509,6 +549,8 @@ class TestErrorPaths:
             ("checkpoint", "opt_states.policy.learning_rate", '"x"', "learning_rate"),
             ("checkpoint", "opt_states.policy", "5", "policy"),
             ("checkpoint", "policy_squash", "1", "policy_squash"),
+            # An unsquashed policy, which used to load and fine-tune.
+            ("checkpoint", "policy_squash", "false", "policy_squash"),
             ("score_model", "k_embed_dim", '"8"', "k_embed_dim"),
             ("score_model", "layer_widths", "null", "layer_widths"),
             # Values of the right type but out of range, which used to load.

@@ -22,7 +22,7 @@ from o2olab.diffusion import (
 )
 from o2olab.errors import FormatError
 from o2olab.numkit import ParamVector
-from o2olab.seeding import as_generator, stream
+from o2olab.seeding import stream
 
 
 class ArrayDataset:
@@ -35,7 +35,7 @@ class ArrayDataset:
         self.size = len(self.s)
 
 
-def eps_prediction_loss(predict_fn, schedule, action_dim, s, a, w, seed):
+def eps_prediction_loss(predict_fn, schedule, action_dim, s, a, w, rng):
     """Mean noise-prediction error of an arbitrary predictor.
 
     Draws (k, eps) and noises the actions as `diffusion_loss` does, so for
@@ -44,7 +44,7 @@ def eps_prediction_loss(predict_fn, schedule, action_dim, s, a, w, seed):
     """
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    k, eps = _draw_noising(schedule, action_dim, s.shape[0], as_generator(seed))
+    k, eps = _draw_noising(schedule, action_dim, s.shape[0], rng)
     resid = predict_fn(s, noise_action(a, k, schedule, eps), w, k) - eps
     return float(np.mean(np.sum(resid * resid, axis=1)))
 
@@ -82,6 +82,12 @@ class TestCosineSchedule:
             NoiseSchedule(np.array([0.5, 0.7]))  # increasing
         with pytest.raises(ValueError):
             NoiseSchedule(np.array([1.2, 0.5]))  # out of range
+
+    def test_nan_schedule_rejected(self):
+        # Every comparison with NaN is false, so a range check written as
+        # "any value out of range" used to let it through.
+        with pytest.raises(ValueError, match=r"lie in \(0, 1\)"):
+            NoiseSchedule(np.array([np.nan, 0.5]))
 
 
 class TestNoiseAction:
@@ -133,7 +139,7 @@ class TestDiffusionLoss:
         rng = np.random.default_rng(3)
         s = np.zeros((2000, 1))
         a = 0.1 * rng.standard_normal((2000, 2))
-        loss, _ = diffusion_loss(model, s, a, 1.0, 4)
+        loss, _ = diffusion_loss(model, s, a, 1.0, np.random.default_rng(4))
         assert abs(loss - 2.0) < 0.2
 
     def test_perfect_oracle_gives_zero_loss(self):
@@ -151,7 +157,7 @@ class TestDiffusionLoss:
                 ab = sched.at(np.asarray(k))[:, None]
                 return (noised - np.sqrt(ab) * self.clean) / np.sqrt(1.0 - ab)
 
-        loss = eps_prediction_loss(Oracle(a).predict, sched, 2, s, a, 1.0, 6)
+        loss = eps_prediction_loss(Oracle(a).predict, sched, 2, s, a, 1.0, np.random.default_rng(6))
         assert loss <= 1e-22
 
     def test_helper_mirrors_training_loss(self):
@@ -161,8 +167,10 @@ class TestDiffusionLoss:
         s = rng.standard_normal((32, 2))
         a = np.clip(rng.standard_normal((32, 1)), -1, 1)
         w = rng.random(32)
-        full, _ = diffusion_loss(model, s, a, w, 11)
-        value_only = eps_prediction_loss(model.predict, sched, 1, s, a, w, 11)
+        full, _ = diffusion_loss(model, s, a, w, np.random.default_rng(11))
+        value_only = eps_prediction_loss(
+            model.predict, sched, 1, s, a, w, np.random.default_rng(11)
+        )
         assert full == value_only
 
     def test_draw_sends_half_of_each_batch_to_k1(self):
@@ -176,7 +184,8 @@ class TestDiffusionLoss:
             return np.zeros_like(noised)
 
         for n in (1, 2, 7, 64, 4096):
-            eps_prediction_loss(record_k, sched, 1, np.zeros((n, 1)), np.zeros((n, 1)), 1.0, 30 + n)
+            zeros, rng = np.zeros((n, 1)), np.random.default_rng(30 + n)
+            eps_prediction_loss(record_k, sched, 1, zeros, zeros, 1.0, rng)
         for k in seen:
             assert np.all((k >= 1) & (k <= 8))
             assert np.all(k[: k.size // 2] == 1)
@@ -186,15 +195,15 @@ class TestDiffusionLoss:
         sched = cosine_schedule(8)
         model = init_score_model(1, 1, sched, stream(9, "init"), hidden=(4,))
         with pytest.raises(ValueError):
-            diffusion_loss(model, np.zeros((0, 1)), np.zeros((0, 1)), 1.0, 0)
+            diffusion_loss(model, np.zeros((0, 1)), np.zeros((0, 1)), 1.0, np.random.default_rng(0))
 
     def test_deterministic_per_seed(self):
         sched = cosine_schedule(8)
         model = init_score_model(1, 1, sched, stream(10, "init"), hidden=(4,))
         rng = np.random.default_rng(12)
         s, a = rng.standard_normal((16, 1)), rng.standard_normal((16, 1))
-        l1, g1 = diffusion_loss(model, s, a, 1.0, 99)
-        l2, g2 = diffusion_loss(model, s, a, 1.0, 99)
+        l1, g1 = diffusion_loss(model, s, a, 1.0, np.random.default_rng(99))
+        l2, g2 = diffusion_loss(model, s, a, 1.0, np.random.default_rng(99))
         assert l1 == l2 and np.array_equal(g1, g2)
 
 
@@ -275,14 +284,14 @@ class TestSampling:
         sched = cosine_schedule(16)
         model = init_score_model(1, 1, sched, stream(20, "init"), hidden=(8,))
         s = np.zeros((5, 1))
-        a = ddpm_sample(model, s, 1.0, seed=21)
-        b = ddpm_sample(model, s, 1.0, seed=21)
+        a = ddpm_sample(model, s, 1.0, np.random.default_rng(21))
+        b = ddpm_sample(model, s, 1.0, np.random.default_rng(21))
         assert np.array_equal(a, b)
 
     def test_samples_clipped_to_bounds(self):
         sched = cosine_schedule(16)
         model = init_score_model(1, 1, sched, stream(22, "init"), hidden=(8,))
-        out = ddpm_sample(model, np.zeros((200, 1)), 1.0, seed=23)
+        out = ddpm_sample(model, np.zeros((200, 1)), 1.0, np.random.default_rng(23))
         assert np.all(out >= model.action_low) and np.all(out <= model.action_high)
 
     def test_recovers_gaussian_moments(self):
@@ -291,7 +300,7 @@ class TestSampling:
         mu, sigma = 0.3, 0.5
         sched = cosine_schedule(64)
         stub = analytic_gaussian_model(sched, mu, sigma)
-        out = ddpm_sample(stub, np.zeros((10_000, 1)), 1.0, seed=24)[:, 0]
+        out = ddpm_sample(stub, np.zeros((10_000, 1)), 1.0, np.random.default_rng(24))[:, 0]
         assert abs(out.mean() - mu) <= 0.1 * max(abs(mu), sigma)
         assert abs(out.std() - sigma) <= 0.1 * sigma
 
@@ -299,7 +308,8 @@ class TestSampling:
         mu, sigma = -0.2, 0.4
         sched = cosine_schedule(64)
         stub = analytic_gaussian_model(sched, mu, sigma)
-        out = ddpm_sample(stub, np.zeros((10_000, 1)), 1.0, seed=25, stochastic=True)[:, 0]
+        rng = np.random.default_rng(25)
+        out = ddpm_sample(stub, np.zeros((10_000, 1)), 1.0, rng, stochastic=True)[:, 0]
         assert abs(out.mean() - mu) <= 0.1 * max(abs(mu), sigma)
         assert abs(out.std() - sigma) <= 0.15 * sigma
 

@@ -79,14 +79,17 @@ class TestEnvBasics:
 
     def test_reset_deterministic_per_seed(self):
         spec = make_env_spec("reach2d")
-        assert np.array_equal(env_reset(spec, 42), env_reset(spec, 42))
-        assert not np.array_equal(env_reset(spec, 42), env_reset(spec, 43))
+        def reset(seed):
+            return env_reset(spec, np.random.default_rng(seed))
+
+        assert np.array_equal(reset(42), reset(42))
+        assert not np.array_equal(reset(42), reset(43))
 
     def test_reset_within_state_box(self):
         for name, lo, hi in (("reach2d", -1.0, 1.0), ("gate1d", -0.7, -0.3)):
             spec = make_env_spec(name)
             for seed in range(50):
-                s = env_reset(spec, seed)
+                s = env_reset(spec, np.random.default_rng(seed))
                 assert np.all(s >= lo) and np.all(s <= hi)
 
     def test_reset_mean_matches_initial_distribution(self):
@@ -160,9 +163,9 @@ class TestEnvBasics:
         for name in ("reach2d", "gate1d"):
             spec = make_env_spec(name)
             back = pickle.loads(pickle.dumps(spec))
-            state = env_reset(spec, 3)[None, :]
+            state = env_reset(spec, np.random.default_rng(3))[None, :]
             action = np.full((1, spec.action_dim), 0.5)
-            assert np.array_equal(env_reset(back, 3), state[0])
+            assert np.array_equal(env_reset(back, np.random.default_rng(3)), state[0])
             for got, want in zip(env_step(back, state, action), env_step(spec, state, action)):
                 assert np.array_equal(got, want)
 
@@ -747,7 +750,7 @@ class TestReplayBufferAndMixing:
 
     def test_mix_one_uses_dataset_only(self):
         ds = make_tiny_dataset()
-        batch = mixed_batch(ds, None, 16, 1.0, seed=0)
+        batch = mixed_batch(ds, None, 16, 1.0, np.random.default_rng(0))
         assert batch.size == 16
         idx = np.random.default_rng(0).integers(0, ds.size, size=16)
         for got, want in ((batch.s, ds.s), (batch.a, ds.a), (batch.r, ds.r), (batch.s2, ds.s2)):
@@ -759,7 +762,7 @@ class TestReplayBufferAndMixing:
         ds = make_tiny_dataset()
         buf = ReplayBuffer(2, 2)
         push_rewards(buf, np.full(50, -99.0), dim=2)
-        batch = mixed_batch(ds, buf, 1024, 0.5, seed=1)
+        batch = mixed_batch(ds, buf, 1024, 0.5, np.random.default_rng(1))
         from_buffer = batch.r == -99.0
         assert batch.size == 1024 and from_buffer.sum() == 512
         # dataset rows first, drawn before the buffer rows from one stream
@@ -772,12 +775,12 @@ class TestReplayBufferAndMixing:
     def test_empty_buffer_with_buffer_share_rejected(self):
         ds = make_tiny_dataset()
         with pytest.raises(ValueError):
-            mixed_batch(ds, ReplayBuffer(2, 2), 16, 0.5, seed=2)
+            mixed_batch(ds, ReplayBuffer(2, 2), 16, 0.5, np.random.default_rng(2))
 
     def test_batch_size_floor(self):
         ds = make_tiny_dataset()
         with pytest.raises(ValueError):
-            mixed_batch(ds, None, 1, 1.0, seed=3)
+            mixed_batch(ds, None, 1, 1.0, np.random.default_rng(3))
 
     def test_sampling_is_uniform(self):
         # Multinomial 3-sigma check on per-transition frequencies.
@@ -790,7 +793,7 @@ class TestReplayBufferAndMixing:
         index_of = {s.tobytes(): i for i, s in enumerate(ds.s)}
         assert len(index_of) == n_items  # each row is known by its state
         for _ in range(draws // 100):
-            for s in mixed_batch(ds, None, 100, 1.0, seed=rng).s:
+            for s in mixed_batch(ds, None, 100, 1.0, rng).s:
                 counts[index_of[s.tobytes()]] += 1
         p = 1.0 / n_items
         sigma = np.sqrt(draws * p * (1 - p))
@@ -798,15 +801,15 @@ class TestReplayBufferAndMixing:
 
     def test_determinism_per_seed(self):
         ds = make_tiny_dataset()
-        a = mixed_batch(ds, None, 8, 1.0, seed=5)
-        b = mixed_batch(ds, None, 8, 1.0, seed=5)
+        a = mixed_batch(ds, None, 8, 1.0, np.random.default_rng(5))
+        b = mixed_batch(ds, None, 8, 1.0, np.random.default_rng(5))
         for name in ("s", "a", "r", "s2", "done", "mc"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_stack_batch_shapes(self):
         ds = make_tiny_dataset()
-        first = mixed_batch(ds, None, 8, 1.0, seed=6)
-        second = mixed_batch(ds, None, 4, 1.0, seed=7)
+        first = mixed_batch(ds, None, 8, 1.0, np.random.default_rng(6))
+        second = mixed_batch(ds, None, 4, 1.0, np.random.default_rng(7))
         batch = stack_batch([first, second])
         assert batch.s.shape == (12, 2) and batch.a.shape == (12, 2)
         assert batch.size == 12

@@ -1,6 +1,9 @@
 """Training loops: configuration, determinism, checkpoints, warm start."""
 
+import json
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +89,15 @@ class TestConfig:
         again = config_from_dict(config_to_dict(cfg))
         assert again == cfg
 
+    def test_readme_config_block_is_the_defaults(self):
+        # Every section and field, by name, so a removed or renamed field
+        # cannot linger in the docs.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        data = json.loads(re.sub(r"//.*", "", block))
+        assert config_from_dict(data) == pipeline.ExperimentConfig()
+        assert data == config_to_dict(pipeline.ExperimentConfig())
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             config_from_dict({"env": "reach2d", "lr": 0.1})
@@ -145,7 +157,7 @@ class TestConfig:
             {"rvs_enabled": 1},
             {"env": 3},
             {"mix": False},
-            {"networks": {"policy_squash": "yes"}},
+            {"networks": {"n_critics": "2"}},
         ],
     )
     def test_value_of_wrong_type_rejected(self, data):
@@ -230,6 +242,21 @@ class TestOfflinePretrain:
         )
         with pytest.raises(NumericError, match=r"offline step \d+"):
             offline_pretrain(cfg, tiny_dataset(), None, seed=8)
+
+    def test_numeric_abort_in_batch_draw_names_step(self):
+        # The batch draw of step 1 fails; it used to escape unprefixed.
+        cfg = small_config(offline_alg="sac", offline_steps=5)
+        ds = tiny_dataset()
+
+        def batches():
+            yield None
+            raise NumericError("non-finite draw")
+
+        with pytest.raises(NumericError, match=r"^offline step 1: non-finite draw$"):
+            pipeline._run_phase(
+                cfg, _init_agent(cfg, ds.env, 0), ds.env, 0, "r", "offline", range(5),
+                batches(), lambda batch: {},
+            )
 
     def test_full_rate_polyak_tracks_members(self):
         cfg = small_config(offline_alg="sac", offline_steps=10, optim={"target_update_rate": 1.0})
@@ -536,6 +563,18 @@ class TestWarmStartAndOnline:
         cfg_on = small_config(online_steps=200, optim={"critic_lr": 1e12, "policy_lr": 1e12})
         with pytest.raises(NumericError, match=r"^online step \d+: "):
             online_finetune(agent, cfg_on, ds, ds.env, seed=8)
+
+    # A policy with NaN output-layer parameters fails in the warm start's
+    # first action, or, with a buffer handed in, in the step-0 evaluation;
+    # either used to end with numkit's bare message.
+    @pytest.mark.parametrize("handed, prefix", [(False, "warm start"), (True, "online")])
+    def test_numeric_abort_while_exploring_names_step(self, handed, prefix):
+        cfg, ds = small_config(offline_alg="sac"), tiny_dataset()
+        agent = _init_agent(cfg, ds.env, 0)
+        agent.policy.params.values[-4:] = np.nan
+        buffer = ReplayBuffer(ds.env.state_dim, ds.env.action_dim) if handed else None
+        with pytest.raises(NumericError, match=f"^{prefix} step 0: non-finite pre-activation"):
+            online_finetune(agent, cfg, ds, ds.env, seed=0, buffer=buffer)
 
     @pytest.mark.parametrize("alg", ["sac", "td3", "td3bc", "awr"])
     def test_every_online_algorithm_runs(self, alg):
