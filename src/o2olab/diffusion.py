@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import blobio
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, file_fault
 from .numkit import (
     MlpSpec,
     ParamVector,
@@ -306,13 +306,22 @@ def save_score_model(model: ScoreModel, path):
 
 
 def load_score_model(path) -> ScoreModel:
-    header, arrays = blobio.read_blob(path, CHECKPOINT_MAGIC)
-    return ScoreModel(
-        state_dim=header.typed("state_dim", int),
-        action_dim=header.typed("action_dim", int),
-        schedule=NoiseSchedule(arrays["alpha_bar"]),
-        params=ParamVector(spec_from_header(header, "score model header"), arrays["params"]),
-        k_embed_dim=header.typed("k_embed_dim", int),
-        action_low=arrays["action_low"],
-        action_high=arrays["action_high"],
-    )
+    """Read a score model written by `save_score_model`.  Every fault
+    raises `FormatError` naming the file, and the entry where it has one:
+    a missing, mistyped or non-finite entry (`blobio.read_blob` checks),
+    an `alpha_bar` that is not a schedule, a `params` array that does not
+    fit the header's network, and `state_dim`, `action_dim` and
+    `k_embed_dim` whose conditioning does not fit its `layer_widths`."""
+    with file_fault(str(path)):
+        header, arrays = blobio.read_blob(path, CHECKPOINT_MAGIC)
+        alpha_bar, values = arrays["alpha_bar"], arrays["params"]
+        box = {key: arrays[key] for key in ("action_low", "action_high")}
+        spec = spec_from_header(header, "score model header")
+        dims = {key: header.typed(key, int) for key in ("state_dim", "action_dim", "k_embed_dim")}
+        with file_fault("score model array 'alpha_bar' is not a schedule"):
+            schedule = NoiseSchedule(alpha_bar)
+        with file_fault("score model array 'params' does not fit 'layer_widths'"):
+            params = ParamVector(spec, values)
+        where = "score model entries 'state_dim', 'action_dim', 'k_embed_dim'"
+        with file_fault(f"{where} do not fit 'layer_widths'"):
+            return ScoreModel(**dims, schedule=schedule, params=params, **box)

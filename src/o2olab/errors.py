@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+from contextlib import contextmanager
+
 
 class ShapeError(ValueError):
     """An input had the wrong dimensions or an inconsistent shape."""
@@ -25,3 +27,17 @@ class FormatError(ValueError):
         super().__init__(detail)
         self.line = line
         self.offset = offset
+
+
+@contextmanager
+def file_fault(where: str):
+    """Raise a `ValueError` of the block as a `FormatError` whose message
+    starts with `where`, keeping its line and offset: a fault in what a
+    file holds is the file's fault, and its message names the entry or
+    the file."""
+    try:
+        yield
+    except ValueError as exc:
+        fault = FormatError(f"{where}: {exc}")
+        fault.line, fault.offset = getattr(exc, "line", None), getattr(exc, "offset", None)
+        raise fault from None

@@ -257,32 +257,47 @@ def _act_second(kind: str, f: np.ndarray, df: np.ndarray) -> np.ndarray:
     return ddf
 
 
-def mlp_forward_batch(params, x: np.ndarray) -> Forward:
-    """Forward pass over a batch of input rows, `(batch, in)`, or `(n,
-    batch, in)` per network of a `ParamStack`.  Its `.out` is `(batch,
-    out)`, or `(n, batch, out)` for a `ParamStack`."""
-    x = np.asarray(x, dtype=np.float64)
+def _check_rows(params, x: np.ndarray):
+    """Refuse input rows that are neither `(batch, in)` nor, for a
+    `ParamStack` of n networks, `(n, batch, in)`."""
     lead = params.values.shape[:-1]
     if x.ndim < 2 or x.shape[-1] != params.spec.in_dim or x.shape[:-2] not in ((), lead):
         raise ShapeError(
             f"input has shape {x.shape}, expected (batch, {params.spec.in_dim})"
             + (f" or {(*lead, 'batch', params.spec.in_dim)}" if lead else "")
         )
-    layers = unflatten(params)
-    relu = params.spec.activation == "relu"
-    hs = [x]
-    h = x
-    for idx, (w, b) in enumerate(layers):
-        h = h @ w.mT
-        h += b[..., None, :]
+
+
+def _layer_outputs(h: np.ndarray, operands, relu: bool) -> list[np.ndarray]:
+    """Every layer's output for the input rows `h`.  `operands` holds one
+    (transposed weight, bias) pair per layer; each bias broadcasts against
+    its layer's product.  A layer is `h @ wt`, the bias added in place, a
+    finite check, and then, below the output layer, relu or tanh in place."""
+    hs = []
+    last = len(operands) - 1
+    for idx, (wt, b) in enumerate(operands):
+        h = h @ wt
+        h += b
         if not np.isfinite(h).all():
             raise NumericError(f"non-finite pre-activation at layer {idx}")
-        if idx < len(layers) - 1:
+        if idx < last:
             if relu:
                 np.maximum(h, 0.0, out=h)
             else:
                 np.tanh(h, out=h)
         hs.append(h)
+    return hs
+
+
+def mlp_forward_batch(params, x: np.ndarray) -> Forward:
+    """Forward pass over a batch of input rows, `(batch, in)`, or `(n,
+    batch, in)` per network of a `ParamStack`.  Its `.out` is `(batch,
+    out)`, or `(n, batch, out)` for a `ParamStack`."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_rows(params, x)
+    layers = unflatten(params)
+    operands = [(w.mT, b[..., None, :]) for w, b in layers]
+    hs = [x, *_layer_outputs(x, operands, params.spec.activation == "relu")]
     return Forward(params, layers, hs)
 
 

@@ -56,7 +56,7 @@ from .envs import (
     make_env_spec,
     mixed_batch,
 )
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, FormatError, NumericError, file_fault
 from .networks import (
     CriticEnsemble,
     GaussianPolicy,
@@ -65,7 +65,16 @@ from .networks import (
     make_policy,
     make_scale_net,
 )
-from .numkit import ACTIVATIONS, ParamStack, ParamVector, spec_from_header, spec_header
+from .numkit import (
+    ACTIVATIONS,
+    ParamStack,
+    ParamVector,
+    _check_rows,
+    _layer_outputs,
+    spec_from_header,
+    spec_header,
+    unflatten,
+)
 from .optim import OptState, init_opt_state, optimizer_step, polyak_update
 from .tables import write_table
 
@@ -436,8 +445,15 @@ def load_checkpoint(path) -> AgentCheckpoint:
     `target_entropy`, a `log_entropy_coef` that is not finite or whose
     exp overflows, `rng_states` that are not snapshots of the offline
     streams, a false `policy_squash`, or an optimizer setting
-    `opt_states.<name>.<key>` outside `_OPT_SETTINGS`."""
-    header, arrays = blobio.read_blob(path, AGENT_MAGIC)
+    `opt_states.<name>.<key>` outside `_OPT_SETTINGS`.  A `policy`,
+    `critics`, `targets`, `scale` or `value` array that does not fit its
+    network spec is refused naming the array and the spec's entry, and
+    every fault names the file."""
+    with file_fault(str(path)):
+        return _decode_checkpoint(*blobio.read_blob(path, AGENT_MAGIC))
+
+
+def _decode_checkpoint(header, arrays) -> AgentCheckpoint:
     step = header.typed("step", int)
     if step < 0:
         raise FormatError(f"checkpoint entry 'step' is negative: {step}")
@@ -455,26 +471,28 @@ def load_checkpoint(path) -> AgentCheckpoint:
             raise FormatError(f"checkpoint entry {key!r} is not finite or exceeds {top}: {value}")
         return value
 
-    def spec_of(key):
-        return spec_from_header(header[key], f"checkpoint entry {key!r}")
+    def fitted(kind, key, array):
+        """`kind` (`ParamVector` or `ParamStack`) of array `array` under the
+        spec of entry `key`."""
+        spec, values = spec_from_header(header[key], f"checkpoint entry {key!r}"), arrays[array]
+        with file_fault(f"checkpoint array {array!r} does not fit entry {key!r}"):
+            return kind(spec, values)
 
     def net_of(key, array):
-        return None if header[key] is None else ScaleNet(ParamVector(spec_of(key), arrays[array]))
+        return None if header[key] is None else ScaleNet(fitted(ParamVector, key, array))
 
     def critic_stack(array):
         values = arrays[array]
         if values.ndim != 2 or len(values) < 2:
             message = f"checkpoint array {array!r} of shape {values.shape} is not 2 or more critics"
             raise FormatError(message)
-        return ParamStack(spec_of("critic_spec"), values)
+        return fitted(ParamStack, "critic_spec", array)
 
     if not header.typed("policy_squash", bool):
         raise FormatError("checkpoint entry 'policy_squash' must be true, got false")
-    policy = GaussianPolicy(
-        params=ParamVector(spec_of("policy_spec"), arrays["policy"]),
-        action_low=arrays["action_low"],
-        action_high=arrays["action_high"],
-    )
+    params = fitted(ParamVector, "policy_spec", "policy")
+    with file_fault("checkpoint entry 'policy_spec' does not fit the action box"):
+        policy = GaussianPolicy(params, arrays["action_low"], arrays["action_high"])
     opt_headers = header.typed("opt_states", dict)
     opt_states = {}
     # Every agent has a policy and a critic optimizer state.
@@ -498,12 +516,15 @@ def load_checkpoint(path) -> AgentCheckpoint:
                     f"array {name!r} of shape {arrays[name].shape}"
                 )
         opt_states[name] = OptState(**settings, m=moments["m"], v=moments.get("v"))
+    members, targets = critic_stack("critics"), critic_stack("targets")
+    with file_fault("checkpoint arrays 'critics' and 'targets' do not pair up"):
+        critics = CriticEnsemble(members, targets)
     return AgentCheckpoint(
         step=step,
         offline_alg=header.typed("offline_alg", str),
         env_name=env_name,
         policy=policy,
-        critics=CriticEnsemble(critic_stack("critics"), critic_stack("targets")),
+        critics=critics,
         scale_net=net_of("scale_spec", "scale"),
         value_net=net_of("value_spec", "value"),
         log_entropy_coef=at_most("log_entropy_coef", LOG_ENTROPY_COEF_MAX),
@@ -525,25 +546,44 @@ def greedy_returns(policy: GaussianPolicy, env: EnvSpec, episodes: int, seed: in
     Returns are undiscounted episodic sums, the usual benchmark
     convention.  Every policy starts from the same `episodes` initial
     states, drawn from `seed`.  All m * episodes rollouts run in lock
-    step: each time step makes one stacked `mean_action` forward over
+    step: each time step makes one stacked mean-action forward over
     `(m, episodes, d)` rows and one `env_step` on the rows still running.
     A finished row keeps the state it took its last step from, and its
     action is computed but ignored: it is neither stepped nor credited
     again.  Until a row finishes, no row is masked.  Each policy's rows
     stay in their own matmul slice, so its returns do not depend on the
     rest of the stack.
+
+    The parameters do not change during a rollout, so the forward's
+    operands are built once, before the first step: each layer's
+    transposed weight view, and each bias tiled to the `(m, episodes,
+    width)` rows.  Every step then runs the layer loop of
+    `mlp_forward_batch` on them and takes `center + half * tanh(mu)`,
+    as `mean_action` does.  The weights are the same views of the same
+    parameters, so each matrix product runs the same BLAS kernel on the
+    same operands, and adding a tiled bias adds the same numbers as
+    adding it broadcast: every return is the same bit for bit as with a
+    `mean_action` per step.  The tiles take m * episodes * (hidden and
+    output widths) * 8 bytes.
     """
     if episodes < 1:
         raise ValueError("episodes must be positive")
     rng = np.random.default_rng(seed)
     starts = np.array([env_reset(env, rng) for _ in range(episodes)])
-    m = len(policy.params)
-    # Row i * episodes + j is policy i's episode j.
+    params = policy.params
+    m = len(params)
+    # Row i * episodes + j is policy i's episode j; `rows` views `states`.
     states = np.tile(starts, (m, 1))
+    rows = states.reshape(m, episodes, -1)
+    _check_rows(params, rows)
+    operands = [(w.mT, np.tile(b[:, None, :], (1, episodes, 1))) for w, b in unflatten(params)]
+    relu = params.spec.activation == "relu"
+    center, half, d = policy.center, policy.half, policy.action_dim
     returns = np.zeros(m * episodes)
     running = slice(None)  # every row, until one finishes; then their indices
     for _ in range(env.horizon):
-        actions = policy.mean_action(states.reshape(m, episodes, -1)).reshape(m * episodes, -1)
+        mu = _layer_outputs(rows, operands, relu)[-1][..., :d]
+        actions = (center + half * np.tanh(mu)).reshape(m * episodes, -1)
         actions = np.clip(actions, env.action_low, env.action_high)
         nxt, rewards, done = env_step(env, states[running], actions[running])
         returns[running] += rewards
