@@ -620,6 +620,51 @@ class TestErrorPaths:
         assert repr(named) in capsys.readouterr().err
         assert not out.parent.exists()
 
+    # Each case edits one entry of a file so that it no longer fits:
+    # (file, entry named, edit of its header and arrays).  These used to
+    # exit 2 with a shape or schedule message that named neither the file
+    # nor the entry.  A checkpoint is read as landscape-plane's
+    # --checkpoint-b, beside two good ones, so its path tells them apart.
+    @pytest.mark.parametrize(
+        "target, named, edit",
+        [
+            ("score_model", "alpha_bar", lambda h, a: a["alpha_bar"].__setitem__(0, 1.5)),
+            ("score_model", "alpha_bar", lambda h, a: a.update(alpha_bar=a["alpha_bar"][::-1])),
+            ("score_model", "alpha_bar", lambda h, a: a.update(alpha_bar=a["alpha_bar"][:1])),
+            ("score_model", "params", lambda h, a: a.update(params=a["params"][:-1])),
+            ("score_model", "k_embed_dim", lambda h, a: h.update(k_embed_dim=9)),
+            ("checkpoint", "policy", lambda h, a: a.update(policy=a["policy"][:-1])),
+            ("checkpoint", "targets", lambda h, a: a.update(targets=a["targets"][:, :-1])),
+        ],
+        ids=["schedule-above-1", "schedule-rising", "schedule-one-level", "params-short",
+             "k-embed-dim", "policy-short", "targets-short"],
+    )
+    def test_misfit_file_exits_2_naming_file_and_entry(self, workdir, capsys, target, named, edit):
+        run(["gen-data", "--config", "cfg.json"])
+        data = workdir / "runs/gen-data/dataset-s0.jsonl"
+        if target == "score_model":
+            assert run(["train-diffusion", "--config", "cfg.json", "--data", data]) == 0
+            path, magic = workdir / "runs/train-diffusion/seed-0/score_model.bin", CHECKPOINT_MAGIC
+            argv = ["pretrain", "--config", "cfg.json", "--data", data, "--diffusion", path]
+        else:
+            sac = ["--override", "offline_alg=sac"]
+            pre = [*sac, "--override", "offline_steps=2", "--override", "seeds=[0,1]"]
+            assert run(["pretrain", "--config", "cfg.json", *pre, "--data", data, "--out", "pre"]) == 0
+            path, magic = workdir / "bad.bin", AGENT_MAGIC
+            path.write_bytes((workdir / "pre/seed-1/checkpoint.bin").read_bytes())
+            good = workdir / "pre/seed-0/checkpoint.bin"
+            argv = ["landscape-plane", "--config", "cfg.json", *sac, "--checkpoint-a", good,
+                    "--checkpoint-b", path, "--checkpoint-c", good]
+        header, arrays = blobio.read_blob(path, magic)
+        edit(header, arrays)
+        blobio.write_blob(path, magic, header, arrays)
+        out = workdir / "fresh" / "out"
+        capsys.readouterr()
+        assert run(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: " in err and repr(named) in err and "Traceback" not in err
+        assert not out.parent.exists()
+
     # Each case: (config override, env of checkpoints a, b[, c]).  The
     # landscape commands used to evaluate in checkpoint a's env and record
     # the config's env in the manifest.

@@ -604,6 +604,31 @@ class TestWarmStartAndOnline:
         assert gaps[0][4] == evals[1][4] - evals[0][4]
 
 
+def per_step_greedy_returns(policy, env, episodes, seed):
+    """`greedy_returns` with one stacked `mean_action` forward per time
+    step, as it ran before its layer operands were built once per rollout:
+    the reference the hoisted rollout must match bit for bit."""
+    from o2olab.envs import env_reset, env_step
+
+    rng = np.random.default_rng(seed)
+    starts = np.array([env_reset(env, rng) for _ in range(episodes)])
+    m = len(policy.params)
+    states = np.tile(starts, (m, 1))
+    returns = np.zeros(m * episodes)
+    running = slice(None)
+    for _ in range(env.horizon):
+        actions = policy.mean_action(states.reshape(m, episodes, -1)).reshape(m * episodes, -1)
+        actions = np.clip(actions, env.action_low, env.action_high)
+        nxt, rewards, done = env_step(env, states[running], actions[running])
+        returns[running] += rewards
+        keep = ~done
+        running = np.arange(m * episodes)[running][keep]
+        states[running] = nxt[keep]
+        if running.size == 0:
+            break
+    return returns.reshape(m, episodes)
+
+
 class TestEvaluate:
     def test_single_episode_matches_manual_rollout(self):
         env = make_env_spec("reach2d")
@@ -670,6 +695,7 @@ class TestEvaluate:
             assert type(result) is tuple and len(result) == 2
             assert all(type(x) is float for x in result)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("name", ["gate1d", "reach2d"])
     def test_stacked_rollout_matches_one_policy_at_a_time(self, name):
         from o2olab.networks import make_policy
@@ -677,16 +703,36 @@ class TestEvaluate:
 
         env = make_env_spec(name)
         policies = []
-        for i, push in enumerate((0.2, 0.25, 0.3, 0.35)):
+        pushes = (0.2, 0.25, 0.3, 0.35, *np.linspace(0.15, 0.45, 21))
+        for i, push in enumerate(pushes):
             policy = make_policy(
                 env.state_dim, env.action_low, env.action_high, (64, 64), stream(31 + i, "x")
             )
             if name == "gate1d":
-                # State-dependent pushes towards the gate at four speeds.
+                # State-dependent pushes towards the gate at several speeds.
                 weight, bias = unflatten(policy.params)[-1]
                 weight *= 0.1
                 bias[0] = np.arctanh(push)
             policies.append(policy)
+        # The rollout builds each layer's operands once; it returns the same
+        # bytes as a `mean_action` forward per step.
+        for m in (1, 4, 25):
+            stack = policies[0].with_params(ParamStack.of(p.params for p in policies[:m]))
+            for episodes in (1, 9):
+                want = per_step_greedy_returns(stack, env, episodes, seed=32)
+                assert greedy_returns(stack, env, episodes, seed=32).tobytes() == want.tobytes()
+        # A member whose layer 1 overflows stops the rollout as it stops the
+        # per-step forward.
+        values = ParamStack.of(p.params for p in policies[:4])
+        unflatten(values)[1][0][2] = 1e308
+        overflowing = policies[0].with_params(values)
+        with pytest.raises(NumericError) as want:
+            per_step_greedy_returns(overflowing, env, 9, seed=32)
+        with pytest.raises(NumericError) as got:
+            greedy_returns(overflowing, env, 9, seed=32)
+        assert str(got.value) == str(want.value) == "non-finite pre-activation at layer 1"
+
+        policies = policies[:4]
         stack = policies[0].with_params(ParamStack.of(p.params for p in policies))
         returns = greedy_returns(stack, env, 9, seed=32)
         assert returns.shape == (4, 9)
