@@ -21,6 +21,16 @@ Three levels of differentiation are provided:
   needed when a loss depends on an input gradient of the network
   (gradients of gradients); it returns the parameter gradient only.
 
+The forward's layer loop is one private function, `_layer_outputs`: per
+layer a matrix product with the transposed weight, the bias added in
+place, a finite check and the hidden activation.  `mlp_forward_batch`
+hands it the per-layer views of the parameters it is given, with each
+bias broadcast over the rows.  A greedy rollout
+(`pipeline.greedy_returns`) evaluates the same parameters at every time
+step, so it builds those operands once, with each bias tiled to the
+rollout's rows, and calls the loop directly; the products run on the
+same views, so its outputs are those of `mlp_forward_batch` bit for bit.
+
 Each pass takes a batch of input rows; a single input is a batch of one.
 A loss runs one forward and hands that record to every gradient pass it
 takes of it, so the passes share the forward by construction.

@@ -605,9 +605,9 @@ class TestWarmStartAndOnline:
 
 
 def per_step_greedy_returns(policy, env, episodes, seed):
-    """`greedy_returns` with one stacked `mean_action` forward per time
-    step, as it ran before its layer operands were built once per rollout:
-    the reference the hoisted rollout must match bit for bit."""
+    """The returns of `greedy_returns`, from one stacked `mean_action`
+    forward per time step: the reference that the rollout, which builds
+    its layer operands once, must match bit for bit."""
     from o2olab.envs import env_reset, env_step
 
     rng = np.random.default_rng(seed)
@@ -723,9 +723,9 @@ class TestEvaluate:
                 assert greedy_returns(stack, env, episodes, seed=32).tobytes() == want.tobytes()
         # A member whose layer 1 overflows stops the rollout as it stops the
         # per-step forward.
-        values = ParamStack.of(p.params for p in policies[:4])
-        unflatten(values)[1][0][2] = 1e308
-        overflowing = policies[0].with_params(values)
+        params = ParamStack.of(p.params for p in policies[:4])
+        unflatten(params)[1][0][2] = 1e308
+        overflowing = policies[0].with_params(params)
         with pytest.raises(NumericError) as want:
             per_step_greedy_returns(overflowing, env, 9, seed=32)
         with pytest.raises(NumericError) as got:
