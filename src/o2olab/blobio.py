@@ -6,6 +6,8 @@ float64.  The header's "arrays" entry lists [name, shape] pairs in
 payload order, so files are self-describing and byte-deterministic;
 `read_blob` refuses a manifest that is not such a list, with distinct
 names and shapes of non-negative ints, and a non-finite array value.
+Each array it returns is copied once, straight out of the file's bytes,
+so it is aligned, writable and shares memory with no other array.
 """
 
 from __future__ import annotations
@@ -85,15 +87,15 @@ def read_blob(path, expected_magic: bytes):
         ):
             message = "not a [name, shape] pair of a new name and a list of non-negative ints"
             raise FormatError(f"blob entry 'arrays' holds {entry!r}, {message}")
-        nbytes = math.prod(shape) * 8
-        if len(raw) < pos + nbytes:
+        count = math.prod(shape)
+        if len(raw) < pos + count * 8:
             raise FormatError(f"truncated payload for array {name!r}", offset=len(raw))
-        arrays[name] = np.frombuffer(raw[pos : pos + nbytes], dtype="<f8").reshape(shape).copy()
-        pos += nbytes
+        arrays[name] = np.frombuffer(raw, "<f8", count, pos).reshape(shape).copy()
+        pos += count * 8
     if pos != len(raw):
         raise FormatError(f"{len(raw) - pos} trailing bytes after the last array", offset=pos)
     for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise FormatError(f"blob array {name!r} holds a non-finite value")
     del header["arrays"]
     return header, arrays

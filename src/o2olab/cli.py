@@ -4,7 +4,10 @@ Every run validates its configuration and inputs before touching the
 filesystem, writes its artifacts into a temporary directory, records a
 manifest (config snapshot, seeds, sha256 of every artifact), and then
 atomically renames the directory into place.  Exit codes: 0 success,
-2 configuration/input error, 3 numeric abort during training.
+2 configuration/input error ("format error: ..." for a file that does
+not fit its format, "config error: ..." for any other), 3 numeric
+abort during training.  The argument parser is built once per process,
+so a caller that runs `main` many times pays for it once.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import re
 import shutil
 import sys
 import tempfile
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -85,9 +88,8 @@ class _OutputDir:
             "seeds": list(seeds),
             "artifacts": artifacts,
         }
-        with open(self.tmp / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        (self.tmp / "manifest.json").write_text(text, encoding="utf-8")
         os.replace(self.tmp, self.out)
 
 
@@ -497,7 +499,11 @@ def _add_common(sub):
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and returned by every
+    later one: parsing leaves it unchanged, and each parse makes a new
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="o2olab", description="Offline-to-online RL laboratory"
     )
@@ -577,7 +583,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, FormatError, ValueError, OSError) as exc:
+    except FormatError as exc:
+        print(f"format error: {exc}", file=sys.stderr)
+        return 2
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -416,15 +416,18 @@ def save_checkpoint(checkpoint: AgentCheckpoint, path):
 
 def _checked_rng_states(states) -> dict:
     """A checkpoint's `rng_states`, which must hold a `seeding.capture_state`
-    snapshot of each offline stream and nothing else."""
+    snapshot of each offline stream and nothing else.  The check puts one
+    bit generator, reused for every stream, in each snapshot's state and
+    requires the snapshot back unchanged."""
     if not isinstance(states, dict) or sorted(states) != sorted(_OFFLINE_STREAMS):
         keys = sorted(states) if isinstance(states, dict) else states
         raise FormatError(
             f"checkpoint entry 'rng_states' is not an object keyed by {_OFFLINE_STREAMS}: {keys!r}"
         )
+    rng = np.random.Generator(np.random.PCG64(0))
     for name, snapshot in states.items():
         try:
-            restored = seeding.capture_state(seeding.restore_state(snapshot))
+            restored = seeding.capture_state(seeding.set_state(rng, snapshot))
         except (AttributeError, FormatError, KeyError, OverflowError, TypeError, ValueError):
             restored = None
         if restored != snapshot:

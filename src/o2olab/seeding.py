@@ -33,9 +33,8 @@ def capture_state(rng: np.random.Generator) -> dict:
     }
 
 
-def restore_state(snapshot: dict) -> np.random.Generator:
-    """Rebuild a generator from a `capture_state` snapshot."""
-    rng = np.random.default_rng(0)
+def set_state(rng: np.random.Generator, snapshot: dict) -> np.random.Generator:
+    """Put `rng` in the state of a `capture_state` snapshot; returns `rng`."""
     rng.bit_generator.state = {
         "bit_generator": snapshot["bit_generator"],
         "state": {k: int(v) for k, v in snapshot["state"].items()},
@@ -43,3 +42,8 @@ def restore_state(snapshot: dict) -> np.random.Generator:
         "uinteger": int(snapshot["uinteger"]),
     }
     return rng
+
+
+def restore_state(snapshot: dict) -> np.random.Generator:
+    """Rebuild a generator from a `capture_state` snapshot."""
+    return set_state(np.random.default_rng(0), snapshot)

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from o2olab import blobio
-from o2olab.cli import _sha256, main, parse_run_id
+from o2olab.cli import _sha256, build_parser, main, parse_run_id
 from o2olab.diffusion import CHECKPOINT_MAGIC
 from o2olab.errors import FormatError
-from o2olab.pipeline import AGENT_MAGIC
+from o2olab.pipeline import AGENT_MAGIC, config_to_dict, load_config
 
 
 @pytest.fixture()
@@ -662,7 +662,7 @@ class TestErrorPaths:
         capsys.readouterr()
         assert run(argv + ["--out", out]) == 2
         err = capsys.readouterr().err
-        assert f"config error: {path}: " in err and repr(named) in err and "Traceback" not in err
+        assert f"format error: {path}: " in err and repr(named) in err and "Traceback" not in err
         assert not out.parent.exists()
 
     # Each case: (config override, env of checkpoints a, b[, c]).  The
@@ -929,6 +929,26 @@ class TestStartupCost:
             tracemalloc.stop()
         assert digest == hashlib.sha256(data).hexdigest()
         assert peak < 256 << 10, peak
+
+    def test_parser_is_built_once_and_keeps_no_state(self, workdir, capsys):
+        # One parser serves every call in a process, so neither a refused
+        # flag nor an earlier call's overrides or seed may reach a later call.
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-data", "--bogus-flag"])
+        assert exc.value.code == 2
+        assert "--bogus-flag" in capsys.readouterr().err
+        over = ["--override", "data.n_trajectories=3", "--seed", 3, "--out", "over"]
+        assert run(["gen-data", "--config", "cfg.json", *over]) == 0
+        assert run(["gen-data", "--config", "cfg.json", "--out", "plain"]) == 0
+        manifests = [
+            json.loads((workdir / d / "manifest.json").read_text()) for d in ("over", "plain")
+        ]
+        defaults = config_to_dict(load_config(workdir / "cfg.json"))
+        assert manifests[0]["seeds"] == [3]
+        assert manifests[0]["config"]["data"]["n_trajectories"] == 3
+        assert manifests[1]["seeds"] == defaults["seeds"] == [0]
+        assert manifests[1]["config"] == defaults
 
 
 class TestRunId:
